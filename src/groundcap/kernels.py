@@ -4,7 +4,7 @@ The active variant is picked once at import time from the GROUNDCAP_NUMBA
 environment variable: "0"/"off"/"false" forces the numpy path, "1"/"on"/
 "true" requires numba (ImportError if missing), anything else ("auto",
 unset) uses numba when importable. Both variants of every kernel stay
-importable so the benchmark and the equivalence tests can compare them.
+importable so the equivalence tests can compare them.
 
 LSTM gate layout throughout: the pre-activation matrix packs the four
 gates column-blockwise as [input | forget | output | candidate].
@@ -16,6 +16,8 @@ import math
 import os
 
 import numpy as np
+
+from .numeric import sigmoid
 
 
 def _numba_requested() -> tuple[bool, bool]:
@@ -48,16 +50,6 @@ USE_NUMBA = _want and NUMBA_AVAILABLE
 # numpy variants
 # ---------------------------------------------------------------------------
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Branch on sign so exp never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def lstm_gates_forward_numpy(pre, c_prev):
     """Gate nonlinearities and state update from pre-activations.
 
@@ -65,9 +57,12 @@ def lstm_gates_forward_numpy(pre, c_prev):
     Returns (h, c, i, f, o, g, tc) where tc = tanh(c).
     """
     d = c_prev.shape[1]
-    i = _sigmoid(pre[:, :d])
-    f = _sigmoid(pre[:, d:2 * d])
-    o = _sigmoid(pre[:, 2 * d:3 * d])
+    # One call for the three sigmoid gates: per-call overhead dominates at
+    # the batch size of 1 that greedy decoding runs at.
+    ifo = sigmoid(pre[:, :3 * d])
+    i = ifo[:, :d]
+    f = ifo[:, d:2 * d]
+    o = ifo[:, 2 * d:]
     g = np.tanh(pre[:, 3 * d:])
     c = f * c_prev + i * g
     tc = np.tanh(c)
@@ -117,10 +112,12 @@ def pair_cosines_backward_numpy(dsims, vecs, left, right):
     s = dsims[:, None]
     du = s * (v * inv[:, None] - u * (cos / (nu * nu))[:, None])
     dv = s * (u * inv[:, None] - v * (cos / (nv * nv))[:, None])
-    dvecs = np.zeros_like(vecs)
-    np.add.at(dvecs, left, du)
-    np.add.at(dvecs, right, dv)
-    return dvecs
+    # One bincount over the flat (row, column) cells adds the left terms in
+    # pair order, then the right terms, as two np.add.at calls would.
+    n, d = vecs.shape
+    cells = (np.concatenate([left, right])[:, None] * d + np.arange(d)).ravel()
+    terms = np.concatenate([du, dv]).ravel()
+    return np.bincount(cells, weights=terms, minlength=n * d).reshape(n, d)
 
 
 def lcs_length_numpy(a, b):

@@ -15,6 +15,24 @@ Both samplers draw with replacement and discard draws that cannot satisfy
 the class constraints; losses normalize by the number of valid draws, and
 zero valid draws yields a constant 0 contribution. Each sampler owns its
 own RNG stream so toggling one loss never perturbs the other's draws.
+
+Sampler stream contract. The draws are defined as a sequence of scalar
+``rng.integers(bound)`` calls, and the vectorised samplers reproduce that
+sequence exactly: same index arrays, and the generator left in the same
+state, so training runs are bit-identical to the per-draw definition.
+
+* ``sample_pairs`` draws, per draw, ``i`` with bound ``n`` then ``j`` with
+  bound ``n - 1``; it draws nothing for a pool of fewer than 2 rows.
+* ``sample_triplets`` draws, per draw, the anchor with bound ``n``; only if
+  the anchor's class ``c`` has a classmate and the pool has another class
+  does it go on to draw the positive's rank with bound ``m_c - 1`` and the
+  negative's rank with bound ``n - m_c`` (``m_c`` = rows of class ``c``).
+  It draws nothing for an empty pool.
+
+A draw with bound 1 returns 0 and consumes nothing from the generator; any
+other bound consumes one 32-bit value unless Lemire's method rejects it.
+An array-valued ``rng.integers(0, bounds)`` equals the scalar calls made
+with the same bounds in order, which the samplers rely on.
 """
 
 from __future__ import annotations
@@ -98,37 +116,75 @@ def sample_triplets(
     uniformly among the anchor's classmates and a negative uniformly among
     other classes; draws without a possible positive or negative are
     discarded. Indices refer to pool-internal positions (0..size-1).
+
+    The bounds of a draw's second and third values depend on its anchor, so
+    the stream is found as a fixed point: guess every anchor, draw the whole
+    stream with the bounds the guess implies, read the anchors back, and
+    redraw from the saved state until they agree. Each pass fixes at least
+    one more anchor, and the first guess is normally right already.
     """
     n = pool.size
-    anchors, positives, negatives = [], [], []
-    if n == 0:
-        return (np.zeros(0, np.int64),) * 3
-    by_class: dict[int, np.ndarray] = {
-        c: np.flatnonzero(pool.class_ids == c) for c in np.unique(pool.class_ids)
-    }
-    rank_in_class = np.empty(n, dtype=np.int64)
-    for members in by_class.values():
-        rank_in_class[members] = np.arange(len(members))
-    others = {c: np.flatnonzero(pool.class_ids != c) for c in by_class}
-    for _ in range(n_draws):
-        i = int(rng.integers(n))
-        c = pool.class_ids[i]
-        mates = by_class[c]
-        rest = others[c]
-        if len(mates) < 2 or len(rest) == 0:
-            continue
-        j = int(rng.integers(len(mates) - 1))
-        if j >= rank_in_class[i]:
-            j += 1
-        k = int(rng.integers(len(rest)))
-        anchors.append(i)
-        positives.append(int(mates[j]))
-        negatives.append(int(rest[k]))
-    return (
-        np.asarray(anchors, dtype=np.int64),
-        np.asarray(positives, dtype=np.int64),
-        np.asarray(negatives, dtype=np.int64),
-    )
+    empty = np.zeros(0, np.int64)
+    if n == 0 or n_draws <= 0:
+        return empty, empty, empty
+    cls, size = np.unique(pool.class_ids, return_inverse=True, return_counts=True)[1:]
+    order = np.argsort(cls, kind="stable")  # rows grouped by class, row order within
+    start = np.cumsum(size) - size  # first position of each class in ``order``
+    rank = np.empty(n, np.int64)
+    rank[order] = np.arange(n) - start[cls[order]]
+    mates = size[cls]  # class size of each row, the row included
+    ok = (mates >= 2) & (mates < n)
+
+    saved = rng.bit_generator.state
+    # First guess: read every stream value as an anchor and walk the stream by
+    # the values each anchor's draw consumes (a bound of 1 consumes none).
+    stream = rng.integers(n, size=3 * n_draws)
+    consumed = 1 + (ok & (mates > 2)) + (ok & (mates < n - 1))
+    anchors = stream[_walk(consumed[stream], n_draws)]
+    while True:
+        rng.bit_generator.state = saved
+        valid = ok[anchors]
+        width = 1 + 2 * valid
+        at = np.cumsum(width) - width  # position of each draw's anchor
+        bounds = np.empty(int(width.sum()), np.int64)
+        bounds[at] = n
+        bounds[at[valid] + 1] = mates[anchors[valid]] - 1
+        bounds[at[valid] + 2] = n - mates[anchors[valid]]
+        values = rng.integers(0, bounds)
+        drawn = values[at]
+        if np.array_equal(drawn, anchors):
+            break
+        anchors = drawn
+
+    a = anchors[valid]
+    j = values[at[valid] + 1]
+    j += j >= rank[a]
+    k = values[at[valid] + 2]
+    c = cls[a]
+    # The k-th row outside class c is k plus the number of class-c rows with
+    # at most k non-members before them; ``gap`` counts those non-members and
+    # rises within a class, so one sorted key serves every class.
+    gap = order - rank[order]
+    key = cls[order] * n + gap
+    negatives = k + np.searchsorted(key, c * n + k, side="right") - start[c]
+    return a, order[start[c] + j], negatives
+
+
+def _walk(step: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` stops of the walk 0, step[0], ... by pointer doubling.
+
+    Every stop reached must lie inside ``step``.
+    """
+    size = len(step)
+    jump = np.minimum(np.arange(size) + step, size - 1)
+    t = np.arange(count)
+    stops = np.zeros(count, np.int64)
+    bit = 1
+    while bit < count:
+        stops = np.where(t & bit, jump[stops], stops)
+        jump = jump[jump]
+        bit <<= 1
+    return stops
 
 
 def cluster_loss(
@@ -152,19 +208,14 @@ def sample_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cross-class index pairs into the pool (unordered, with replacement)."""
     n = pool.size
-    left, right = [], []
-    if n < 2:
+    if n < 2 or n_draws <= 0:
         return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    for _ in range(n_draws):
-        i = int(rng.integers(n))
-        j = int(rng.integers(n - 1))
-        if j >= i:
-            j += 1
-        if pool.class_ids[i] == pool.class_ids[j]:
-            continue
-        left.append(i)
-        right.append(j)
-    return np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
+    draws = rng.integers(0, np.tile([n, n - 1], n_draws))
+    left = draws[0::2]
+    right = draws[1::2]
+    right += right >= left
+    keep = pool.class_ids[left] != pool.class_ids[right]
+    return left[keep], right[keep]
 
 
 def label_embedding(
@@ -180,14 +231,16 @@ def label_embedding(
 
 def label_embedding_matrix(
     w_e: Tensor, class_ids: np.ndarray, class_tokens: dict[int, list[int]]
-) -> tuple[Tensor, dict[int, int]]:
-    """Stack label embeddings for the given classes; returns (matrix, row-of-class)."""
-    present = sorted(set(int(c) for c in class_ids))
+) -> tuple[Tensor, np.ndarray]:
+    """Stack the label embeddings of the distinct classes in ascending order;
+    returns (matrix, matrix row of each entry of ``class_ids``)."""
+    present, row = np.unique(class_ids, return_inverse=True)
+    present = present.tolist()
     missing = [c for c in present if c not in class_tokens]
     if missing:
         raise DomainError(f"classes {missing} have no label tokens")
     groups = [np.asarray(class_tokens[c], dtype=np.int64) for c in present]
-    return ad.column_group_mean(w_e, groups), {c: r for r, c in enumerate(present)}
+    return ad.column_group_mean(w_e, groups), row
 
 
 def perceptual_loss(
@@ -208,10 +261,8 @@ def perceptual_loss(
     rows = pool.rows
     sim_obj = ad.pair_cosines(pool.vectors, rows[left], rows[right])
     classes = np.concatenate([pool.class_ids[left], pool.class_ids[right]])
-    embeddings, row_of = label_embedding_matrix(w_e, classes, class_tokens)
-    e_left = np.array([row_of[int(c)] for c in pool.class_ids[left]], dtype=np.int64)
-    e_right = np.array([row_of[int(c)] for c in pool.class_ids[right]], dtype=np.int64)
-    sim_text = ad.pair_cosines(embeddings, e_left, e_right)
+    embeddings, row = label_embedding_matrix(w_e, classes, class_tokens)
+    sim_text = ad.pair_cosines(embeddings, row[: len(left)], row[len(left) :])
     try:
         correlation = ad.pearson_t(sim_obj, sim_text)
     except DegenerateStatisticsError as err:

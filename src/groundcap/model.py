@@ -19,6 +19,7 @@ cap, argmax ties broken toward the lowest token id.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,6 +113,8 @@ class ModelParams:
 
 
 def save_checkpoint(params: ModelParams, path: Path, extra: dict | None = None) -> None:
+    """Write the checkpoint JSON atomically: a kill or a failed write leaves
+    any previous checkpoint at ``path`` intact."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "model": {
@@ -121,13 +124,19 @@ def save_checkpoint(params: ModelParams, path: Path, extra: dict | None = None) 
             "att_size": params.config.att_size,
         },
         "params": {
-            name: {"shape": list(arr.shape), "data": [float(x) for x in arr.ravel()]}
+            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
             for name, arr in sorted(params.arrays.items())
         },
     }
     if extra:
         payload["extra"] = extra
-    Path(path).write_text(json.dumps(payload, sort_keys=True))
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        partial.write_text(json.dumps(payload, sort_keys=True))
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: Path) -> tuple[ModelParams, dict]:

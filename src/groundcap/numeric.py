@@ -30,6 +30,7 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, branching on sign so exp never overflows."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0.0

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from groundcap import kernels
+import loop_reference
+from groundcap import kernels, numeric
 
 
 needs_numba = pytest.mark.skipif(
@@ -78,6 +79,42 @@ def test_iou_matrix_variants_agree(rng):
     a, b = boxes(12), boxes(8)
     np.testing.assert_allclose(
         kernels.iou_matrix_numpy(a, b), kernels.iou_matrix_numba(a, b), rtol=1e-14
+    )
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_lstm_gates_forward_sigmoid_blocks_exact(rng, batch):
+    # The three sigmoid gates go through one call; each must equal its own.
+    pre, c_prev = _random_gate_inputs(rng, batch=batch)
+    pre[0, :3] = [-800.0, 0.0, 800.0]
+    _, _, i, f, o, _, _ = kernels.lstm_gates_forward_numpy(pre, c_prev)
+    d = c_prev.shape[1]
+    for k, gate in enumerate((i, f, o)):
+        assert np.array_equal(gate, numeric.sigmoid(pre[:, k * d:(k + 1) * d]))
+
+
+def test_pair_cosines_backward_matches_add_at_reference(rng):
+    vecs = rng.normal(size=(9, 4))
+    # repeated rows, rows paired with themselves, and unreferenced rows
+    left = np.array([0, 0, 3, 5, 5, 5, 2, 7], dtype=np.int64)
+    right = np.array([1, 0, 3, 2, 5, 0, 2, 7], dtype=np.int64)
+    dsims = rng.normal(size=len(left))
+    got = kernels.pair_cosines_backward_numpy(dsims, vecs, left, right)
+    want = loop_reference.pair_cosines_backward(dsims, vecs, left, right)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    for _ in range(20):
+        left = rng.integers(0, 9, size=40)
+        right = rng.integers(0, 9, size=40)
+        dsims = rng.normal(size=40)
+        assert np.array_equal(
+            kernels.pair_cosines_backward_numpy(dsims, vecs, left, right),
+            loop_reference.pair_cosines_backward(dsims, vecs, left, right),
+        )
+    empty = np.zeros(0, dtype=np.int64)
+    assert np.array_equal(
+        kernels.pair_cosines_backward_numpy(np.zeros(0), vecs, empty, empty),
+        np.zeros_like(vecs),
     )
 
 

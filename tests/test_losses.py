@@ -1,12 +1,16 @@
 """Loss heads: endpoints, sampling contracts, gradients, invariances."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import loop_reference
 from groundcap import autodiff as ad
-from groundcap import numeric
+from groundcap import losses, numeric
 from groundcap.autodiff import Tensor
 from groundcap.errors import ConfigError, DomainError
 from groundcap.losses import (
@@ -78,6 +82,72 @@ class TestSampleTriplets:
         assert (labels[a] == labels[p]).all()
         assert (labels[a] != labels[n]).all()
         assert (a != p).all()
+
+
+# Class ids are sparse so that dense class indices and ids differ; short
+# label lists give singleton classes, one-class pools and n in {0, 1, 2}.
+LABELS = st.lists(st.sampled_from([0, 3, 7, 40]), max_size=14)
+DRAWS = st.lists(st.integers(0, 60), min_size=1, max_size=3)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def assert_same_stream(sampler, reference, labels, draws, seed):
+    """Consecutive calls on one generator give the reference's index arrays
+    and leave the generator in the reference's state after every call."""
+    pool = make_pool(np.zeros((len(labels), 2)), labels)
+    rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    for n_draws in draws:
+        got = sampler(pool, n_draws, rng)
+        want = reference(pool, n_draws, ref_rng)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestSamplersMatchLoopReference:
+    @settings(max_examples=300, deadline=None)
+    @given(labels=LABELS, draws=DRAWS, seed=SEEDS)
+    @example(labels=[], draws=[5], seed=0)
+    @example(labels=[3], draws=[5], seed=0)
+    @example(labels=[3, 7], draws=[5, 0], seed=0)
+    @example(labels=[3, 3], draws=[5], seed=0)
+    @example(labels=[7, 7, 7, 7], draws=[20], seed=1)
+    @example(labels=[0, 3, 7, 40], draws=[20], seed=2)
+    def test_sample_triplets(self, labels, draws, seed):
+        assert_same_stream(
+            sample_triplets, loop_reference.sample_triplets, labels, draws, seed
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(labels=LABELS, draws=DRAWS, seed=SEEDS)
+    @example(labels=[], draws=[5], seed=0)
+    @example(labels=[3], draws=[5], seed=0)
+    @example(labels=[3, 7], draws=[5, 0], seed=0)
+    @example(labels=[7, 7, 7], draws=[20], seed=1)
+    def test_sample_pairs(self, labels, draws, seed):
+        assert_same_stream(sample_pairs, loop_reference.sample_pairs, labels, draws, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=LABELS, draws=DRAWS, seed=SEEDS)
+    def test_sample_triplets_recovers_from_a_wrong_first_guess(self, labels, draws, seed):
+        # Every anchor guessed as the first stream value: the redraw loop
+        # alone must then find the stream.
+        wrong = lambda step, count: np.zeros(count, np.int64)  # noqa: E731
+        with mock.patch.object(losses, "_walk", wrong):
+            assert_same_stream(
+                sample_triplets, loop_reference.sample_triplets, labels, draws, seed
+            )
+
+    def test_benchmark_sized_pool(self):
+        labels = np.random.default_rng(4).integers(0, 20, size=555)
+        for sampler, reference in (
+            (sample_triplets, loop_reference.sample_triplets),
+            (sample_pairs, loop_reference.sample_pairs),
+        ):
+            assert_same_stream(sampler, reference, labels, [2000, 2000], 11)
 
 
 class TestClusterLoss:

@@ -1,5 +1,8 @@
 """Decoder building blocks, greedy decoding, checkpoints, gradient checks."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -377,14 +380,50 @@ class TestCheckpoint:
         params = toy_params(seed=18)
         path = tmp_path / "ckpt.json"
         save_checkpoint(params, path)
-        import json
-
         payload = json.loads(path.read_text())
         payload["params"]["out.b"]["data"] = payload["params"]["out.b"]["data"][:-1]
         payload["params"]["out.b"]["shape"] = [5]
         path.write_text(json.dumps(payload))
         with pytest.raises(DataValidationError):
             load_checkpoint(path)
+
+    def test_encoding_is_plain_sorted_json(self, tmp_path):
+        params = toy_params(seed=19)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(params, path, extra={"epoch": 2})
+        cfg = params.config
+        expected = {
+            "format_version": 1,
+            "model": {
+                "vocab_size": cfg.vocab_size,
+                "feature_size": cfg.feature_size,
+                "hidden_size": cfg.hidden_size,
+                "att_size": cfg.att_size,
+            },
+            "params": {
+                name: {"shape": list(arr.shape), "data": [float(x) for x in arr.ravel()]}
+                for name, arr in params.arrays.items()
+            },
+            "extra": {"epoch": 2},
+        }
+        assert path.read_bytes() == json.dumps(expected, sort_keys=True).encode()
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(toy_params(seed=20), path)
+        before = path.read_bytes()
+        write_text = Path.write_text
+
+        def torn_write(self, data, *args, **kwargs):
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(toy_params(seed=21), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from groundcap import training
+import loop_reference
+from groundcap import kernels, training
 from groundcap.data import SyntheticSpec, generate_synthetic_dataset, normalize
 from groundcap.errors import ConfigError, DataValidationError, NumericalError
 from groundcap.model import load_checkpoint
@@ -101,6 +102,27 @@ class TestTrainLoop:
         assert (outputs[0] / "checkpoint_best.json").read_bytes() == (
             outputs[1] / "checkpoint_best.json"
         ).read_bytes()
+
+    def test_grounded_run_identical_with_loop_reference_grounding(
+        self, tiny_dataset, tmp_path, monkeypatch
+    ):
+        cfg = replace(
+            TINY, seed=9, max_epochs=2, sample_size=200,
+            use_cluster_loss=True, use_perceptual_loss=True,
+        )
+        monkeypatch.setattr(kernels, "pair_cosines_backward", kernels.pair_cosines_backward_numpy)
+        train(cfg, tiny_dataset, run_dir=tmp_path / "vectorised")
+        monkeypatch.setattr(training, "sample_triplets", loop_reference.sample_triplets)
+        monkeypatch.setattr(training, "sample_pairs", loop_reference.sample_pairs)
+        monkeypatch.setattr(kernels, "pair_cosines_backward", loop_reference.pair_cosines_backward)
+        train(cfg, tiny_dataset, run_dir=tmp_path / "loops")
+        runs = [tmp_path / "vectorised", tmp_path / "loops"]
+        csvs = [strip_wall_ms((run / "convergence.csv").read_text()) for run in runs]
+        assert csvs[0] == csvs[1]
+        rows = [line.split(",") for line in csvs[0].splitlines()[1:]]
+        assert all(float(row[3]) != 0.0 and float(row[4]) != 0.0 for row in rows)
+        checkpoints = [(run / "checkpoint_best.json").read_bytes() for run in runs]
+        assert checkpoints[0] == checkpoints[1]
 
     def test_total_equals_xe_when_grounding_disabled(self, tiny_dataset):
         cfg = replace(TINY, max_epochs=2, use_cluster_loss=False, use_perceptual_loss=False)
