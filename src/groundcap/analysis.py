@@ -207,6 +207,20 @@ def collect_objects(
     return np.stack(feats), np.asarray(labels, dtype=np.int64)
 
 
+def decode_inputs(
+    params: ModelParams, examples: list[ImageExample]
+) -> tuple[list[np.ndarray], list[list[list[str]]]]:
+    """Projected object sets and normalized references of a split, per image."""
+    references = []
+    for ex in examples:
+        refs = [r for r in (normalize(c) for c in ex.captions) if r]
+        if not refs:
+            raise DataValidationError(f"image {ex.image_id} has no usable references")
+        references.append(refs)
+    zs = [project_features(ex.features, params.arrays["input_proj"]) for ex in examples]
+    return zs, references
+
+
 def split_cider(
     params: ModelParams,
     examples: list[ImageExample],
@@ -214,15 +228,11 @@ def split_cider(
     max_len: int = 16,
 ) -> float:
     """Greedy-decode a split and score it, on the 0..100 report scale."""
-    entries = []
-    for ex in examples:
-        refs = [normalize(c) for c in ex.captions]
-        refs = [r for r in refs if r]
-        if not refs:
-            raise DataValidationError(f"image {ex.image_id} has no usable references")
-        z = project_features(ex.features, params.arrays["input_proj"])
-        tokens = [vocab.id_to_token(i) for i in greedy_decode(z, params, max_len)]
-        entries.append((tokens, refs))
+    zs, references = decode_inputs(params, examples)
+    captions = greedy_decode(zs, params, max_len)
+    entries = [
+        ([vocab.id_to_token(i) for i in ids], refs) for ids, refs in zip(captions, references)
+    ]
     return 100.0 * cider(EvaluationCorpus(entries=entries))
 
 

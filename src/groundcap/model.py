@@ -13,7 +13,10 @@ Training feeds the ground-truth previous token at every step (teacher
 forcing) and applies inverted dropout to x_t, h1 and h2 before their
 consumers; the dropped h2 feeds both the output projection and the next
 step's LSTM1 input. Inference decodes greedily until EOS or the length
-cap, argmax ties broken toward the lowest token id.
+cap, argmax ties broken toward the lowest token id. It runs a split in
+chunks of DECODE_CHUNK images: each chunk pads its object sets to one
+(B, K, d) block, attention masks the padding out, and a row leaves the
+batch once it emits EOS.
 """
 
 from __future__ import annotations
@@ -167,7 +170,7 @@ def load_checkpoint(path: Path) -> tuple[ModelParams, dict]:
 
 
 # ---------------------------------------------------------------------------
-# single-example operations
+# projection and batched greedy decoding (inference path)
 # ---------------------------------------------------------------------------
 
 def project_features(features: np.ndarray, w_in: np.ndarray) -> np.ndarray:
@@ -185,138 +188,72 @@ def mean_pool(z: np.ndarray) -> np.ndarray:
     return z.mean(axis=0)
 
 
-def lstm_step(
-    x: np.ndarray,
-    state: tuple[np.ndarray, np.ndarray],
-    wx: np.ndarray,
-    wh: np.ndarray,
-    b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single LSTM cell step on 1-D arrays; returns (h', c')."""
-    h_prev, c_prev = state
-    pre = (x @ wx.T + h_prev @ wh.T + b)[None, :]
-    h, c, *_ = kernels.lstm_gates_forward(pre, np.ascontiguousarray(c_prev[None, :]))
-    return h[0], c[0]
+# Images per greedy-decode pass. Larger chunks decode no faster and hold
+# more padded state in memory.
+DECODE_CHUNK = 100
 
 
-def attend(h1: np.ndarray, z: np.ndarray, wa: np.ndarray, wav: np.ndarray) -> np.ndarray:
-    """Attention context vector for one decoder state over k object rows."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 1:
-        raise DomainError("attend needs at least one object vector")
-    with ad.no_grad():
-        out = ad.attend(
-            Tensor(h1[None, :]),
-            Tensor(z[None, :, :]),
-            np.ones((1, z.shape[0])),
-            Tensor(wa),
-            Tensor(wav),
-        )
-    return out.data[0]
+def greedy_decode(
+    zs: list[np.ndarray], params: ModelParams, max_len: int = 16
+) -> list[list[int]]:
+    """Greedy captions for the projected object sets of a split, in order.
 
-
-@dataclass
-class DecoderState:
-    h1: np.ndarray
-    c1: np.ndarray
-    h2: np.ndarray
-    c2: np.ndarray
-
-    @classmethod
-    def zeros(cls, d: int) -> "DecoderState":
-        return cls(np.zeros(d), np.zeros(d), np.zeros(d), np.zeros(d))
-
-
-def decode_step(
-    y_prev: int,
-    state: DecoderState,
-    z: np.ndarray,
-    z_bar: np.ndarray,
-    params: ModelParams,
-) -> tuple[np.ndarray, DecoderState]:
-    """One inference step: distribution over the vocabulary plus new state."""
-    cfg = params.config
-    if not 0 <= y_prev < cfg.vocab_size:
-        raise DomainError(f"token id {y_prev} outside vocabulary of size {cfg.vocab_size}")
-    a = params.arrays
-    x = a["embedding"][:, y_prev]
-    in1 = np.concatenate([x, z_bar, state.h2])
-    h1, c1 = lstm_step(in1, (state.h1, state.c1), a["lstm1.wx"], a["lstm1.wh"], a["lstm1.b"])
-    ct = attend(h1, z, a["att.proj"], a["att.score"])
-    in2 = np.concatenate([ct, h1])
-    h2, c2 = lstm_step(in2, (state.h2, state.c2), a["lstm2.wx"], a["lstm2.wh"], a["lstm2.b"])
-    probs = numeric.softmax(a["out.w"] @ h2 + a["out.b"])
-    return probs, DecoderState(h1, c1, h2, c2)
-
-
-def sequence_logprob(
-    features: np.ndarray,
-    tokens: list[int],
-    params: ModelParams,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Per-step log p(y*_t | y*_{<t}) under teacher forcing for one example.
-
-    With dropout_rate 0 this is deterministic. A positive rate requires an
-    rng and samples one inverted-dropout mask per (x_t, h1, h2) per step,
-    the training-time behaviour.
+    ``zs[i]`` holds image i's projected object rows, at least one. EOS is
+    not emitted.
     """
-    if dropout_rate > 0.0 and rng is None:
-        raise DomainError("dropout_rate > 0 requires an rng")
-    a = params.arrays
-    keep = 1.0 - dropout_rate
-
-    def drop(v: np.ndarray) -> np.ndarray:
-        if dropout_rate == 0.0:
-            return v
-        return v * ((rng.random(v.shape) >= dropout_rate) / keep)
-
-    z = project_features(features, a["input_proj"])
-    z_bar = mean_pool(z)
-    d = params.config.hidden_size
-    h1 = np.zeros(d)
-    c1 = np.zeros(d)
-    h2 = np.zeros(d)
-    c2 = np.zeros(d)
-    h2_fed = h2
-    lps = np.empty(len(tokens))
-    y_prev = BOS_ID
-    for t, target in enumerate(tokens):
-        x = drop(a["embedding"][:, y_prev])
-        in1 = np.concatenate([x, z_bar, h2_fed])
-        h1, c1 = lstm_step(in1, (h1, c1), a["lstm1.wx"], a["lstm1.wh"], a["lstm1.b"])
-        h1d = drop(h1)
-        ct = attend(h1d, z, a["att.proj"], a["att.score"])
-        in2 = np.concatenate([ct, h1d])
-        h2, c2 = lstm_step(in2, (h2, c2), a["lstm2.wx"], a["lstm2.wh"], a["lstm2.b"])
-        h2_fed = drop(h2)
-        lps[t] = numeric.log_softmax(a["out.w"] @ h2_fed + a["out.b"])[target]
-        y_prev = target
-    return lps
-
-
-def select_greedy_token(logits_or_probs: np.ndarray) -> int:
-    """Argmax with ties broken toward the lowest token id."""
-    return int(np.argmax(logits_or_probs))
-
-
-def greedy_decode(z: np.ndarray, params: ModelParams, max_len: int = 16) -> list[int]:
-    """Greedy caption for projected object vectors z; EOS is not emitted."""
     if max_len < 1:
         raise DomainError(f"max_len must be >= 1, got {max_len}")
-    z = np.asarray(z, dtype=np.float64)
-    z_bar = mean_pool(z)
-    state = DecoderState.zeros(params.config.hidden_size)
-    out: list[int] = []
-    y = BOS_ID
-    while len(out) < max_len:
-        probs, state = decode_step(y, state, z, z_bar, params)
-        y = select_greedy_token(probs)
-        if y == EOS_ID:
+    z_bars = [mean_pool(z) for z in zs]
+    captions: list[list[int]] = []
+    for start in range(0, len(zs), DECODE_CHUNK):
+        stop = start + DECODE_CHUNK
+        captions += _greedy_decode_chunk(zs[start:stop], z_bars[start:stop], params, max_len)
+    return captions
+
+
+def _greedy_decode_chunk(
+    zs: list[np.ndarray], z_bars: list[np.ndarray], params: ModelParams, max_len: int
+) -> list[list[int]]:
+    """One padded batch of images; rows leave the active set at EOS."""
+    a = params.arrays
+    batch = len(zs)
+    d = params.config.hidden_size
+    counts = np.array([z.shape[0] for z in zs])
+    z_pad = np.zeros((batch, int(counts.max()), d))
+    for row, z in enumerate(zs):
+        z_pad[row, : z.shape[0]] = z
+    mask = (np.arange(z_pad.shape[1])[None, :] < counts[:, None]).astype(np.float64)
+    z_bar = np.stack(z_bars)
+    wa = Tensor(a["att.proj"])
+    wav = Tensor(a["att.score"])
+
+    h1, c1, h2, c2 = (np.zeros((batch, d)) for _ in range(4))
+    y = np.full(batch, BOS_ID)
+    active = np.arange(batch)
+    tokens = np.zeros((batch, max_len), dtype=np.int64)
+    lengths = np.full(batch, max_len)
+    for t in range(max_len):
+        in1 = np.concatenate([a["embedding"][:, y].T, z_bar, h2], axis=1)
+        pre1 = in1 @ a["lstm1.wx"].T + h1 @ a["lstm1.wh"].T + a["lstm1.b"]
+        h1, c1, *_ = kernels.lstm_gates_forward(pre1, c1)
+        with ad.no_grad():
+            ct = ad.attend(Tensor(h1), Tensor(z_pad), mask, wa, wav).data
+        in2 = np.concatenate([ct, h1], axis=1)
+        pre2 = in2 @ a["lstm2.wx"].T + h2 @ a["lstm2.wh"].T + a["lstm2.b"]
+        h2, c2, *_ = kernels.lstm_gates_forward(pre2, c2)
+        probs = numeric.softmax(h2 @ a["out.w"].T + a["out.b"], axis=1)
+        y = probs.argmax(axis=1)  # first maximum: ties go to the lowest id
+        going = y != EOS_ID
+        lengths[active[~going]] = t
+        tokens[active[going], t] = y[going]
+        if going.all():
+            continue
+        active, y, h1, c1, h2, c2, z_bar, z_pad, mask = (
+            arr[going] for arr in (active, y, h1, c1, h2, c2, z_bar, z_pad, mask)
+        )
+        if active.size == 0:
             break
-        out.append(y)
-    return out
+    return [tokens[row, : lengths[row]].tolist() for row in range(batch)]
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,15 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, branching on sign so exp never overflows."""
+    """Logistic function; exp only sees -|x|, so it never overflows.
+
+    1/(1+e) with e = exp(-x) for x >= 0, e/(1+e) with e = exp(x) otherwise
+    (NaN included, so a NaN keeps its sign bit).
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
     pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

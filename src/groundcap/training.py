@@ -29,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .analysis import analyze, split_cider, write_vector_export
+from .analysis import analyze, decode_inputs, split_cider, write_vector_export
 from .autodiff import GradientTape, Tensor
-from .data import Dataset, ImageExample, Vocabulary, build_vocabulary, encode_caption, normalize
+from .data import Dataset, ImageExample, Vocabulary, build_vocabulary, encode_caption
 from .errors import ConfigError, DataValidationError, NumericalError
 from .losses import (
     LossConfig,
@@ -51,7 +51,6 @@ from .model import (
     batch_forward,
     greedy_decode,
     load_checkpoint,
-    project_features,
     save_checkpoint,
 )
 
@@ -456,15 +455,11 @@ def evaluate(
     """Greedy-decode a split and emit the 100-scaled metric row."""
     if not examples:
         raise DataValidationError("cannot evaluate an empty split")
-    entries = []
-    for ex in examples:
-        refs = [normalize(c) for c in ex.captions]
-        refs = [r for r in refs if r]
-        if not refs:
-            raise DataValidationError(f"image {ex.image_id} has no references")
-        z = project_features(ex.features, params.arrays["input_proj"])
-        tokens = [vocab.id_to_token(i) for i in greedy_decode(z, params, max_len)]
-        entries.append((tokens, refs))
+    zs, references = decode_inputs(params, examples)
+    captions = greedy_decode(zs, params, max_len)
+    entries = [
+        ([vocab.id_to_token(i) for i in ids], refs) for ids, refs in zip(captions, references)
+    ]
     return metric_table(EvaluationCorpus(entries=entries))
 
 
@@ -496,14 +491,17 @@ def run_experiment_matrix(
             run_dir = out_dir / f"{name.replace('+', '_')}_seed{seed}"
             result = train(config, dataset, run_dir=run_dir)
             table = evaluate(result.params, dataset.test, result.vocab, config.max_len)
+            # The test split is decoded once: analyze's CIDEr is the same
+            # 100 * cider over the same corpus as the table's.
             report, exports = analyze(
                 result.params,
                 dataset.test,
                 dataset.class_table,
                 result.vocab,
                 neighbor_k=neighbor_k,
-                max_len=config.max_len,
+                with_cider=False,
             )
+            report = replace(report, cider=table["CIDEr"])
             (run_dir / "metrics.json").write_text(json.dumps(table, sort_keys=True) + "\n")
             (run_dir / "analysis.json").write_text(report.to_json() + "\n")
             write_vector_export(exports, run_dir / "vectors.jsonl")

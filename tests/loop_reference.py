@@ -1,8 +1,10 @@
-"""Per-draw loop versions of the grounding samplers and the pair-cosine scatter.
+"""Per-draw loop versions of the grounding samplers and the pair-cosine scatter,
+and the masked-branch sigmoid.
 
-These are the definitions the vectorised code in ``groundcap.losses`` and
-``groundcap.kernels`` must reproduce bit for bit: the same index arrays, the
-same gradient bits and the same generator state after each call.
+These are the definitions the vectorised code in ``groundcap.losses``,
+``groundcap.kernels`` and ``groundcap.numeric`` must reproduce bit for bit:
+the same index arrays, the same gradient and sigmoid bits and the same
+generator state after each call.
 """
 
 import numpy as np
@@ -79,3 +81,13 @@ def pair_cosines_backward(dsims, vecs, left, right):
     np.add.at(dvecs, left, du)
     np.add.at(dvecs, right, dv)
     return dvecs
+
+
+def sigmoid(x):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out

@@ -93,6 +93,21 @@ def test_lstm_gates_forward_sigmoid_blocks_exact(rng, batch):
         assert np.array_equal(gate, numeric.sigmoid(pre[:, k * d:(k + 1) * d]))
 
 
+def test_sigmoid_matches_masked_branch_reference(rng):
+    specials = [0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
+    x = np.concatenate([rng.normal(scale=10.0, size=10**6), specials])
+    got = numeric.sigmoid(x)
+    want = loop_reference.sigmoid(x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # a strided gate block, a 0-d value and an empty array
+    block = rng.normal(scale=4.0, size=(100, 256))[:, :192]
+    assert numeric.sigmoid(block).tobytes() == loop_reference.sigmoid(block).tobytes()
+    for value in (np.float64(-3.5), np.zeros(0)):
+        got, want = numeric.sigmoid(value), loop_reference.sigmoid(value)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_pair_cosines_backward_matches_add_at_reference(rng):
     vecs = rng.normal(size=(9, 4))
     # repeated rows, rows paired with themselves, and unreferenced rows

@@ -1,30 +1,41 @@
-"""Decoder building blocks, greedy decoding, checkpoints, gradient checks."""
+"""Decoder building blocks, greedy decoding, checkpoints, gradient checks.
+
+The single-example decoder (``lstm_step``, ``attend``, ``decode_step``,
+``sequence_logprob``) lives in ``decode_reference`` as the oracle for the
+batched ``greedy_decode`` and ``batch_forward``; its tests stay here.
+"""
 
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import decode_reference
+from decode_reference import (
+    DecoderState,
+    attend,
+    decode_step,
+    lstm_step,
+    select_greedy_token,
+    sequence_logprob,
+)
 from groundcap import autodiff as ad
 from groundcap import numeric
 from groundcap.data import BOS_ID, EOS_ID
 from groundcap.errors import DataValidationError, DomainError, ShapeError
 from groundcap.model import (
-    DecoderState,
+    DECODE_CHUNK,
     ModelConfig,
     ModelParams,
-    attend,
     batch_forward,
-    decode_step,
     greedy_decode,
     load_checkpoint,
-    lstm_step,
     mean_pool,
     project_features,
     save_checkpoint,
-    select_greedy_token,
-    sequence_logprob,
 )
 
 FD_TOL = 1e-4
@@ -258,15 +269,15 @@ class TestGreedyDecode:
         params.arrays["out.w"][:] = 0.0
         params.arrays["out.b"][:] = 0.0
         params.arrays["out.b"][EOS_ID] = 5.0
-        assert greedy_decode(rng.normal(size=(2, 4)), params) == []
+        assert greedy_decode([rng.normal(size=(2, 4))], params) == [[]]
 
     def test_no_eos_hits_length_cap(self, rng):
         params = toy_params(seed=11)
         params.arrays["out.w"][:] = 0.0
         params.arrays["out.b"][:] = 0.0
         params.arrays["out.b"][3] = 5.0
-        out = greedy_decode(rng.normal(size=(2, 4)), params, max_len=16)
-        assert out == [3] * 16
+        out = greedy_decode([rng.normal(size=(2, 4))], params, max_len=16)
+        assert out == [[3] * 16]
 
     def test_matches_manual_argmax_trace(self, rng):
         params = toy_params(seed=12)
@@ -281,7 +292,7 @@ class TestGreedyDecode:
             if y == EOS_ID:
                 break
             expected.append(y)
-        assert greedy_decode(z, params, max_len=16) == expected
+        assert greedy_decode([z], params, max_len=16) == [expected]
 
     def test_argmax_invariant_under_monotone_transform(self, rng):
         logits = rng.normal(size=12)
@@ -292,6 +303,101 @@ class TestGreedyDecode:
 
     def test_tie_breaks_to_lowest_id(self):
         assert select_greedy_token(np.array([0.2, 0.4, 0.4])) == 1
+
+
+def decoder_params(seed: int, vocab: int, d: int, d_in: int, scale: float) -> ModelParams:
+    """Toy params scaled up from the init range, so that captions vary in
+    length and content instead of sitting near a uniform distribution."""
+    params = toy_params(vocab=vocab, d_in=d_in, d=d, seed=seed)
+    for arr in params.arrays.values():
+        arr *= scale
+    return params
+
+
+def split_objects(seed: int, counts: list[int], params: ModelParams) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    w_in = params.arrays["input_proj"]
+    return [project_features(rng.normal(size=(k, w_in.shape[1])), w_in) for k in counts]
+
+
+def assert_matches_reference(zs, params, max_len=16):
+    got = greedy_decode(zs, params, max_len)
+    assert got == decode_reference.greedy_decode(zs, params, max_len)
+    return got
+
+
+class TestBatchedGreedyDecode:
+    """The batched decoder against the per-image oracle in decode_reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vocab=st.integers(4, 12),
+        d=st.integers(2, 6),
+        d_in=st.integers(1, 4),
+        scale=st.floats(1.0, 40.0),
+        counts=st.lists(st.integers(1, 6), min_size=1, max_size=12),
+        max_len=st.integers(1, 8),
+    )
+    def test_mixed_object_counts_match_reference(self, seed, vocab, d, d_in, scale, counts, max_len):
+        params = decoder_params(seed, vocab, d, d_in, scale)
+        assert_matches_reference(split_objects(seed, counts, params), params, max_len)
+
+    @pytest.mark.parametrize("batch", [1, 2, DECODE_CHUNK + 1])
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1.0, 40.0))
+    def test_batch_sizes_across_the_chunk_boundary(self, batch, seed, scale):
+        params = decoder_params(seed, vocab=9, d=5, d_in=3, scale=scale)
+        counts = np.random.default_rng(seed).integers(1, 7, size=batch).tolist()
+        got = assert_matches_reference(split_objects(seed, counts, params), params)
+        assert len(got) == batch
+
+    def test_captions_end_at_different_steps(self):
+        # Rows leave the batch at different steps and the cap holds for the rest.
+        params = decoder_params(3, vocab=8, d=4, d_in=3, scale=25.0)
+        got = assert_matches_reference(split_objects(4, [1, 2, 3, 4, 5, 6] * 10, params), params)
+        assert len({len(c) for c in got}) > 2
+
+    def test_rigged_eos_gives_empty_captions(self):
+        params = decoder_params(5, vocab=7, d=4, d_in=3, scale=1.0)
+        params.arrays["out.w"][:] = 0.0
+        params.arrays["out.b"][:] = 0.0
+        params.arrays["out.b"][EOS_ID] = 5.0
+        zs = split_objects(6, [1, 3, 6], params)
+        assert assert_matches_reference(zs, params) == [[], [], []]
+
+    @pytest.mark.parametrize("max_len", [1, 5, 16])
+    def test_no_eos_stops_at_max_len(self, max_len):
+        params = decoder_params(7, vocab=7, d=4, d_in=3, scale=1.0)
+        params.arrays["out.w"][:] = 0.0
+        params.arrays["out.b"][:] = 0.0
+        params.arrays["out.b"][4] = 5.0
+        zs = split_objects(8, [2, 5], params)
+        assert assert_matches_reference(zs, params, max_len) == [[4] * max_len] * 2
+
+    def test_exact_logit_ties_pick_lowest_id(self):
+        params = decoder_params(9, vocab=8, d=4, d_in=3, scale=1.0)
+        params.arrays["out.w"][:] = 0.0
+        params.arrays["out.b"][:] = 0.0
+        params.arrays["out.b"][[6, 3, 5]] = 2.0
+        zs = split_objects(10, [1, 4], params)
+        assert assert_matches_reference(zs, params, max_len=3) == [[3, 3, 3]] * 2
+        params.arrays["out.b"][EOS_ID] = 2.0  # EOS ties with them and is the lowest id
+        assert assert_matches_reference(zs, params, max_len=3) == [[], []]
+
+    def test_empty_split_gives_no_captions(self):
+        assert greedy_decode([], toy_params()) == []
+
+    def test_image_without_objects_is_domain_error(self):
+        params = toy_params()
+        zs = [np.ones((2, 4)), np.zeros((0, 4))]
+        with pytest.raises(DomainError):
+            greedy_decode(zs, params)
+
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_max_len_below_one_is_domain_error(self, max_len):
+        with pytest.raises(DomainError):
+            greedy_decode([np.ones((2, 4))], toy_params(), max_len)
 
 
 class TestPermutationInvariance:

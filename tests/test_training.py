@@ -6,8 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import decode_reference
 import loop_reference
-from groundcap import kernels, training
+from groundcap import analysis, kernels, training
+from groundcap.analysis import analyze
 from groundcap.data import SyntheticSpec, generate_synthetic_dataset, normalize
 from groundcap.errors import ConfigError, DataValidationError, NumericalError
 from groundcap.model import load_checkpoint
@@ -41,6 +43,16 @@ def tiny_dataset():
         SyntheticSpec(num_classes=3, spread=0.2, images=30, feature_size=12,
                       objects_min=2, objects_max=3),
         seed=77,
+    )
+
+
+@pytest.fixture(scope="module")
+def decode_dataset():
+    # enough validation images, objects from 1 to 6 per image
+    return generate_synthetic_dataset(
+        SyntheticSpec(num_classes=4, spread=0.2, images=120, feature_size=12,
+                      objects_min=1, objects_max=6),
+        seed=78,
     )
 
 
@@ -123,6 +135,40 @@ class TestTrainLoop:
         assert all(float(row[3]) != 0.0 and float(row[4]) != 0.0 for row in rows)
         checkpoints = [(run / "checkpoint_best.json").read_bytes() for run in runs]
         assert checkpoints[0] == checkpoints[1]
+
+    def test_grounded_run_identical_with_per_image_decoder(
+        self, decode_dataset, tmp_path, monkeypatch
+    ):
+        cfg = replace(
+            TINY, seed=4, hidden_size=16, learning_rate=1e-2, max_epochs=8, sample_size=50,
+            use_cluster_loss=True, use_perceptual_loss=True,
+        )
+        batched = train(cfg, decode_dataset, run_dir=tmp_path / "batched")
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "greedy_decode", decode_reference.greedy_decode)
+            train(cfg, decode_dataset, run_dir=tmp_path / "per_image")
+        runs = [tmp_path / "batched", tmp_path / "per_image"]
+        csvs = [strip_wall_ms((run / "convergence.csv").read_text()) for run in runs]
+        assert csvs[0] == csvs[1]
+        ciders = [r.val_cider for r in batched.rows if r.val_cider is not None]
+        assert len(set(ciders)) > 1 and max(ciders) > 0.0  # decoding moved the score
+        checkpoints = [(run / "checkpoint_best.json").read_bytes() for run in runs]
+        assert checkpoints[0] == checkpoints[1]
+
+        # evaluate and analyze on a split match the per-image path
+        params, vocab = batched.params, batched.vocab
+        split = decode_dataset.test
+
+        def outputs():
+            table = evaluate(params, split, vocab, cfg.max_len)
+            report, _ = analyze(params, split, decode_dataset.class_table, vocab, neighbor_k=2)
+            return table, report.to_json()
+
+        got = outputs()
+        monkeypatch.setattr(training, "greedy_decode", decode_reference.greedy_decode)
+        monkeypatch.setattr(analysis, "greedy_decode", decode_reference.greedy_decode)
+        assert got == outputs()
+        assert got[0]["CIDEr"] > 0.0
 
     def test_total_equals_xe_when_grounding_disabled(self, tiny_dataset):
         cfg = replace(TINY, max_epochs=2, use_cluster_loss=False, use_perceptual_loss=False)
@@ -225,10 +271,16 @@ class TestEvaluate:
             [vocab.token_to_id(t) for t in normalize(ex.captions[0])]
             for ex in tiny_dataset.test
         ]
-        feed = iter(scripted)
-        monkeypatch.setattr(training, "greedy_decode", lambda z, p, m: next(feed))
+        calls = []
+
+        def scripted_decode(zs, params, max_len):
+            calls.append(len(zs))
+            return scripted
+
+        monkeypatch.setattr(training, "greedy_decode", scripted_decode)
         table = evaluate(result.params, tiny_dataset.test, vocab, cfg.max_len)
         assert table["BLEU-1"] == pytest.approx(100.0, abs=1e-6)
+        assert calls == [len(tiny_dataset.test)]  # one call for the whole split
 
     def test_repeated_evaluation_identical(self, tiny_dataset):
         result = train(replace(TINY, max_epochs=1), tiny_dataset)
@@ -278,6 +330,41 @@ class TestExperimentMatrix:
             assert csv_lines[0] == training.CSV_HEADER
             cider_cells = [l.split(",")[7] for l in csv_lines[1:]]
             assert sum(1 for c in cider_cells if c) == 1  # one epoch -> one point
+
+    def test_decodes_test_split_once_with_unchanged_reports(
+        self, decode_dataset, tmp_path, monkeypatch
+    ):
+        decodes = {"evaluate": 0, "split_cider": 0}
+
+        def counting(key, decode):
+            def wrapped(*args):
+                decodes[key] += 1
+                return decode(*args)
+            return wrapped
+
+        monkeypatch.setattr(training, "greedy_decode", counting("evaluate", training.greedy_decode))
+        monkeypatch.setattr(analysis, "greedy_decode", counting("split_cider", analysis.greedy_decode))
+        cfg = replace(TINY, hidden_size=16, learning_rate=1e-2, max_epochs=6, sample_size=10)
+        bundle = run_experiment_matrix(cfg, decode_dataset, seeds=[5], out_dir=tmp_path,
+                                       neighbor_k=1)
+        runs = bundle["runs"]
+        assert all(row["CIDEr"] > 0.0 for row in bundle["metrics"])
+        assert decodes["evaluate"] == len(runs)
+        assert decodes["split_cider"] == sum(run["epochs_run"] for run in runs)  # validation only
+        monkeypatch.undo()
+
+        # analysis.json and matrix_analysis.json hold what analyze with its own
+        # CIDEr decode writes for each run's best parameters
+        rows = []
+        for run in runs:
+            run_dir = tmp_path / f"{run['variant'].replace('+', '_')}_seed5"
+            params, vocab, _ = load_for_inference(run_dir / "checkpoint_best.json")
+            report, _ = analyze(params, decode_dataset.test, decode_dataset.class_table, vocab,
+                                neighbor_k=1, max_len=cfg.max_len)
+            assert (run_dir / "analysis.json").read_bytes() == (report.to_json() + "\n").encode()
+            rows.append({"variant": run["variant"], "seed": 5, **json.loads(report.to_json())})
+        expected = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "matrix_analysis.json").read_text() == expected
 
     def test_csv_roundtrip_schema(self, tmp_path):
         rows = [
