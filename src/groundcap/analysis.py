@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numeric
-from .data import ClassTable, ImageExample, Vocabulary, normalize
+from .data import ClassTable, ImageExample, Vocabulary, normalize, write_atomic
 from .errors import DataValidationError, DegenerateStatisticsError, DomainError
 from .losses import label_embedding
 from .metrics import EvaluationCorpus, cider
@@ -297,17 +297,17 @@ def analyze(
 
 
 def write_vector_export(exports: list[ClassVectors], path: Path) -> None:
-    with open(path, "w") as fh:
-        for cv in exports:
-            fh.write(
-                json.dumps(
-                    {
-                        "label": cv.label,
-                        "word_vector": [float(x) for x in cv.word_vector],
-                        "centroid_original": [float(x) for x in cv.centroid_original],
-                        "centroid_projected": [float(x) for x in cv.centroid_projected],
-                    },
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+    lines = [
+        json.dumps(
+            {
+                "label": cv.label,
+                "word_vector": [float(x) for x in cv.word_vector],
+                "centroid_original": [float(x) for x in cv.centroid_original],
+                "centroid_projected": [float(x) for x in cv.centroid_projected],
+            },
+            sort_keys=True,
+        )
+        + "\n"
+        for cv in exports
+    ]
+    write_atomic(path, "".join(lines))

@@ -34,10 +34,6 @@ def no_grad():
         _GRAD_ENABLED.pop()
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED[-1]
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
 
@@ -114,13 +110,6 @@ class GradientTape:
         t.requires_grad = True
         self._params[name] = t
         return t
-
-    @property
-    def parameters(self) -> dict[str, Tensor]:
-        return dict(self._params)
-
-    def gradients(self, loss: Tensor) -> dict[str, np.ndarray]:
-        return backward(self, loss)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -209,19 +198,6 @@ def neg(a: Tensor) -> Tensor:
     return _make(-a.data, (a,), lambda g: (-g,))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Strict 2-D matrix product."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"matmul shapes do not chain: {a.data.shape} x {b.data.shape}"
-        )
-
-    def bwd(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return _make(a.data @ b.data, (a, b), bwd)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map x @ w.T (+ b) for x (B, n), w (m, n), b (m,)."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
@@ -262,36 +238,8 @@ def mean_(x: Tensor, axis: int | None = None) -> Tensor:
     return _make(x.data.mean(axis=axis), (x,), bwd)
 
 
-def tanh_(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-    return _make(y, (x,), lambda g: (g * (1.0 - y * y),))
-
-
-def sigmoid_(x: Tensor) -> Tensor:
-    y = numeric.sigmoid(x.data)
-    return _make(y, (x,), lambda g: (g * y * (1.0 - y),))
-
-
-def exp_(x: Tensor) -> Tensor:
-    y = np.exp(x.data)
-    return _make(y, (x,), lambda g: (g * y,))
-
-
-def log_(x: Tensor) -> Tensor:
-    return _make(np.log(x.data), (x,), lambda g: (g / x.data,))
-
-
 def relu(x: Tensor) -> Tensor:
     return _make(np.maximum(x.data, 0.0), (x,), lambda g: (g * (x.data > 0.0),))
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    y = numeric.softmax(x.data, axis=axis)
-
-    def bwd(g):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
-
-    return _make(y, (x,), bwd)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -471,21 +419,6 @@ def pair_cosines(vecs: Tensor, left: np.ndarray, right: np.ndarray) -> Tensor:
         return (kernels.pair_cosines_backward(np.ascontiguousarray(g), vecs.data, left, right),)
 
     return _make(sims, (vecs,), bwd)
-
-
-def cosine_t(u: Tensor, v: Tensor) -> Tensor:
-    """Differentiable cosine similarity of two 1-D tensors."""
-    value = numeric.cosine(u.data, v.data)
-    nu = np.linalg.norm(u.data)
-    nv = np.linalg.norm(v.data)
-
-    def bwd(g):
-        s = float(g)
-        du = s * (v.data / (nu * nv) - value * u.data / (nu * nu))
-        dv = s * (u.data / (nu * nv) - value * v.data / (nv * nv))
-        return du, dv
-
-    return _make(value, (u, v), bwd)
 
 
 def pearson_t(x: Tensor, y: Tensor) -> Tensor:

@@ -26,6 +26,7 @@ from .data import (
     generate_synthetic_dataset,
     load_dataset,
     save_dataset,
+    write_atomic,
 )
 from .errors import ConfigError, DataValidationError, GroundcapError, NumericalError
 from .labeling import label_dataset_file
@@ -240,7 +241,7 @@ def _cmd_evaluate(args) -> int:
     table = evaluate(params, dataset.splits[args.split], vocab, max_len)
     text = json.dumps(table, sort_keys=True, indent=2)
     if args.out:
-        args.out.write_text(text + "\n")
+        write_atomic(args.out, text + "\n")
     print(text)
     return 0
 
@@ -258,7 +259,7 @@ def _cmd_analyze(args) -> int:
         max_len=max_len,
     )
     if args.out:
-        args.out.write_text(report.to_json() + "\n")
+        write_atomic(args.out, report.to_json() + "\n")
     if args.vectors:
         write_vector_export(exports, args.vectors)
     print(report.to_json())

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -240,6 +241,18 @@ def record_to_example(rec: dict) -> ImageExample:
         )
     except (KeyError, TypeError, ValueError) as err:
         raise DataValidationError(f"malformed dataset record: {err}") from err
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a ``.partial`` sibling and a rename,
+    so a failed or interrupted write leaves any previous file intact."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        partial.write_text(text)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def write_jsonl(examples: list[ImageExample], path: Path) -> None:

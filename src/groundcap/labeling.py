@@ -28,14 +28,7 @@ class Detection:
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two boxes; 0 when disjoint."""
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    area_a = (a.x_max - a.x_min) * (a.y_max - a.y_min)
-    area_b = (b.x_max - b.x_min) * (b.y_max - b.y_min)
-    return inter / (area_a + area_b - inter)
+    return float(kernels.iou_matrix(a.as_array()[None], b.as_array()[None])[0, 0])
 
 
 def assign_labels(

@@ -22,7 +22,6 @@ batch once it emits EOS.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels, numeric
 from .autodiff import Tensor
-from .data import BOS_ID, EOS_ID
+from .data import BOS_ID, EOS_ID, write_atomic
 from .errors import DataValidationError, DomainError, ShapeError
 
 INIT_SCALE = 0.08
@@ -133,13 +132,7 @@ def save_checkpoint(params: ModelParams, path: Path, extra: dict | None = None) 
     }
     if extra:
         payload["extra"] = extra
-    path = Path(path)
-    partial = path.with_name(path.name + ".partial")
-    try:
-        partial.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
+    write_atomic(path, json.dumps(payload, sort_keys=True))
 
 
 def load_checkpoint(path: Path) -> tuple[ModelParams, dict]:

@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .analysis import analyze, decode_inputs, split_cider, write_vector_export
 from .autodiff import GradientTape, Tensor
-from .data import Dataset, ImageExample, Vocabulary, build_vocabulary, encode_caption
+from .data import Dataset, ImageExample, Vocabulary, build_vocabulary, encode_caption, write_atomic
 from .errors import ConfigError, DataValidationError, NumericalError
 from .losses import (
     LossConfig,
@@ -156,10 +156,8 @@ class LogRow:
 
 
 def write_convergence_csv(rows: list[LogRow], path: Path) -> None:
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.as_csv() + "\n")
+    lines = [CSV_HEADER] + [row.as_csv() for row in rows]
+    write_atomic(path, "".join(line + "\n" for line in lines))
 
 
 @dataclass
@@ -329,7 +327,7 @@ def train(config: TrainConfig, dataset: Dataset, run_dir: Path | None = None) ->
     if run_dir is not None:
         run_dir = Path(run_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "config.json").write_text(json.dumps(asdict(config), sort_keys=True) + "\n")
+        write_atomic(run_dir / "config.json", json.dumps(asdict(config), sort_keys=True) + "\n")
 
     vocab = build_vocabulary(
         [c for ex in dataset.train for c in ex.captions], min_count=config.min_count
@@ -502,8 +500,8 @@ def run_experiment_matrix(
                 with_cider=False,
             )
             report = replace(report, cider=table["CIDEr"])
-            (run_dir / "metrics.json").write_text(json.dumps(table, sort_keys=True) + "\n")
-            (run_dir / "analysis.json").write_text(report.to_json() + "\n")
+            write_atomic(run_dir / "metrics.json", json.dumps(table, sort_keys=True) + "\n")
+            write_atomic(run_dir / "analysis.json", report.to_json() + "\n")
             write_vector_export(exports, run_dir / "vectors.jsonl")
             metric_rows.append({"variant": name, "seed": seed, **table})
             analysis_rows.append({"variant": name, "seed": seed, **json.loads(report.to_json())})
@@ -527,9 +525,9 @@ def run_experiment_matrix(
         "runs": run_summaries,
         "seeds": list(seeds),
     }
-    (out_dir / "matrix_metrics.json").write_text(json.dumps(metric_rows, indent=2, sort_keys=True) + "\n")
-    (out_dir / "matrix_analysis.json").write_text(json.dumps(analysis_rows, indent=2, sort_keys=True) + "\n")
-    (out_dir / "matrix_runs.json").write_text(json.dumps(run_summaries, indent=2, sort_keys=True) + "\n")
+    write_atomic(out_dir / "matrix_metrics.json", json.dumps(metric_rows, indent=2, sort_keys=True) + "\n")
+    write_atomic(out_dir / "matrix_analysis.json", json.dumps(analysis_rows, indent=2, sort_keys=True) + "\n")
+    write_atomic(out_dir / "matrix_runs.json", json.dumps(run_summaries, indent=2, sort_keys=True) + "\n")
     return bundle
 
 

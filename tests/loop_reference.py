@@ -1,11 +1,15 @@
-"""Per-draw loop versions of the grounding samplers and the pair-cosine scatter,
-and the masked-branch sigmoid.
+"""Loop versions of the grounding samplers, the pair-cosine scatter, the
+masked-branch sigmoid and the numeric kernels.
 
 These are the definitions the vectorised code in ``groundcap.losses``,
-``groundcap.kernels`` and ``groundcap.numeric`` must reproduce bit for bit:
-the same index arrays, the same gradient and sigmoid bits and the same
-generator state after each call.
+``groundcap.kernels`` and ``groundcap.numeric`` must reproduce: the
+samplers, the scatter and the sigmoid bit for bit (the same index arrays,
+gradient and sigmoid bits and generator state after each call), and the
+``*_loop`` kernels, which accumulate one element at a time, within the
+tolerances in ``tests/test_kernels.py`` (exactly, for LCS).
 """
+
+import math
 
 import numpy as np
 
@@ -90,4 +94,155 @@ def sigmoid(x):
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
+    return out
+
+
+def lstm_gates_forward_loop(pre, c_prev):
+    B, d = c_prev.shape
+    h = np.empty((B, d))
+    c = np.empty((B, d))
+    i = np.empty((B, d))
+    f = np.empty((B, d))
+    o = np.empty((B, d))
+    g = np.empty((B, d))
+    tc = np.empty((B, d))
+    for b in range(B):
+        for j in range(d):
+            xi = pre[b, j]
+            xf = pre[b, d + j]
+            xo = pre[b, 2 * d + j]
+            xg = pre[b, 3 * d + j]
+            if xi >= 0.0:
+                vi = 1.0 / (1.0 + math.exp(-xi))
+            else:
+                e = math.exp(xi)
+                vi = e / (1.0 + e)
+            if xf >= 0.0:
+                vf = 1.0 / (1.0 + math.exp(-xf))
+            else:
+                e = math.exp(xf)
+                vf = e / (1.0 + e)
+            if xo >= 0.0:
+                vo = 1.0 / (1.0 + math.exp(-xo))
+            else:
+                e = math.exp(xo)
+                vo = e / (1.0 + e)
+            vg = math.tanh(xg)
+            vc = vf * c_prev[b, j] + vi * vg
+            vtc = math.tanh(vc)
+            i[b, j] = vi
+            f[b, j] = vf
+            o[b, j] = vo
+            g[b, j] = vg
+            c[b, j] = vc
+            tc[b, j] = vtc
+            h[b, j] = vo * vtc
+    return h, c, i, f, o, g, tc
+
+
+def lstm_gates_backward_loop(dh, dc, i, f, o, g, tc, c_prev):
+    B, d = dh.shape
+    dpre = np.empty((B, 4 * d))
+    dc_prev = np.empty((B, d))
+    for b in range(B):
+        for j in range(d):
+            vtc = tc[b, j]
+            do = dh[b, j] * vtc
+            dct = dc[b, j] + dh[b, j] * o[b, j] * (1.0 - vtc * vtc)
+            vi = i[b, j]
+            vf = f[b, j]
+            vo = o[b, j]
+            vg = g[b, j]
+            dpre[b, j] = dct * vg * vi * (1.0 - vi)
+            dpre[b, d + j] = dct * c_prev[b, j] * vf * (1.0 - vf)
+            dpre[b, 2 * d + j] = do * vo * (1.0 - vo)
+            dpre[b, 3 * d + j] = dct * vi * (1.0 - vg * vg)
+            dc_prev[b, j] = dct * vf
+    return dpre, dc_prev
+
+
+def pair_cosines_forward_loop(vecs, left, right):
+    m = left.shape[0]
+    d = vecs.shape[1]
+    sims = np.empty(m)
+    for t in range(m):
+        li = left[t]
+        ri = right[t]
+        dot = 0.0
+        nu = 0.0
+        nv = 0.0
+        for j in range(d):
+            a = vecs[li, j]
+            b = vecs[ri, j]
+            dot += a * b
+            nu += a * a
+            nv += b * b
+        sims[t] = dot / (math.sqrt(nu) * math.sqrt(nv))
+    return sims
+
+
+def pair_cosines_backward_loop(dsims, vecs, left, right):
+    m = left.shape[0]
+    d = vecs.shape[1]
+    dvecs = np.zeros_like(vecs)
+    for t in range(m):
+        li = left[t]
+        ri = right[t]
+        dot = 0.0
+        nu2 = 0.0
+        nv2 = 0.0
+        for j in range(d):
+            a = vecs[li, j]
+            b = vecs[ri, j]
+            dot += a * b
+            nu2 += a * a
+            nv2 += b * b
+        nu = math.sqrt(nu2)
+        nv = math.sqrt(nv2)
+        inv = 1.0 / (nu * nv)
+        cos = dot * inv
+        s = dsims[t]
+        for j in range(d):
+            a = vecs[li, j]
+            b = vecs[ri, j]
+            dvecs[li, j] += s * (b * inv - a * cos / nu2)
+            dvecs[ri, j] += s * (a * inv - b * cos / nv2)
+    return dvecs
+
+
+def lcs_length_loop(a, b):
+    n = a.shape[0]
+    m = b.shape[0]
+    if n == 0 or m == 0:
+        return 0
+    prev = np.zeros(m + 1, dtype=np.int64)
+    cur = np.zeros(m + 1, dtype=np.int64)
+    for ii in range(1, n + 1):
+        ai = a[ii - 1]
+        for jj in range(1, m + 1):
+            if ai == b[jj - 1]:
+                cur[jj] = prev[jj - 1] + 1
+            elif prev[jj] >= cur[jj - 1]:
+                cur[jj] = prev[jj]
+            else:
+                cur[jj] = cur[jj - 1]
+        for jj in range(m + 1):
+            prev[jj] = cur[jj]
+    return int(prev[m])
+
+
+def iou_matrix_loop(boxes_a, boxes_b):
+    n = boxes_a.shape[0]
+    m = boxes_b.shape[0]
+    out = np.empty((n, m))
+    for p in range(n):
+        ax0, ay0, ax1, ay1 = boxes_a[p, 0], boxes_a[p, 1], boxes_a[p, 2], boxes_a[p, 3]
+        area_a = (ax1 - ax0) * (ay1 - ay0)
+        for q in range(m):
+            bx0, by0, bx1, by1 = boxes_b[q, 0], boxes_b[q, 1], boxes_b[q, 2], boxes_b[q, 3]
+            iw = min(ax1, bx1) - max(ax0, bx0)
+            ih = min(ay1, by1) - max(ay0, by0)
+            inter = iw * ih if (iw > 0.0 and ih > 0.0) else 0.0
+            union = area_a + (bx1 - bx0) * (by1 - by0) - inter
+            out[p, q] = inter / union
     return out

@@ -122,21 +122,9 @@ class TestPearson:
 # ---------------------------------------------------------------------------
 
 class TestTape:
-    def test_matmul_identity_and_zero(self):
-        eye = ad.Tensor(np.eye(2))
-        m = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(ad.matmul(eye, m).data, m.data)
-        zero = ad.Tensor(np.zeros((2, 2)))
-        np.testing.assert_array_equal(ad.matmul(zero, m).data, np.zeros((2, 2)))
-
-    def test_matmul_hand_value(self):
-        a = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = ad.Tensor([[5.0], [6.0]])
-        np.testing.assert_array_equal(ad.matmul(a, b).data, [[17.0], [39.0]])
-
-    def test_matmul_shape_error_names_both_shapes(self):
+    def test_linear_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 2))))
+            ad.linear(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 2))))
 
     def test_square_gradient(self):
         tape = ad.GradientTape()
@@ -219,48 +207,41 @@ class TestPrimitiveGradients:
             rel_err,
         )
 
-    def test_matmul(self, rng, fd_grad, rel_err):
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2))
-        _check(
-            lambda x, y: ad.sum_(ad.matmul(x, y)),
-            lambda x, y: float((x @ y).sum()),
-            [a, b],
-            fd_grad,
-            rel_err,
-        )
-
     def test_linear_with_bias(self, rng, fd_grad, rel_err):
         x = rng.normal(size=(3, 4))
         w = rng.normal(size=(5, 4))
         b = rng.normal(size=5)
+        probe = rng.normal(size=(3, 5))
         _check(
-            lambda xx, ww, bb: ad.mean_(ad.tanh_(ad.linear(xx, ww, bb))),
-            lambda xx, ww, bb: float(np.tanh(xx @ ww.T + bb).mean()),
+            lambda xx, ww, bb: ad.sum_(ad.mul(ad.linear(xx, ww, bb), ad.Tensor(probe))),
+            lambda xx, ww, bb: float(((xx @ ww.T + bb) * probe).sum()),
             [x, w, b],
             fd_grad,
             rel_err,
         )
 
     def test_elementwise_chain(self, rng, fd_grad, rel_err):
-        x = rng.normal(size=(2, 3))
+        # the cluster hinge's chain: relu(margin - a + b), negated
+        a = rng.normal(size=(2, 3))
+        b = rng.normal(size=(2, 3))
 
-        def build(t):
-            return ad.sum_(ad.mul(ad.sigmoid_(t), ad.exp_(ad.tanh_(t))))
+        def build(x, y):
+            return ad.sum_(ad.neg(ad.relu(ad.add(ad.sub(ad.Tensor(0.2), x), y))))
 
         _check(
             build,
-            lambda a: float((numeric.sigmoid(a) * np.exp(np.tanh(a))).sum()),
-            [x],
+            lambda x, y: float(-np.maximum(0.2 - x + y, 0.0).sum()),
+            [a, b],
             fd_grad,
             rel_err,
         )
 
     def test_log_and_relu(self, rng, fd_grad, rel_err):
-        x = rng.uniform(0.5, 2.0, size=(2, 3))
+        x = rng.uniform(0.5, 2.0, size=(2, 3)) * rng.choice([-1.0, 1.0], size=(2, 3))
+        w = rng.normal(size=(2, 3))
         _check(
-            lambda t: ad.sum_(ad.log_(ad.relu(t))),
-            lambda a: float(np.log(np.maximum(a, 0.0)).sum()),
+            lambda t: ad.sum_(ad.mul(ad.relu(t), ad.Tensor(w))),
+            lambda a: float((np.maximum(a, 0.0) * w).sum()),
             [x],
             fd_grad,
             rel_err,
@@ -269,13 +250,6 @@ class TestPrimitiveGradients:
     def test_softmax_and_log_softmax(self, rng, fd_grad, rel_err):
         x = rng.normal(size=(2, 5))
         w = rng.normal(size=(2, 5))
-        _check(
-            lambda t: ad.sum_(ad.mul(ad.softmax(t, axis=1), ad.Tensor(w))),
-            lambda a: float((numeric.softmax(a, axis=1) * w).sum()),
-            [x],
-            fd_grad,
-            rel_err,
-        )
         _check(
             lambda t: ad.sum_(ad.mul(ad.log_softmax(t, axis=1), ad.Tensor(w))),
             lambda a: float((numeric.log_softmax(a, axis=1) * w).sum()),
@@ -345,7 +319,7 @@ class TestPrimitiveGradients:
             from groundcap import kernels
 
             pre = xx @ wxx.T + hh[:, :d] @ whh.T + bb
-            h, c, *_ = kernels.lstm_gates_forward_numpy(pre, hh[:, d:])
+            h, c, *_ = kernels.lstm_gates_forward(pre, hh[:, d:])
             return float((np.concatenate([h, c], axis=1) * probe).sum())
 
         _check(build, ref, [x, hc, wx, wh, b], fd_grad, rel_err)
@@ -395,13 +369,6 @@ class TestPrimitiveGradients:
     def test_cosine_and_pearson(self, rng, fd_grad, rel_err):
         u = rng.normal(size=5)
         v = rng.normal(size=5)
-        _check(
-            lambda a, b: ad.cosine_t(a, b),
-            lambda a, b: numeric.cosine(a, b),
-            [u, v],
-            fd_grad,
-            rel_err,
-        )
         _check(
             lambda a, b: ad.pearson_t(a, b),
             lambda a, b: numeric.pearson(a, b),

@@ -1,4 +1,9 @@
-"""The numba and numpy kernel variants must agree; the active alias works."""
+"""The numpy kernels against the loop references in ``loop_reference``.
+
+The references accumulate one element at a time, so the floating-point
+kernels are compared within relative tolerances of 1e-14 to 1e-12 and LCS
+exactly; the sigmoid and the pair-cosine scatter must match bit for bit.
+"""
 
 import numpy as np
 import pytest
@@ -7,67 +12,57 @@ import loop_reference
 from groundcap import kernels, numeric
 
 
-needs_numba = pytest.mark.skipif(
-    not kernels.NUMBA_AVAILABLE, reason="numba not importable"
-)
-
-
 def _random_gate_inputs(rng, batch=7, d=5):
     pre = rng.normal(size=(batch, 4 * d))
     c_prev = rng.normal(size=(batch, d))
     return pre, c_prev
 
 
-@needs_numba
-def test_lstm_gates_forward_variants_agree(rng):
+def test_lstm_gates_forward_matches_loop_reference(rng):
     pre, c_prev = _random_gate_inputs(rng)
-    got_np = kernels.lstm_gates_forward_numpy(pre, c_prev)
-    got_nb = kernels.lstm_gates_forward_numba(pre, c_prev)
-    for a, b in zip(got_np, got_nb):
+    got = kernels.lstm_gates_forward(pre, c_prev)
+    got_loop = loop_reference.lstm_gates_forward_loop(pre, c_prev)
+    for a, b in zip(got, got_loop):
         np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-15)
 
 
-@needs_numba
-def test_lstm_gates_backward_variants_agree(rng):
+def test_lstm_gates_backward_matches_loop_reference(rng):
     pre, c_prev = _random_gate_inputs(rng)
-    h, c, i, f, o, g, tc = kernels.lstm_gates_forward_numpy(pre, c_prev)
+    h, c, i, f, o, g, tc = kernels.lstm_gates_forward(pre, c_prev)
     dh = rng.normal(size=h.shape)
     dc = rng.normal(size=c.shape)
-    a = kernels.lstm_gates_backward_numpy(dh, dc, i, f, o, g, tc, c_prev)
-    b = kernels.lstm_gates_backward_numba(dh, dc, i, f, o, g, tc, c_prev)
+    a = kernels.lstm_gates_backward(dh, dc, i, f, o, g, tc, c_prev)
+    b = loop_reference.lstm_gates_backward_loop(dh, dc, i, f, o, g, tc, c_prev)
     np.testing.assert_allclose(a[0], b[0], rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(a[1], b[1], rtol=1e-13, atol=1e-15)
 
 
-@needs_numba
-def test_pair_cosines_variants_agree(rng):
+def test_pair_cosines_matches_loop_reference(rng):
     vecs = rng.normal(size=(9, 4))
     left = rng.integers(0, 9, size=20)
     right = rng.integers(0, 9, size=20)
     np.testing.assert_allclose(
-        kernels.pair_cosines_forward_numpy(vecs, left, right),
-        kernels.pair_cosines_forward_numba(vecs, left, right),
+        kernels.pair_cosines_forward(vecs, left, right),
+        loop_reference.pair_cosines_forward_loop(vecs, left, right),
         rtol=1e-13,
     )
     dsims = rng.normal(size=20)
     np.testing.assert_allclose(
-        kernels.pair_cosines_backward_numpy(dsims, vecs, left, right),
-        kernels.pair_cosines_backward_numba(dsims, vecs, left, right),
+        kernels.pair_cosines_backward(dsims, vecs, left, right),
+        loop_reference.pair_cosines_backward_loop(dsims, vecs, left, right),
         rtol=1e-12,
         atol=1e-14,
     )
 
 
-@needs_numba
-def test_lcs_variants_agree(rng):
+def test_lcs_matches_loop_reference(rng):
     for _ in range(25):
         a = rng.integers(0, 6, size=rng.integers(0, 15)).astype(np.int64)
         b = rng.integers(0, 6, size=rng.integers(0, 15)).astype(np.int64)
-        assert kernels.lcs_length_numpy(a, b) == kernels.lcs_length_numba(a, b)
+        assert kernels.lcs_length(a, b) == loop_reference.lcs_length_loop(a, b)
 
 
-@needs_numba
-def test_iou_matrix_variants_agree(rng):
+def test_iou_matrix_matches_loop_reference(rng):
     def boxes(n):
         x0 = rng.uniform(0, 0.8, size=n)
         y0 = rng.uniform(0, 0.8, size=n)
@@ -78,7 +73,7 @@ def test_iou_matrix_variants_agree(rng):
 
     a, b = boxes(12), boxes(8)
     np.testing.assert_allclose(
-        kernels.iou_matrix_numpy(a, b), kernels.iou_matrix_numba(a, b), rtol=1e-14
+        kernels.iou_matrix(a, b), loop_reference.iou_matrix_loop(a, b), rtol=1e-14
     )
 
 
@@ -87,7 +82,7 @@ def test_lstm_gates_forward_sigmoid_blocks_exact(rng, batch):
     # The three sigmoid gates go through one call; each must equal its own.
     pre, c_prev = _random_gate_inputs(rng, batch=batch)
     pre[0, :3] = [-800.0, 0.0, 800.0]
-    _, _, i, f, o, _, _ = kernels.lstm_gates_forward_numpy(pre, c_prev)
+    _, _, i, f, o, _, _ = kernels.lstm_gates_forward(pre, c_prev)
     d = c_prev.shape[1]
     for k, gate in enumerate((i, f, o)):
         assert np.array_equal(gate, numeric.sigmoid(pre[:, k * d:(k + 1) * d]))
@@ -114,7 +109,7 @@ def test_pair_cosines_backward_matches_add_at_reference(rng):
     left = np.array([0, 0, 3, 5, 5, 5, 2, 7], dtype=np.int64)
     right = np.array([1, 0, 3, 2, 5, 0, 2, 7], dtype=np.int64)
     dsims = rng.normal(size=len(left))
-    got = kernels.pair_cosines_backward_numpy(dsims, vecs, left, right)
+    got = kernels.pair_cosines_backward(dsims, vecs, left, right)
     want = loop_reference.pair_cosines_backward(dsims, vecs, left, right)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
@@ -123,12 +118,12 @@ def test_pair_cosines_backward_matches_add_at_reference(rng):
         right = rng.integers(0, 9, size=40)
         dsims = rng.normal(size=40)
         assert np.array_equal(
-            kernels.pair_cosines_backward_numpy(dsims, vecs, left, right),
+            kernels.pair_cosines_backward(dsims, vecs, left, right),
             loop_reference.pair_cosines_backward(dsims, vecs, left, right),
         )
     empty = np.zeros(0, dtype=np.int64)
     assert np.array_equal(
-        kernels.pair_cosines_backward_numpy(np.zeros(0), vecs, empty, empty),
+        kernels.pair_cosines_backward(np.zeros(0), vecs, empty, empty),
         np.zeros_like(vecs),
     )
 
@@ -140,10 +135,3 @@ def test_lcs_known_values():
     assert lcs(np.array([1, 3, 2, 4], dtype=np.int64), np.array([1, 2, 3, 4], dtype=np.int64)) == 3
     assert lcs(np.array([], dtype=np.int64), np.array([1], dtype=np.int64)) == 0
 
-
-def test_active_aliases_point_at_selected_variant():
-    expected = "numba" if kernels.USE_NUMBA else "numpy"
-    if expected == "numba":
-        assert kernels.lstm_gates_forward is kernels.lstm_gates_forward_numba
-    else:
-        assert kernels.lstm_gates_forward is kernels.lstm_gates_forward_numpy

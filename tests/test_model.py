@@ -6,6 +6,7 @@ batched ``greedy_decode`` and ``batch_forward``; its tests stay here.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from decode_reference import (
 )
 from groundcap import autodiff as ad
 from groundcap import numeric
-from groundcap.data import BOS_ID, EOS_ID
+from groundcap.data import BOS_ID, EOS_ID, SyntheticSpec, generate_synthetic_dataset
 from groundcap.errors import DataValidationError, DomainError, ShapeError
 from groundcap.model import (
     DECODE_CHUNK,
@@ -37,6 +38,7 @@ from groundcap.model import (
     project_features,
     save_checkpoint,
 )
+from groundcap.training import TrainConfig, run_experiment_matrix
 
 FD_TOL = 1e-4
 
@@ -530,6 +532,44 @@ class TestCheckpoint:
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+        # Every file of a matrix run: a rerun tears the write of one of them,
+        # which must keep its previous bytes and leave no partial file. A file
+        # written around Path.write_text raises nothing and fails here too.
+        dataset = generate_synthetic_dataset(
+            SyntheticSpec(num_classes=3, spread=0.2, images=30, feature_size=12,
+                          objects_min=2, objects_max=3),
+            seed=77,
+        )
+        config = TrainConfig(hidden_size=8, min_count=1, batch_size=8, sample_size=10,
+                             max_epochs=1)
+        out = tmp_path / "matrix"
+        run_experiment_matrix(config, dataset, seeds=[5], out_dir=out, neighbor_k=1)
+        names = {p.name for p in out.rglob("*") if p.is_file()}
+        assert names == {
+            "config.json", "convergence.csv", "checkpoint_best.json", "metrics.json",
+            "analysis.json", "vectors.jsonl", "matrix_metrics.json",
+            "matrix_analysis.json", "matrix_runs.json",
+        }
+        for name in sorted(names):
+            # baseline is the first variant the matrix trains
+            path = out / name if name.startswith("matrix_") else out / "baseline_seed5" / name
+            before = path.read_bytes()
+
+            def torn_named(self, data, *args, **kwargs):
+                if self.name in (name, name + ".partial"):
+                    torn_write(self, data, *args, **kwargs)
+                return write_text(self, data, *args, **kwargs)
+
+            monkeypatch.setattr(Path, "write_text", torn_named)
+            with pytest.raises(OSError, match="disk full"):
+                run_experiment_matrix(
+                    replace(config, hidden_size=6), dataset, seeds=[5], out_dir=out,
+                    neighbor_k=1,
+                )
+            monkeypatch.undo()
+            assert path.read_bytes() == before, name
+            assert not list(out.rglob("*.partial")), name
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"

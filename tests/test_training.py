@@ -122,7 +122,6 @@ class TestTrainLoop:
             TINY, seed=9, max_epochs=2, sample_size=200,
             use_cluster_loss=True, use_perceptual_loss=True,
         )
-        monkeypatch.setattr(kernels, "pair_cosines_backward", kernels.pair_cosines_backward_numpy)
         train(cfg, tiny_dataset, run_dir=tmp_path / "vectorised")
         monkeypatch.setattr(training, "sample_triplets", loop_reference.sample_triplets)
         monkeypatch.setattr(training, "sample_pairs", loop_reference.sample_pairs)
