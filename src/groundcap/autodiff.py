@@ -413,10 +413,12 @@ def pair_cosines(vecs: Tensor, left: np.ndarray, right: np.ndarray) -> Tensor:
     """Vector of cosines between row pairs of ``vecs`` (rows must be non-zero)."""
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
-    sims = kernels.pair_cosines_forward(vecs.data, left, right)
+    sims, saved = kernels.pair_cosines_forward(vecs.data, left, right)
 
     def bwd(g):
-        return (kernels.pair_cosines_backward(np.ascontiguousarray(g), vecs.data, left, right),)
+        return (
+            kernels.pair_cosines_backward(np.ascontiguousarray(g), vecs.data, left, right, saved),
+        )
 
     return _make(sims, (vecs,), bwd)
 

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: LSTM gates, pair cosines, LCS and IoU, in numpy.
+"""Hot numeric kernels: LSTM gates, pair cosines and IoU in numpy, and LCS.
 
 Callers reach every kernel through the module attribute
 (``kernels.lstm_gates_forward(...)``), so a wrapper patched onto the module
@@ -60,53 +60,67 @@ def lstm_gates_backward(dh, dc, i, f, o, g, tc, c_prev):
 def pair_cosines_forward(vecs, left, right):
     """Cosine similarity between row pairs (vecs[left[t]], vecs[right[t]]).
 
-    Rows referenced by the index arrays must have non-zero norm.
+    Rows referenced by the index arrays must have non-zero norm. Returns
+    (sims, saved): ``saved`` = (u, v, nu, nv, dots), the gathered rows, their
+    norms and dot products, is what ``pair_cosines_backward`` takes.
     """
     u = vecs[left]
     v = vecs[right]
-    nu = np.sqrt((u * u).sum(axis=1))
-    nv = np.sqrt((v * v).sum(axis=1))
-    return (u * v).sum(axis=1) / (nu * nv)
+    # one (P, d) buffer for the three elementwise products
+    prod = u * u
+    nu = np.sqrt(prod.sum(axis=1))
+    nv = np.sqrt(np.multiply(v, v, out=prod).sum(axis=1))
+    dots = np.multiply(u, v, out=prod).sum(axis=1)
+    return dots / (nu * nv), (u, v, nu, nv, dots)
 
 
-def pair_cosines_backward(dsims, vecs, left, right):
-    """Accumulate d(loss)/d(vecs) from per-pair cosine gradients."""
-    u = vecs[left]
-    v = vecs[right]
-    nu = np.sqrt((u * u).sum(axis=1))
-    nv = np.sqrt((v * v).sum(axis=1))
-    dots = (u * v).sum(axis=1)
+def pair_cosines_backward(dsims, vecs, left, right, saved):
+    """Accumulate d(loss)/d(vecs) from per-pair cosine gradients.
+
+    ``saved`` is the second result of the ``pair_cosines_forward`` call on
+    the same ``vecs``, ``left`` and ``right``.
+    """
+    u, v, nu, nv, dots = saved
     inv = 1.0 / (nu * nv)
     cos = dots * inv
     s = dsims[:, None]
-    du = s * (v * inv[:, None] - u * (cos / (nu * nu))[:, None])
-    dv = s * (u * inv[:, None] - v * (cos / (nv * nv))[:, None])
+    inv = inv[:, None]
+    # du = s * (v * inv - u * (cos / (nu * nu))) and its mirror dv are
+    # written in place into one (2P, d) buffer with one (P, d) temporary;
+    # in-place and operand-swapped products give the same IEEE results.
+    p, d = u.shape
+    terms = np.empty((2 * p, d))
+    tmp = np.empty((p, d))
+    for out, a, b, norm in ((terms[:p], u, v, nu), (terms[p:], v, u, nv)):
+        np.multiply(b, inv, out=out)
+        np.multiply(a, (cos / (norm * norm))[:, None], out=tmp)
+        np.subtract(out, tmp, out=out)
+        np.multiply(out, s, out=out)
     # One bincount over the flat (row, column) cells adds the left terms in
     # pair order, then the right terms, as two np.add.at calls would.
-    n, d = vecs.shape
+    n = vecs.shape[0]
     cells = (np.concatenate([left, right])[:, None] * d + np.arange(d)).ravel()
-    terms = np.concatenate([du, dv]).ravel()
-    return np.bincount(cells, weights=terms, minlength=n * d).reshape(n, d)
+    return np.bincount(cells, weights=terms.ravel(), minlength=n * d).reshape(n, d)
 
 
 def lcs_length(a, b):
-    """Length of the longest common subsequence of two int sequences."""
-    n, m = len(a), len(b)
-    if n == 0 or m == 0:
-        return 0
-    prev = [0] * (m + 1)
-    cur = [0] * (m + 1)
-    for ii in range(1, n + 1):
-        ai = a[ii - 1]
-        for jj in range(1, m + 1):
-            if ai == b[jj - 1]:
-                cur[jj] = prev[jj - 1] + 1
-            elif prev[jj] >= cur[jj - 1]:
-                cur[jj] = prev[jj]
-            else:
-                cur[jj] = cur[jj - 1]
-        prev, cur = cur, prev
-    return prev[m]
+    """Length of the longest common subsequence of two token sequences.
+
+    Bit-parallel over Python ints (Allison & Dix 1986; Hyyrö 2004): bit i of
+    ``masks[t]`` is set where ``a[i] == t``, and each token of ``b`` updates
+    the bit vector ``v`` of ``len(a)`` bits in a few integer operations. The
+    LCS length is the number of zero bits of ``v``. Carries out of the top
+    bit never reach the bits below it, so they are masked once at the end.
+    """
+    masks = {}
+    for i, tok in enumerate(a):
+        masks[tok] = masks.get(tok, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for tok in b:
+        u = v & masks.get(tok, 0)
+        v = (v + u) | (v - u)
+    return len(a) - (v & full).bit_count()
 
 
 def iou_matrix(boxes_a, boxes_b):

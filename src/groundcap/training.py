@@ -393,6 +393,8 @@ def train(config: TrainConfig, dataset: Dataset, run_dir: Path | None = None) ->
                 )
             val_cider = split_cider(params, dataset.val, vocab, config.max_len)
             rows[-1].val_cider = val_cider
+            # Every epoch, so that a run killed later still leaves its log.
+            flush_log()
             log.info(
                 "epoch %d: step %d, l_xe %.4f, val CIDEr %.2f", epoch, steps, l_xe, val_cider
             )
@@ -414,7 +416,6 @@ def train(config: TrainConfig, dataset: Dataset, run_dir: Path | None = None) ->
     except NumericalError:
         flush_log()
         raise
-    flush_log()
     return TrainResult(
         params=best_params,
         vocab=vocab,

@@ -1,12 +1,13 @@
-"""Loop versions of the grounding samplers, the pair-cosine scatter, the
+"""Loop versions of the grounding samplers, the pair-cosine kernels, the
 masked-branch sigmoid and the numeric kernels.
 
 These are the definitions the vectorised code in ``groundcap.losses``,
 ``groundcap.kernels`` and ``groundcap.numeric`` must reproduce: the
-samplers, the scatter and the sigmoid bit for bit (the same index arrays,
-gradient and sigmoid bits and generator state after each call), and the
-``*_loop`` kernels, which accumulate one element at a time, within the
-tolerances in ``tests/test_kernels.py`` (exactly, for LCS).
+samplers, the pair cosines with their ``np.add.at`` scatter and the sigmoid
+bit for bit (the same index arrays, cosine, gradient and sigmoid bits and
+generator state after each call), and the ``*_loop`` kernels, which
+accumulate one element at a time, within the tolerances in
+``tests/test_kernels.py`` (exactly, for the dynamic-programming LCS).
 """
 
 import math
@@ -70,7 +71,17 @@ def sample_pairs(
     return np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
 
 
-def pair_cosines_backward(dsims, vecs, left, right):
+def pair_cosines_forward(vecs, left, right):
+    u = vecs[left]
+    v = vecs[right]
+    nu = np.sqrt((u * u).sum(axis=1))
+    nv = np.sqrt((v * v).sum(axis=1))
+    return (u * v).sum(axis=1) / (nu * nv)
+
+
+def pair_cosines_backward(dsims, vecs, left, right, saved=None):
+    # Recomputes everything from vecs; ``saved`` (the forward's arrays) is
+    # accepted only so that this can stand in for the kernel.
     u = vecs[left]
     v = vecs[right]
     nu = np.sqrt((u * u).sum(axis=1))

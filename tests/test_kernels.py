@@ -1,12 +1,15 @@
 """The numpy kernels against the loop references in ``loop_reference``.
 
 The references accumulate one element at a time, so the floating-point
-kernels are compared within relative tolerances of 1e-14 to 1e-12 and LCS
-exactly; the sigmoid and the pair-cosine scatter must match bit for bit.
+kernels are compared within relative tolerances of 1e-14 to 1e-12 and the
+bit-parallel LCS exactly; the sigmoid and the pair cosines must also match
+their numpy references bit for bit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loop_reference
 from groundcap import kernels, numeric
@@ -41,25 +44,30 @@ def test_pair_cosines_matches_loop_reference(rng):
     vecs = rng.normal(size=(9, 4))
     left = rng.integers(0, 9, size=20)
     right = rng.integers(0, 9, size=20)
+    sims, saved = kernels.pair_cosines_forward(vecs, left, right)
     np.testing.assert_allclose(
-        kernels.pair_cosines_forward(vecs, left, right),
+        sims,
         loop_reference.pair_cosines_forward_loop(vecs, left, right),
         rtol=1e-13,
     )
     dsims = rng.normal(size=20)
     np.testing.assert_allclose(
-        kernels.pair_cosines_backward(dsims, vecs, left, right),
+        kernels.pair_cosines_backward(dsims, vecs, left, right, saved),
         loop_reference.pair_cosines_backward_loop(dsims, vecs, left, right),
         rtol=1e-12,
         atol=1e-14,
     )
 
 
-def test_lcs_matches_loop_reference(rng):
-    for _ in range(25):
-        a = rng.integers(0, 6, size=rng.integers(0, 15)).astype(np.int64)
-        b = rng.integers(0, 6, size=rng.integers(0, 15)).astype(np.int64)
-        assert kernels.lcs_length(a, b) == loop_reference.lcs_length_loop(a, b)
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.lists(st.integers(0, 5), max_size=80),
+    b=st.lists(st.integers(0, 5), max_size=80),
+)
+def test_lcs_matches_loop_reference(a, b):
+    want = loop_reference.lcs_length_loop(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    assert kernels.lcs_length(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)) == want
+    assert kernels.lcs_length([f"w{t}" for t in a], [f"w{t}" for t in b]) == want
 
 
 def test_iou_matrix_matches_loop_reference(rng):
@@ -104,28 +112,25 @@ def test_sigmoid_matches_masked_branch_reference(rng):
 
 
 def test_pair_cosines_backward_matches_add_at_reference(rng):
+    # forward and backward against the numpy forward and the add.at scatter
     vecs = rng.normal(size=(9, 4))
-    # repeated rows, rows paired with themselves, and unreferenced rows
-    left = np.array([0, 0, 3, 5, 5, 5, 2, 7], dtype=np.int64)
-    right = np.array([1, 0, 3, 2, 5, 0, 2, 7], dtype=np.int64)
-    dsims = rng.normal(size=len(left))
-    got = kernels.pair_cosines_backward(dsims, vecs, left, right)
-    want = loop_reference.pair_cosines_backward(dsims, vecs, left, right)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want)
+    # repeated rows, rows paired with themselves, unreferenced rows, no pairs
+    cases = [
+        (np.array([0, 0, 3, 5, 5, 5, 2, 7]), np.array([1, 0, 3, 2, 5, 0, 2, 7])),
+        (np.arange(9), np.arange(9)),
+        (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+    ]
     for _ in range(20):
-        left = rng.integers(0, 9, size=40)
-        right = rng.integers(0, 9, size=40)
-        dsims = rng.normal(size=40)
-        assert np.array_equal(
-            kernels.pair_cosines_backward(dsims, vecs, left, right),
-            loop_reference.pair_cosines_backward(dsims, vecs, left, right),
-        )
-    empty = np.zeros(0, dtype=np.int64)
-    assert np.array_equal(
-        kernels.pair_cosines_backward(np.zeros(0), vecs, empty, empty),
-        np.zeros_like(vecs),
-    )
+        cases.append((rng.integers(0, 9, size=40), rng.integers(0, 9, size=40)))
+    for left, right in cases:
+        dsims = rng.normal(size=len(left))
+        sims, saved = kernels.pair_cosines_forward(vecs, left, right)
+        grad = kernels.pair_cosines_backward(dsims, vecs, left, right, saved)
+        want_sims = loop_reference.pair_cosines_forward(vecs, left, right)
+        want_grad = loop_reference.pair_cosines_backward(dsims, vecs, left, right)
+        assert grad.shape == vecs.shape
+        assert sims.tobytes() == want_sims.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_lcs_known_values():

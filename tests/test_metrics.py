@@ -2,7 +2,9 @@
 
 The frozen numbers in tests/fixtures/metric_reference.json were produced
 by tools/make_metric_fixtures.py, an independent adaptation of the
-reference coco-caption scorers.
+reference coco-caption scorers. ``metric_reference`` keeps the per-call
+scorers that the reference index replaced; the index-based scorers must
+reproduce their floats bit for bit.
 """
 
 import json
@@ -11,7 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import metric_reference
 from groundcap.errors import DataValidationError, DomainError
 from groundcap.metrics import EvaluationCorpus, bleu, cider, metric_table, rouge_l
 
@@ -174,3 +179,49 @@ class TestValidation:
     def test_empty_reference_rejected(self):
         with pytest.raises(DataValidationError):
             EvaluationCorpus(entries=[(["a"], [[]])])
+
+
+@st.composite
+def corpora(draw):
+    vocab = [f"w{i}" for i in range(draw(st.integers(3, 8)))]
+    # candidates may use a token no reference holds
+    cand = st.lists(st.sampled_from(vocab + ["unseen"]), max_size=20)
+    ref = st.lists(st.sampled_from(vocab), min_size=1, max_size=12)
+    refs = st.lists(ref, min_size=1, max_size=5).map(
+        lambda rs: rs + rs[:1] if len(rs) < 5 and len(rs[0]) % 2 else rs
+    )
+    return EvaluationCorpus(entries=draw(st.lists(st.tuples(cand, refs), min_size=2, max_size=40)))
+
+
+def _hex(values: dict) -> dict:
+    return {k: v.hex() for k, v in values.items()}
+
+
+# An empty candidate, a candidate longer than every reference with an n-gram
+# absent from every reference, duplicated and one-token references (bigram
+# length 0).
+EDGE_CASES = corpus_of(
+    [
+        ("", ["a b", "c"]),
+        ("a b a b c c x a b a", ["a b", "a b", "c"]),
+        ("c", ["c", "a b c"]),
+    ]
+)
+
+
+class TestReferenceIndexOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(corpus=corpora())
+    @example(corpus=EDGE_CASES)
+    def test_bit_identical_to_per_call_scorers(self, corpus):
+        assert _hex(metric_table(corpus)) == _hex(metric_reference.metric_table(corpus))
+        for n in range(1, 5):
+            assert bleu(corpus, n).hex() == metric_reference.bleu(corpus, n).hex()
+        assert rouge_l(corpus).hex() == metric_reference.rouge_l(corpus).hex()
+        assert cider(corpus).hex() == metric_reference.cider(corpus).hex()
+
+    def test_metric_table_domain_errors(self):
+        with pytest.raises(DomainError, match="BLEU"):
+            metric_table(EvaluationCorpus(entries=[]))
+        with pytest.raises(DomainError, match="IDF"):
+            metric_table(corpus_of([("a", ["a"])]))

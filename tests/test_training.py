@@ -242,6 +242,31 @@ class TestTrainLoop:
         assert sentinel.exists()
         assert (run_dir / "convergence.csv").exists()
 
+    def test_killed_run_keeps_the_log_of_finished_epochs(
+        self, tiny_dataset, tmp_path, monkeypatch
+    ):
+        cfg = replace(TINY, seed=5, max_epochs=4)
+        train(cfg, tiny_dataset, run_dir=tmp_path / "full")
+        real = training.split_cider
+        calls = []
+
+        def killed_at_epoch_3(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "split_cider", killed_at_epoch_3)
+        with pytest.raises(KeyboardInterrupt):
+            train(cfg, tiny_dataset, run_dir=tmp_path / "killed")
+        full, killed = (
+            strip_wall_ms((tmp_path / name / "convergence.csv").read_text()).splitlines()
+            for name in ("full", "killed")
+        )
+        epochs = [line.split(",")[0] for line in killed[1:]]
+        assert set(epochs) == {"1", "2"}
+        assert killed == [full[0]] + [line for line in full[1:] if line.split(",")[0] in epochs]
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             replace(TINY, patience=0).validate()
