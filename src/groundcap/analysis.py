@@ -23,6 +23,10 @@ Metrics, all reported on the 0..100 table scale:
 
 Raw centroid and embedding vectors are exported to JSON lines so the
 spaces can be visualized externally.
+
+``decode_corpus`` is the one decode path: ``split_cider`` and
+``training.evaluate`` both score its corpus. ``analyze`` does not decode;
+its caller passes in the split's CIDEr.
 """
 
 from __future__ import annotations
@@ -177,10 +181,9 @@ class AnalysisReport:
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
-        raw = json.loads(text)
         try:
-            return cls(**raw)
-        except TypeError as err:
+            return cls(**json.loads(text))
+        except (TypeError, ValueError) as err:
             raise DataValidationError(f"malformed analysis report: {err}") from err
 
 
@@ -207,10 +210,14 @@ def collect_objects(
     return np.stack(feats), np.asarray(labels, dtype=np.int64)
 
 
-def decode_inputs(
-    params: ModelParams, examples: list[ImageExample]
-) -> tuple[list[np.ndarray], list[list[list[str]]]]:
-    """Projected object sets and normalized references of a split, per image."""
+def decode_corpus(
+    params: ModelParams,
+    examples: list[ImageExample],
+    vocab: Vocabulary,
+    max_len: int,
+) -> EvaluationCorpus:
+    """Greedy-decode a split in one batched call, paired with its normalized
+    references image by image."""
     references = []
     for ex in examples:
         refs = [r for r in (normalize(c) for c in ex.captions) if r]
@@ -218,7 +225,13 @@ def decode_inputs(
             raise DataValidationError(f"image {ex.image_id} has no usable references")
         references.append(refs)
     zs = [project_features(ex.features, params.arrays["input_proj"]) for ex in examples]
-    return zs, references
+    captions = greedy_decode(zs, params, max_len)
+    return EvaluationCorpus(
+        entries=[
+            ([vocab.id_to_token(i) for i in ids], refs)
+            for ids, refs in zip(captions, references)
+        ]
+    )
 
 
 def split_cider(
@@ -228,12 +241,7 @@ def split_cider(
     max_len: int = 16,
 ) -> float:
     """Greedy-decode a split and score it, on the 0..100 report scale."""
-    zs, references = decode_inputs(params, examples)
-    captions = greedy_decode(zs, params, max_len)
-    entries = [
-        ([vocab.id_to_token(i) for i in ids], refs) for ids, refs in zip(captions, references)
-    ]
-    return 100.0 * cider(EvaluationCorpus(entries=entries))
+    return 100.0 * cider(decode_corpus(params, examples, vocab, max_len))
 
 
 def analyze(
@@ -241,11 +249,13 @@ def analyze(
     examples: list[ImageExample],
     class_table: ClassTable,
     vocab: Vocabulary,
+    cider: float,
     neighbor_k: int = 3,
-    max_len: int = 16,
-    with_cider: bool = True,
 ) -> tuple[AnalysisReport, list[ClassVectors]]:
-    """Table-shaped structure report plus exportable per-class vectors."""
+    """Table-shaped structure report plus exportable per-class vectors.
+
+    ``cider`` (the split's ``split_cider``) goes into the report as given.
+    """
     vectors, labels = collect_objects(examples, class_table.unk_id)
     projected = project_features(vectors, params.arrays["input_proj"])
     orig_centroids = class_centroids(vectors, labels)
@@ -270,7 +280,7 @@ def analyze(
     inter_proj, intra_proj = cluster_separation(projected, labels)
 
     report = AnalysisReport(
-        cider=split_cider(params, examples, vocab, max_len) if with_cider else float("nan"),
+        cider=cider,
         neighbor_overlap={
             "original": 100.0 * mean_neighbor_overlap(spaces_orig, neighbor_k),
             "projected": 100.0 * mean_neighbor_overlap(spaces_proj, neighbor_k),

@@ -58,35 +58,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; non-Tensor operands become constants.
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise ContractError("tensor/tensor division is not supported")
-        return mul(self, _lift(1.0 / float(scalar)))
-
-    def __neg__(self):
-        return neg(self)
-
-
-def _lift(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
 
 def _make(data, parents: Sequence[Tensor], bwd) -> Tensor:
     out = Tensor(data)

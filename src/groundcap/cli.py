@@ -20,10 +20,11 @@ import logging
 import sys
 from pathlib import Path
 
-from .analysis import analyze, write_vector_export
+from .analysis import analyze, split_cider, write_vector_export
 from .data import (
     SyntheticSpec,
     generate_synthetic_dataset,
+    load_class_table,
     load_dataset,
     save_dataset,
     write_atomic,
@@ -214,9 +215,7 @@ def _cmd_generate_data(args) -> int:
 
 
 def _cmd_assign_labels(args) -> int:
-    from .data import ClassTable
-
-    table = ClassTable.from_json(args.classes.read_text())
+    table = load_class_table(args.classes)
     count = label_dataset_file(args.targets, args.detections, args.out, table.unk_id)
     print(f"labeled {count} images -> {args.out}")
     return 0
@@ -234,10 +233,14 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _load_checkpoint_and_data(args):
+    """Checkpoint (parameters, vocabulary, decode length) and the dataset."""
+    params, vocab, max_len = load_for_inference(args.checkpoint)
+    return params, vocab, max_len, load_dataset(args.data)
+
+
 def _cmd_evaluate(args) -> int:
-    params, vocab, extra = load_for_inference(args.checkpoint)
-    dataset = load_dataset(args.data)
-    max_len = int(extra.get("train_config", {}).get("max_len", 16))
+    params, vocab, max_len, dataset = _load_checkpoint_and_data(args)
     table = evaluate(params, dataset.splits[args.split], vocab, max_len)
     text = json.dumps(table, sort_keys=True, indent=2)
     if args.out:
@@ -247,16 +250,15 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    params, vocab, extra = load_for_inference(args.checkpoint)
-    dataset = load_dataset(args.data)
-    max_len = int(extra.get("train_config", {}).get("max_len", 16))
+    params, vocab, max_len, dataset = _load_checkpoint_and_data(args)
+    examples = dataset.splits[args.split]
     report, exports = analyze(
         params,
-        dataset.splits[args.split],
+        examples,
         dataset.class_table,
         vocab,
+        cider=split_cider(params, examples, vocab, max_len),
         neighbor_k=args.neighbor_k,
-        max_len=max_len,
     )
     if args.out:
         write_atomic(args.out, report.to_json() + "\n")

@@ -199,8 +199,11 @@ class ClassTable:
 
     @classmethod
     def from_json(cls, text: str) -> "ClassTable":
-        raw = json.loads(text)
-        return cls(names={int(k): str(v) for k, v in raw.items()})
+        try:
+            names = {int(k): str(v) for k, v in json.loads(text).items()}
+        except (AttributeError, ValueError) as err:
+            raise DataValidationError(f"malformed class table: {err}") from err
+        return cls(names=names)
 
 
 @dataclass
@@ -264,11 +267,19 @@ def write_jsonl(examples: list[ImageExample], path: Path) -> None:
 
 def read_jsonl(path: Path) -> list[ImageExample]:
     out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(record_to_example(json.loads(line)))
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError as err:
+                    raise DataValidationError(f"{path}:{lineno}: malformed JSON: {err}") from err
+                out.append(record_to_example(record))
+    except OSError as err:
+        raise DataValidationError(f"cannot read {path}: {err}") from err
     return out
 
 
@@ -280,18 +291,30 @@ def save_dataset(dataset: Dataset, out_dir: Path) -> None:
     (out_dir / "classes.json").write_text(dataset.class_table.to_json() + "\n")
 
 
+def load_class_table(path: Path) -> ClassTable:
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise DataValidationError(f"cannot read class table {path}: {err}") from err
+    return ClassTable.from_json(text)
+
+
 def load_dataset(data_dir: Path) -> Dataset:
     data_dir = Path(data_dir)
-    classes_path = data_dir / "classes.json"
-    if not classes_path.exists():
-        raise DataValidationError(f"missing class table {classes_path}")
-    table = ClassTable.from_json(classes_path.read_text())
+    table = load_class_table(data_dir / "classes.json")
     splits = {}
     for name in ("train", "val", "test"):
         path = data_dir / f"{name}.jsonl"
-        if not path.exists():
-            raise DataValidationError(f"missing split file {path}")
         splits[name] = read_jsonl(path)
+        for ex in splits[name]:
+            unknown = set(ex.labels) - table.names.keys()
+            if unknown:
+                raise DataValidationError(
+                    f"{path}: image {ex.image_id} has labels {sorted(unknown)} "
+                    "that are not in the class table"
+                )
+            if not np.isfinite(ex.features).all():
+                raise DataValidationError(f"{path}: image {ex.image_id} has non-finite features")
     return Dataset(class_table=table, **splits)
 
 

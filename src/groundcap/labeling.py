@@ -51,20 +51,23 @@ def assign_labels(
 
 def _load_detections(path: Path) -> dict[str, list[Detection]]:
     per_image: dict[str, list[Detection]] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            try:
-                dets = [
-                    Detection(box=BoundingBox(*map(float, box)), label=int(label))
-                    for box, label in zip(rec["boxes"], rec["labels"])
-                ]
-                per_image[str(rec["id"])] = dets
-            except (KeyError, TypeError, ValueError) as err:
-                raise DataValidationError(f"malformed detection record: {err}") from err
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                    dets = [
+                        Detection(box=BoundingBox(*map(float, box)), label=int(label))
+                        for box, label in zip(rec["boxes"], rec["labels"])
+                    ]
+                    per_image[str(rec["id"])] = dets
+                except (KeyError, TypeError, ValueError) as err:
+                    raise DataValidationError(f"malformed detection record: {err}") from err
+    except OSError as err:
+        raise DataValidationError(f"cannot read {path}: {err}") from err
     return per_image
 
 

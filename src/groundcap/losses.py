@@ -44,25 +44,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DegenerateStatisticsError, DomainError
+from .errors import DegenerateStatisticsError, DomainError
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    margin: float = 0.5
-    cluster_weight: float = 1.0
-    perceptual_weight: float = 1.0
-    sample_size: int = 500
-
-    def validate(self) -> None:
-        if self.margin < 0:
-            raise ConfigError(f"margin must be >= 0, got {self.margin}")
-        if self.sample_size < 1:
-            raise ConfigError(f"sample_size must be >= 1, got {self.sample_size}")
-        if self.cluster_weight < 0 or self.perceptual_weight < 0:
-            raise ConfigError("loss weights must be >= 0")
 
 
 @dataclass
@@ -92,14 +76,6 @@ def build_projection_pool(vectors: Tensor, labels: np.ndarray, unk_id: int) -> L
     keep = (~zero) & (labels != unk_id)
     rows = np.flatnonzero(keep)
     return LabeledProjection(vectors=vectors, rows=rows, class_ids=labels[rows])
-
-
-def cross_entropy_loss(logprobs) -> float:
-    """Mean negative log-likelihood over the steps of one caption."""
-    logprobs = np.asarray(logprobs, dtype=np.float64)
-    if logprobs.size < 1:
-        raise DomainError("cross_entropy_loss needs at least one step")
-    return float(-logprobs.mean())
 
 
 def batch_cross_entropy(per_example_logprob: Tensor) -> Tensor:
@@ -275,12 +251,13 @@ def total_loss(
     l_xe: Tensor,
     l_c: Tensor | None,
     l_p: Tensor | None,
-    config: LossConfig,
+    cluster_weight: float,
+    perceptual_weight: float,
 ) -> Tensor:
     """Weighted sum of the enabled heads; disabled heads leave l_xe intact."""
     total = l_xe
     if l_c is not None:
-        total = ad.add(total, ad.mul(Tensor(config.cluster_weight), l_c))
+        total = ad.add(total, ad.mul(Tensor(cluster_weight), l_c))
     if l_p is not None:
-        total = ad.add(total, ad.mul(Tensor(config.perceptual_weight), l_p))
+        total = ad.add(total, ad.mul(Tensor(perceptual_weight), l_p))
     return total

@@ -155,7 +155,9 @@ def load_checkpoint(path: Path) -> tuple[ModelParams, dict]:
         }
     except DataValidationError:
         raise
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as err:
+    except OSError as err:
+        raise DataValidationError(f"cannot read checkpoint {path}: {err}") from err
+    except (KeyError, TypeError, ValueError) as err:
         raise DataValidationError(f"malformed checkpoint {path}: {err}") from err
     params = ModelParams(config=config, arrays=arrays)
     params.validate()

@@ -13,9 +13,13 @@ dropout, the two loss samplers and the per-epoch shuffle each own an rng
 stream derived from it. The wall_ms column of the convergence log is the
 one intentionally non-reproducible field.
 
+Validation (``split_cider``) and ``evaluate`` both decode through
+``analysis.decode_corpus``. The matrix decodes each run's test split once,
+in ``evaluate``, and hands the table's CIDEr to ``analyze``.
+
 Run directory layout: config.json (snapshot), convergence.csv,
-checkpoint_best.json, and for evaluate/analyze callers metrics.json,
-analysis.json, vectors.jsonl.
+checkpoint_best.json, and for matrix runs metrics.json, analysis.json,
+vectors.jsonl.
 """
 
 from __future__ import annotations
@@ -29,12 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .analysis import analyze, decode_inputs, split_cider, write_vector_export
+from .analysis import analyze, decode_corpus, split_cider, write_vector_export
 from .autodiff import GradientTape, Tensor
 from .data import Dataset, ImageExample, Vocabulary, build_vocabulary, encode_caption, write_atomic
 from .errors import ConfigError, DataValidationError, NumericalError
 from .losses import (
-    LossConfig,
     build_projection_pool,
     batch_cross_entropy,
     cluster_loss,
@@ -43,13 +46,13 @@ from .losses import (
     sample_triplets,
     total_loss,
 )
-from .metrics import EvaluationCorpus, metric_table
+from .metrics import metric_table
 from .model import (
     DropoutPlan,
     ModelConfig,
     ModelParams,
     batch_forward,
-    greedy_decode,
+    greedy_decode,  # noqa: F401  unused here; perfbench/tracing.py wraps this name
     load_checkpoint,
     save_checkpoint,
 )
@@ -120,15 +123,12 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 < self.adam_beta1 < 1.0 or not 0.0 < self.adam_beta2 < 1.0:
             raise ConfigError("adam betas must be in (0, 1)")
-        self.loss_config().validate()
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(
-            margin=self.margin,
-            cluster_weight=self.cluster_weight,
-            perceptual_weight=self.perceptual_weight,
-            sample_size=self.sample_size,
-        )
+        if self.margin < 0:
+            raise ConfigError(f"margin must be >= 0, got {self.margin}")
+        if self.sample_size < 1:
+            raise ConfigError(f"sample_size must be >= 1, got {self.sample_size}")
+        if self.cluster_weight < 0 or self.perceptual_weight < 0:
+            raise ConfigError("loss weights must be >= 0")
 
     @property
     def grounding_enabled(self) -> bool:
@@ -299,7 +299,7 @@ def _train_step(
             if config.freeze_embeddings_for_grounding:
                 embedding = Tensor(params.arrays["embedding"])
             l_p = perceptual_loss(pool, pairs, embedding, class_tokens)
-    total = total_loss(l_xe, l_c, l_p, config.loss_config())
+    total = total_loss(l_xe, l_c, l_p, config.cluster_weight, config.perceptual_weight)
     if not np.isfinite(total.data):
         raise NumericalError(f"non-finite loss at step {completed_steps + 1}")
 
@@ -454,12 +454,7 @@ def evaluate(
     """Greedy-decode a split and emit the 100-scaled metric row."""
     if not examples:
         raise DataValidationError("cannot evaluate an empty split")
-    zs, references = decode_inputs(params, examples)
-    captions = greedy_decode(zs, params, max_len)
-    entries = [
-        ([vocab.id_to_token(i) for i in ids], refs) for ids, refs in zip(captions, references)
-    ]
-    return metric_table(EvaluationCorpus(entries=entries))
+    return metric_table(decode_corpus(params, examples, vocab, max_len))
 
 
 def run_experiment_matrix(
@@ -490,17 +485,14 @@ def run_experiment_matrix(
             run_dir = out_dir / f"{name.replace('+', '_')}_seed{seed}"
             result = train(config, dataset, run_dir=run_dir)
             table = evaluate(result.params, dataset.test, result.vocab, config.max_len)
-            # The test split is decoded once: analyze's CIDEr is the same
-            # 100 * cider over the same corpus as the table's.
             report, exports = analyze(
                 result.params,
                 dataset.test,
                 dataset.class_table,
                 result.vocab,
+                cider=table["CIDEr"],
                 neighbor_k=neighbor_k,
-                with_cider=False,
             )
-            report = replace(report, cider=table["CIDEr"])
             write_atomic(run_dir / "metrics.json", json.dumps(table, sort_keys=True) + "\n")
             write_atomic(run_dir / "analysis.json", report.to_json() + "\n")
             write_vector_export(exports, run_dir / "vectors.jsonl")
@@ -532,7 +524,8 @@ def run_experiment_matrix(
     return bundle
 
 
-def load_for_inference(checkpoint_path: Path) -> tuple[ModelParams, Vocabulary, dict]:
-    """Checkpoint plus the vocabulary stored alongside it."""
+def load_for_inference(checkpoint_path: Path) -> tuple[ModelParams, Vocabulary, int]:
+    """Checkpoint, the vocabulary stored alongside it and its decode length."""
     params, extra = load_checkpoint(checkpoint_path)
-    return params, vocab_from_checkpoint_extra(extra), extra
+    max_len = int(extra.get("train_config", {}).get("max_len", 16))
+    return params, vocab_from_checkpoint_extra(extra), max_len

@@ -3,7 +3,11 @@
 The directional criteria (4, 5, 6) share a 12-run experiment matrix
 (4 loss variants x 3 seeds) on the synthetic benchmark: 10 classes,
 500 images, matched geometry, all optimization hyperparameters at their
-defaults. The matrix is trained once per test session.
+defaults. The matrix is trained once per test session by
+``training.run_experiment_matrix``, the runner behind ``groundcap matrix``;
+the criteria read its run summaries and each run's ``analysis.json``.
+Criterion 6 also analyzes each run's initial parameters, rebuilt from the
+run's checkpoint config and the init seed stream.
 """
 
 import time
@@ -15,7 +19,7 @@ import pytest
 
 from groundcap import autodiff as ad
 from groundcap import numeric
-from groundcap.analysis import analyze
+from groundcap.analysis import AnalysisReport, analyze
 from groundcap.autodiff import Tensor
 from groundcap.data import (
     BoundingBox,
@@ -33,7 +37,13 @@ from groundcap.losses import (
 )
 from groundcap.metrics import EvaluationCorpus, bleu, cider, rouge_l
 from groundcap.model import ModelConfig, ModelParams, batch_forward
-from groundcap.training import TrainConfig, train
+from groundcap.training import (
+    MATRIX_VARIANTS,
+    TrainConfig,
+    load_for_inference,
+    run_experiment_matrix,
+    train,
+)
 
 from conftest import central_difference, max_relative_error
 
@@ -57,12 +67,6 @@ BENCH_CONFIG = TrainConfig(
     max_epochs=80,
     patience=10,
     sample_size=500,
-)
-VARIANTS = (
-    ("baseline", False, False),
-    ("cluster", True, False),
-    ("perceptual", False, True),
-    ("both", True, True),
 )
 
 
@@ -270,31 +274,29 @@ class TestCriterion3MetricOracle:
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def matrix():
+def matrix(tmp_path_factory):
     dataset = generate_synthetic_dataset(BENCH_SPEC, seed=BENCH_DATA_SEED)
+    out_dir = tmp_path_factory.mktemp("acceptance_matrix")
     started = time.monotonic()
+    bundle = run_experiment_matrix(
+        BENCH_CONFIG, dataset, BENCH_TRAIN_SEEDS, out_dir, neighbor_k=3
+    )
     runs = {}
-    for seed in BENCH_TRAIN_SEEDS:
-        for name, use_c, use_p in VARIANTS:
-            config = replace(
-                BENCH_CONFIG, use_cluster_loss=use_c, use_perceptual_loss=use_p, seed=seed
-            )
-            result = train(config, dataset)
-            trained, _ = analyze(
-                result.params, dataset.test, dataset.class_table, result.vocab, neighbor_k=3
-            )
-            initial_params = ModelParams.init(
-                result.params.config, np.random.default_rng([seed, 0])
-            )
-            initial, _ = analyze(
-                initial_params, dataset.test, dataset.class_table, result.vocab,
-                neighbor_k=3, with_cider=False,
-            )
-            runs[(seed, name)] = {
-                "steps": result.total_steps,
-                "report": trained,
-                "initial": initial,
-            }
+    for summary in bundle["runs"]:
+        seed, name = summary["seed"], summary["variant"]
+        run_dir = out_dir / f"{name.replace('+', '_')}_seed{seed}"
+        # the initial parameters: same model config, same init stream as train
+        params, vocab, _ = load_for_inference(run_dir / "checkpoint_best.json")
+        initial_params = ModelParams.init(params.config, np.random.default_rng([seed, 0]))
+        initial, _ = analyze(
+            initial_params, dataset.test, dataset.class_table, vocab,
+            cider=float("nan"), neighbor_k=3,
+        )
+        runs[(seed, name)] = {
+            "steps": summary["total_steps"],
+            "report": AnalysisReport.from_json((run_dir / "analysis.json").read_text()),
+            "initial": initial,
+        }
     return {"runs": runs, "elapsed": time.monotonic() - started}
 
 
@@ -336,11 +338,12 @@ class TestCriterion5ConvergenceDirection:
     def test_grounded_variants_stop_no_later(self, matrix):
         runs = matrix["runs"]
         details = []
-        wins = {"cluster": 0, "perceptual": 0, "both": 0}
+        grounded = [name for name, use_c, use_p in MATRIX_VARIANTS if use_c or use_p]
+        wins = dict.fromkeys(grounded, 0)
         for seed in BENCH_TRAIN_SEEDS:
             base_steps = runs[(seed, "baseline")]["steps"]
             row = [f"seed{seed}: baseline {base_steps}"]
-            for variant in ("cluster", "perceptual", "both"):
+            for variant in grounded:
                 steps = runs[(seed, variant)]["steps"]
                 wins[variant] += steps <= base_steps
                 row.append(f"{variant} {steps}")
@@ -360,7 +363,7 @@ class TestCriterion6MutualGrounding:
         convergence for the grounded runs whose loss reaches the embeddings
         (the perceptual-bearing variants)."""
         runs = matrix["runs"]
-        wins = {"perceptual": 0, "both": 0}
+        wins = {name: 0 for name, _, use_p in MATRIX_VARIANTS if use_p}
         details = []
         for seed in BENCH_TRAIN_SEEDS:
             for variant in wins:

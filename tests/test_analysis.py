@@ -254,7 +254,7 @@ class TestAnalyze:
     def test_identity_projection_equalizes_columns(self, setup):
         ds, vocab, params = setup
         params.arrays["input_proj"] = np.eye(24)
-        report, _ = analyze(params, ds.test, ds.class_table, vocab, neighbor_k=2)
+        report, _ = analyze(params, ds.test, ds.class_table, vocab, cider=12.5, neighbor_k=2)
         assert report.neighbor_overlap["original"] == report.neighbor_overlap["projected"]
         assert report.similarity_correlation["original"] == pytest.approx(
             report.similarity_correlation["projected"], abs=1e-9
@@ -268,19 +268,20 @@ class TestAnalyze:
 
     def test_report_roundtrips_through_json(self, setup):
         ds, vocab, params = setup
-        report, _ = analyze(params, ds.test, ds.class_table, vocab, neighbor_k=2)
+        report, _ = analyze(params, ds.test, ds.class_table, vocab, cider=12.5, neighbor_k=2)
         again = AnalysisReport.from_json(report.to_json())
         assert again == report
+        assert again.cider == 12.5  # carried as given, not decoded
 
     def test_deterministic(self, setup):
         ds, vocab, params = setup
-        r1, _ = analyze(params, ds.test, ds.class_table, vocab, neighbor_k=2)
-        r2, _ = analyze(params, ds.test, ds.class_table, vocab, neighbor_k=2)
+        r1, _ = analyze(params, ds.test, ds.class_table, vocab, cider=12.5, neighbor_k=2)
+        r2, _ = analyze(params, ds.test, ds.class_table, vocab, cider=12.5, neighbor_k=2)
         assert r1 == r2
 
     def test_vector_export_schema(self, setup, tmp_path):
         ds, vocab, params = setup
-        _, exports = analyze(params, ds.test, ds.class_table, vocab, neighbor_k=2)
+        _, exports = analyze(params, ds.test, ds.class_table, vocab, cider=12.5, neighbor_k=2)
         path = tmp_path / "vectors.jsonl"
         write_vector_export(exports, path)
         lines = [json.loads(l) for l in path.read_text().splitlines()]
@@ -294,8 +295,10 @@ class TestAnalyze:
         for ex in ds.test:
             ex.labels = [ds.class_table.unk_id] * len(ex.labels)
         with pytest.raises(DataValidationError):
-            analyze(params, ds.test, ds.class_table, vocab)
+            analyze(params, ds.test, ds.class_table, vocab, cider=12.5)
 
     def test_malformed_report_json(self):
         with pytest.raises(DataValidationError):
             AnalysisReport.from_json('{"cider": 1.0}')
+        with pytest.raises(DataValidationError):
+            AnalysisReport.from_json('{"cider": 1.0')

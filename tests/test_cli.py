@@ -1,8 +1,8 @@
 """CLI wiring: subcommands, config files, exit codes."""
 
 import json
+import shutil
 
-import numpy as np
 import pytest
 
 from groundcap.cli import build_train_config, main, read_config_file
@@ -132,24 +132,108 @@ class TestTrainEvaluateAnalyze:
         ])
         assert code == 3
 
-    def test_nan_training_exit_code_4(self, data_dir, tmp_path, capsys):
-        import groundcap.data as gdata
+    def test_analyze_reports_the_evaluate_cider(self, data_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        flags = [*TINY_FLAGS, "--hidden-size", "16", "--learning-rate", "2e-2", "--max-epochs", "10"]
+        assert main(["train", "--data", str(data_dir), "--out", str(run), *flags]) == 0
+        common = ["--checkpoint", str(run / "checkpoint_best.json"), "--data", str(data_dir)]
+        capsys.readouterr()
+        assert main(["evaluate", *common]) == 0
+        table = json.loads(capsys.readouterr().out)
+        assert main(["analyze", *common, "--neighbor-k", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert table["CIDEr"] > 0.0
+        assert report["cider"].hex() == table["CIDEr"].hex()
 
-        broken_dir = tmp_path / "broken"
-        ds = load_dataset(data_dir)
-        ds.train[0].features[0, 0] = np.nan
-        gdata.save_dataset(ds, broken_dir)
-        # NaN does not survive JSON; poison the file directly instead
-        text = (broken_dir / "train.jsonl").read_text().splitlines()
-        rec = json.loads(text[0])
-        rec["features"][0][0] = 1e400  # parses as inf
-        text[0] = json.dumps(rec)
-        (broken_dir / "train.jsonl").write_text("\n".join(text) + "\n")
+    def test_nan_training_exit_code_4(self, data_dir, tmp_path, capsys):
+        # the first update moves every weight by about the learning rate, so
+        # the second step's matmuls overflow and its loss is NaN
         code = main([
-            "train", "--data", str(broken_dir), "--out", str(tmp_path / "nanrun"), *TINY_FLAGS,
+            "train", "--data", str(data_dir), "--out", str(tmp_path / "nanrun"), *TINY_FLAGS,
+            "--learning-rate", "1e308",
         ])
         assert code == 4
         assert "numerical failure" in capsys.readouterr().err
+
+
+def _edit_first_record(path, edit):
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[0])
+    edit(record)
+    lines[0] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_first_label(record):
+    record["labels"][0] = 99  # the class table holds ids 0..3
+
+
+def _set_first_feature_infinite(record):
+    record["features"][0][0] = float("inf")  # written as Infinity, read back as inf
+
+
+def _train_on_broken_copy(break_data):
+    def argv(data_dir, tmp_path):
+        broken = tmp_path / "broken"
+        shutil.copytree(data_dir, broken)
+        break_data(broken)
+        out = tmp_path / "run"
+        return ["train", "--data", str(broken), "--out", str(out), *TINY_FLAGS, "--use-cluster-loss"]
+
+    return argv
+
+
+def _missing_checkpoint(data_dir, tmp_path):
+    return ["evaluate", "--checkpoint", str(tmp_path / "missing.json"), "--data", str(data_dir)]
+
+
+def _assign_labels(targets, detections, classes, tmp_path):
+    return [
+        "assign-labels", "--targets", str(targets), "--detections", str(detections),
+        "--classes", str(classes), "--out", str(tmp_path / "out.jsonl"),
+    ]
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+BROKEN_INPUTS = {
+    "malformed_split_line": _train_on_broken_copy(
+        lambda d: (d / "val.jsonl").write_text((d / "val.jsonl").read_text() + "{not json\n")
+    ),
+    "malformed_class_table": _train_on_broken_copy(
+        lambda d: (d / "classes.json").write_text('{"0": "dog",\n')
+    ),
+    "label_outside_class_table": _train_on_broken_copy(
+        lambda d: _edit_first_record(d / "train.jsonl", _set_first_label)
+    ),
+    "non_finite_feature": _train_on_broken_copy(
+        lambda d: _edit_first_record(d / "test.jsonl", _set_first_feature_infinite)
+    ),
+    "missing_checkpoint": _missing_checkpoint,
+    "malformed_detections_line": lambda d, t: _assign_labels(
+        d / "test.jsonl", _write(t / "dets.jsonl", "{not json\n"), d / "classes.json", t
+    ),
+    "missing_detections_file": lambda d, t: _assign_labels(
+        d / "test.jsonl", t / "missing.jsonl", d / "classes.json", t
+    ),
+    "missing_targets_file": lambda d, t: _assign_labels(
+        t / "missing.jsonl", _write(t / "dets.jsonl", ""), d / "classes.json", t
+    ),
+    "missing_class_table_file": lambda d, t: _assign_labels(
+        d / "test.jsonl", _write(t / "dets.jsonl", ""), t / "missing.json", t
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_INPUTS))
+def test_unreadable_input_exit_code_3(case, data_dir, tmp_path, capsys):
+    code = main(BROKEN_INPUTS[case](data_dir, tmp_path))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert any(line.startswith("data validation error: ") for line in err.splitlines()), err
 
 
 class TestMatrixCommand:

@@ -1,6 +1,5 @@
 """Loss heads: endpoints, sampling contracts, gradients, invariances."""
 
-import math
 from unittest import mock
 
 import numpy as np
@@ -13,13 +12,12 @@ from groundcap import autodiff as ad
 from groundcap import losses, numeric
 from groundcap.autodiff import Tensor
 from groundcap.errors import ConfigError, DomainError
+from groundcap.training import TrainConfig
 from groundcap.losses import (
     LabeledProjection,
-    LossConfig,
     build_projection_pool,
     batch_cross_entropy,
     cluster_loss,
-    cross_entropy_loss,
     label_embedding,
     perceptual_loss,
     sample_pairs,
@@ -38,17 +36,6 @@ def make_pool(vectors: np.ndarray, labels) -> LabeledProjection:
 
 
 class TestCrossEntropy:
-    def test_uniform_model(self):
-        lp = np.full(7, -math.log(10.0))
-        assert cross_entropy_loss(lp) == pytest.approx(math.log(10.0), abs=1e-12)
-
-    def test_perfect_prediction(self):
-        assert cross_entropy_loss(np.zeros(4)) == 0.0
-
-    def test_hand_value(self):
-        lp = np.log([0.5, 0.25])
-        assert cross_entropy_loss(lp) == pytest.approx(1.5 * math.log(2.0), abs=1e-12)
-
     def test_batch_mean(self):
         per_example = Tensor(np.array([-1.0, -3.0]))
         assert batch_cross_entropy(per_example).item() == pytest.approx(2.0)
@@ -308,26 +295,25 @@ class TestPoolBuilding:
 class TestTotalLoss:
     def test_disabled_heads_return_xe_node(self):
         xe = Tensor(0.7)
-        out = total_loss(xe, None, None, LossConfig())
+        out = total_loss(xe, None, None, 1.0, 1.0)
         assert out is xe
 
     def test_weighted_sum(self):
-        cfg = LossConfig(cluster_weight=1.0, perceptual_weight=1.0)
-        out = total_loss(Tensor(0.5), Tensor(0.2), Tensor(-0.3), cfg)
+        out = total_loss(Tensor(0.5), Tensor(0.2), Tensor(-0.3), 1.0, 1.0)
         assert out.item() == pytest.approx(0.4, abs=1e-15)
 
     def test_disabling_perceptual_reproduces_cluster_variant(self):
-        cfg = LossConfig()
-        with_c = total_loss(Tensor(0.5), Tensor(0.2), None, cfg)
+        with_c = total_loss(Tensor(0.5), Tensor(0.2), None, 1.0, 1.0)
         assert with_c.item() == pytest.approx(0.7, abs=1e-15)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            LossConfig(margin=-0.1).validate()
-        with pytest.raises(ConfigError):
-            LossConfig(sample_size=0).validate()
-        with pytest.raises(ConfigError):
-            LossConfig(cluster_weight=-1.0).validate()
+        # the loss hyperparameters are TrainConfig fields, checked by its validate
+        with pytest.raises(ConfigError, match="margin"):
+            TrainConfig(margin=-0.1).validate()
+        with pytest.raises(ConfigError, match="sample_size"):
+            TrainConfig(sample_size=0).validate()
+        with pytest.raises(ConfigError, match="loss weights"):
+            TrainConfig(cluster_weight=-1.0).validate()
 
 
 class TestScaleInvariance:
@@ -411,6 +397,6 @@ class TestGroundingGradients:
             pairs = sample_pairs(pool, 50, np.random.default_rng(12))
             lc = cluster_loss(pool, trip, 0.5)
             lp = perceptual_loss(pool, pairs, Tensor(w_e), tokens)
-            return total_loss(Tensor(1.3), lc, lp, LossConfig()).item()
+            return total_loss(Tensor(1.3), lc, lp, 1.0, 1.0).item()
 
         assert run() == run()

@@ -154,17 +154,15 @@ class TestTrainLoop:
         checkpoints = [(run / "checkpoint_best.json").read_bytes() for run in runs]
         assert checkpoints[0] == checkpoints[1]
 
-        # evaluate and analyze on a split match the per-image path
+        # evaluate and split_cider on a split match the per-image path
         params, vocab = batched.params, batched.vocab
         split = decode_dataset.test
 
         def outputs():
             table = evaluate(params, split, vocab, cfg.max_len)
-            report, _ = analyze(params, split, decode_dataset.class_table, vocab, neighbor_k=2)
-            return table, report.to_json()
+            return table, analysis.split_cider(params, split, vocab, cfg.max_len)
 
         got = outputs()
-        monkeypatch.setattr(training, "greedy_decode", decode_reference.greedy_decode)
         monkeypatch.setattr(analysis, "greedy_decode", decode_reference.greedy_decode)
         assert got == outputs()
         assert got[0]["CIDEr"] > 0.0
@@ -301,7 +299,7 @@ class TestEvaluate:
             calls.append(len(zs))
             return scripted
 
-        monkeypatch.setattr(training, "greedy_decode", scripted_decode)
+        monkeypatch.setattr(analysis, "greedy_decode", scripted_decode)
         table = evaluate(result.params, tiny_dataset.test, vocab, cfg.max_len)
         assert table["BLEU-1"] == pytest.approx(100.0, abs=1e-6)
         assert calls == [len(tiny_dataset.test)]  # one call for the whole split
@@ -326,9 +324,10 @@ class TestCheckpointRoundtrip:
     def test_load_for_inference(self, tiny_dataset, tmp_path):
         cfg = replace(TINY, max_epochs=1)
         result = train(cfg, tiny_dataset, run_dir=tmp_path)
-        params, vocab, extra = load_for_inference(tmp_path / "checkpoint_best.json")
+        params, vocab, max_len = load_for_inference(tmp_path / "checkpoint_best.json")
         assert vocab.tokens == result.vocab.tokens
-        assert extra["train_config"]["hidden_size"] == cfg.hidden_size
+        assert max_len == cfg.max_len
+        assert params.config.hidden_size == cfg.hidden_size
         for name, arr in result.params.arrays.items():
             np.testing.assert_array_equal(params.arrays[name], arr)
 
@@ -358,33 +357,32 @@ class TestExperimentMatrix:
     def test_decodes_test_split_once_with_unchanged_reports(
         self, decode_dataset, tmp_path, monkeypatch
     ):
-        decodes = {"evaluate": 0, "split_cider": 0}
+        real_decode = analysis.greedy_decode
+        decodes = []
 
-        def counting(key, decode):
-            def wrapped(*args):
-                decodes[key] += 1
-                return decode(*args)
-            return wrapped
+        def counting(*args):
+            decodes.append(args)
+            return real_decode(*args)
 
-        monkeypatch.setattr(training, "greedy_decode", counting("evaluate", training.greedy_decode))
-        monkeypatch.setattr(analysis, "greedy_decode", counting("split_cider", analysis.greedy_decode))
+        monkeypatch.setattr(analysis, "greedy_decode", counting)
         cfg = replace(TINY, hidden_size=16, learning_rate=1e-2, max_epochs=6, sample_size=10)
         bundle = run_experiment_matrix(cfg, decode_dataset, seeds=[5], out_dir=tmp_path,
                                        neighbor_k=1)
         runs = bundle["runs"]
         assert all(row["CIDEr"] > 0.0 for row in bundle["metrics"])
-        assert decodes["evaluate"] == len(runs)
-        assert decodes["split_cider"] == sum(run["epochs_run"] for run in runs)  # validation only
+        # one validation decode per epoch, one test decode per run
+        assert len(decodes) == sum(run["epochs_run"] for run in runs) + len(runs)
         monkeypatch.undo()
 
-        # analysis.json and matrix_analysis.json hold what analyze with its own
-        # CIDEr decode writes for each run's best parameters
+        # analysis.json and matrix_analysis.json hold what the CLI's analyze,
+        # with its own CIDEr decode, writes for each run's best parameters
         rows = []
         for run in runs:
             run_dir = tmp_path / f"{run['variant'].replace('+', '_')}_seed5"
-            params, vocab, _ = load_for_inference(run_dir / "checkpoint_best.json")
+            params, vocab, max_len = load_for_inference(run_dir / "checkpoint_best.json")
+            cider = analysis.split_cider(params, decode_dataset.test, vocab, max_len)
             report, _ = analyze(params, decode_dataset.test, decode_dataset.class_table, vocab,
-                                neighbor_k=1, max_len=cfg.max_len)
+                                cider=cider, neighbor_k=1)
             assert (run_dir / "analysis.json").read_bytes() == (report.to_json() + "\n").encode()
             rows.append({"variant": run["variant"], "seed": 5, **json.loads(report.to_json())})
         expected = json.dumps(rows, indent=2, sort_keys=True) + "\n"
