@@ -21,6 +21,9 @@ Metrics, all reported on the 0..100 table scale:
   -1/(C-1) and would freeze the score around 55 for balanced classes no
   matter what training does.
 
+Word vectors come from ``losses.label_embedding_matrix`` and cosines from
+``kernels.pair_cosines_forward``, for homogeneity one matrix per class.
+
 Raw centroid and embedding vectors are exported to JSON lines so the
 spaces can be visualized externally.
 
@@ -38,10 +41,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import numeric
+from . import kernels, numeric
+from .autodiff import Tensor
 from .data import ClassTable, ImageExample, Vocabulary, normalize, write_atomic
 from .errors import DataValidationError, DegenerateStatisticsError, DomainError
-from .losses import label_embedding
+from .losses import label_embedding_matrix
 from .metrics import EvaluationCorpus, cider
 from .model import ModelParams, greedy_decode, project_features
 
@@ -79,12 +83,9 @@ def class_centroids(
 
 
 def _cosine_neighbors(matrix: np.ndarray, k: int) -> list[set[int]]:
-    n = len(matrix)
-    sims = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            sims[i, j] = numeric.cosine(matrix[i], matrix[j]) if i != j else -np.inf
-    return [set(np.argsort(-sims[i], kind="stable")[:k]) for i in range(n)]
+    sims = kernels.pair_cosines_forward(matrix)
+    np.fill_diagonal(sims, -np.inf)
+    return [set(np.argsort(-row, kind="stable")[:k]) for row in sims]
 
 
 def mean_neighbor_overlap(spaces: AlignedSpaces, k: int = 3) -> float:
@@ -102,11 +103,9 @@ def similarity_correlation(spaces: AlignedSpaces) -> float:
     n = len(spaces.class_ids)
     if n < 3:
         raise DomainError(f"similarity correlation needs >= 3 classes, got {n}")
-    obj_sims, word_sims = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            obj_sims.append(numeric.cosine(spaces.object_vectors[i], spaces.object_vectors[j]))
-            word_sims.append(numeric.cosine(spaces.word_vectors[i], spaces.word_vectors[j]))
+    pairs = np.triu_indices(n, 1)
+    obj_sims = kernels.pair_cosines_forward(spaces.object_vectors)[pairs]
+    word_sims = kernels.pair_cosines_forward(spaces.word_vectors)[pairs]
     return numeric.pearson(obj_sims, word_sims)
 
 
@@ -125,22 +124,19 @@ def cluster_separation(vectors: np.ndarray, labels: np.ndarray) -> tuple[float, 
     if len(classes) < 2:
         raise DomainError(f"cluster separation needs >= 2 classes, got {len(classes)}")
     centered = vectors - vectors.mean(axis=0)
-    norms = np.linalg.norm(centered, axis=1)
-    if (norms == 0.0).any():
+    if (np.linalg.norm(centered, axis=1) == 0.0).any():
         raise DegenerateStatisticsError(
             "zero-norm vector after global centering (identical inputs?)"
         )
-    unit = centered / norms[:, None]
 
     within = []
     for c in classes:
-        rows = unit[labels == c]
+        rows = centered[labels == c]
         m = len(rows)
         if m < 2:
             log.warning("class %d has %d vector(s); skipped for homogeneity", c, m)
             continue
-        gram = rows @ rows.T
-        within.append((gram.sum() - m) / (m * (m - 1)))
+        within.append((kernels.pair_cosines_forward(rows).sum() - m) / (m * (m - 1)))
     if not within:
         raise DomainError("no class has >= 2 vectors; homogeneity undefined")
     intra = 100.0 * max(0.0, float(np.mean(within)))
@@ -157,10 +153,8 @@ def centroid_separation_score(centroids: list[np.ndarray]) -> float:
     """
     if len(centroids) < 2:
         raise DomainError("separation needs >= 2 centroids")
-    pair_vals = []
-    for i in range(len(centroids)):
-        for j in range(i + 1, len(centroids)):
-            pair_vals.append((1.0 - numeric.cosine(centroids[i], centroids[j])) / 2.0)
+    cos = kernels.pair_cosines_forward(np.stack(centroids))
+    pair_vals = (1.0 - cos[np.triu_indices(len(centroids), 1)]) / 2.0
     return 100.0 * float(np.mean(pair_vals))
 
 
@@ -263,9 +257,8 @@ def analyze(
     class_ids = sorted(orig_centroids)
 
     tokens = class_table.label_token_ids(vocab)
-    word_vectors = np.stack(
-        [label_embedding(c, params.arrays["embedding"], tokens) for c in class_ids]
-    )
+    embedding = Tensor(params.arrays["embedding"])
+    word_vectors = label_embedding_matrix(embedding, class_ids, tokens)[0].data
     spaces_orig = AlignedSpaces(
         class_ids=class_ids,
         word_vectors=word_vectors,

@@ -380,18 +380,28 @@ def attend(h1: Tensor, z: Tensor, mask: np.ndarray, wa: Tensor, wav: Tensor) -> 
     return _make(ct, (h1, z, wa, wav), bwd)
 
 
-def pair_cosines(vecs: Tensor, left: np.ndarray, right: np.ndarray) -> Tensor:
-    """Vector of cosines between row pairs of ``vecs`` (rows must be non-zero)."""
-    left = np.asarray(left, dtype=np.int64)
-    right = np.asarray(right, dtype=np.int64)
-    sims, saved = kernels.pair_cosines_forward(vecs.data, left, right)
+def cosine_matrix(vecs: Tensor, rows: np.ndarray) -> Tensor:
+    """All-pairs cosine matrix of the rows ``vecs[rows]`` (distinct, non-zero);
+    the backward writes those rows' gradient into the shape of ``vecs``."""
+    picked = vecs.data[rows]
 
     def bwd(g):
-        return (
-            kernels.pair_cosines_backward(np.ascontiguousarray(g), vecs.data, left, right, saved),
-        )
+        gv = np.zeros_like(vecs.data)
+        gv[rows] = kernels.pair_cosines_backward(g, picked)
+        return (gv,)
 
-    return _make(sims, (vecs,), bwd)
+    return _make(kernels.pair_cosines_forward(picked), (vecs,), bwd)
+
+
+def pair_pick(m: Tensor, left: np.ndarray, right: np.ndarray) -> Tensor:
+    """The entries ``m[left[t], right[t]]`` of a square matrix."""
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
+
+    def bwd(g):
+        return (kernels.pair_pick_backward(g, left, right, len(m.data)),)
+
+    return _make(m.data[left, right], (m,), bwd)
 
 
 def pearson_t(x: Tensor, y: Tensor) -> Tensor:

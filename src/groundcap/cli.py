@@ -130,12 +130,6 @@ def _add_train_config_flags(parser: argparse.ArgumentParser) -> None:
     grp.add_argument("--cluster-weight", dest="cluster_weight", type=float)
     grp.add_argument("--perceptual-weight", dest="perceptual_weight", type=float)
     grp.add_argument("--sample-size", dest="sample_size", type=int)
-    grp.add_argument(
-        "--freeze-embeddings-for-grounding",
-        dest="freeze_embeddings_for_grounding",
-        action="store_const",
-        const=True,
-    )
     grp.add_argument("--seed", dest="seed", type=int)
 
 
@@ -234,9 +228,16 @@ def _cmd_train(args) -> int:
 
 
 def _load_checkpoint_and_data(args):
-    """Checkpoint (parameters, vocabulary, decode length) and the dataset."""
+    """Checkpoint (parameters, vocabulary, decode length) and a dataset of its feature width."""
     params, vocab, max_len = load_for_inference(args.checkpoint)
-    return params, vocab, max_len, load_dataset(args.data)
+    dataset = load_dataset(args.data)
+    widths = {ex.features.shape[1] for split in dataset.splits.values() for ex in split}
+    if widths - {params.config.feature_size}:
+        raise DataValidationError(
+            f"{args.data}: features of width {widths.pop()}, "
+            f"the checkpoint expects {params.config.feature_size}"
+        )
+    return params, vocab, max_len, dataset
 
 
 def _cmd_evaluate(args) -> int:

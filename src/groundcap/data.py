@@ -123,9 +123,12 @@ class BoundingBox:
     y_max: float
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+        # chained comparisons also reject NaN and infinite coordinates
+        inf = float("inf")
+        if not (-inf < self.x_min < self.x_max < inf and -inf < self.y_min < self.y_max < inf):
             raise DataValidationError(
-                f"degenerate box ({self.x_min}, {self.y_min}, {self.x_max}, {self.y_max})"
+                "degenerate or non-finite box "
+                f"({self.x_min}, {self.y_min}, {self.x_max}, {self.y_max})"
             )
 
     def as_array(self) -> np.ndarray:
@@ -300,9 +303,12 @@ def load_class_table(path: Path) -> ClassTable:
 
 
 def load_dataset(data_dir: Path) -> Dataset:
+    """Read a dataset directory; image ids are unique, features one width."""
     data_dir = Path(data_dir)
     table = load_class_table(data_dir / "classes.json")
     splits = {}
+    seen: set[str] = set()
+    width = None
     for name in ("train", "val", "test"):
         path = data_dir / f"{name}.jsonl"
         splits[name] = read_jsonl(path)
@@ -315,6 +321,13 @@ def load_dataset(data_dir: Path) -> Dataset:
                 )
             if not np.isfinite(ex.features).all():
                 raise DataValidationError(f"{path}: image {ex.image_id} has non-finite features")
+            if ex.image_id in seen:
+                raise DataValidationError(f"{path}: image id {ex.image_id} appears twice")
+            seen.add(ex.image_id)
+            width = ex.features.shape[1] if width is None else width
+            if ex.features.shape[1] != width:
+                raise DataValidationError(f"{path}: image {ex.image_id} has feature width "
+                                          f"{ex.features.shape[1]}, not {width}")
     return Dataset(class_table=table, **splits)
 
 

@@ -1,9 +1,12 @@
-"""Hot numeric kernels: LSTM gates, pair cosines and IoU in numpy, and LCS.
+"""Hot numeric kernels: LSTM gates, the cosine matrix and IoU in numpy, and LCS.
 
 Callers reach every kernel through the module attribute
 (``kernels.lstm_gates_forward(...)``), so a wrapper patched onto the module
 sees every call. ``tests/loop_reference.py`` keeps the same math as explicit
 loops, and the tests compare the two.
+
+Every cosine of the grounding heads and the structure analysis comes from
+one all-pairs matrix, ``pair_cosines_forward``.
 
 LSTM gate layout throughout: the pre-activation matrix packs the four
 gates column-blockwise as [input | forget | output | candidate].
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
 from .numeric import sigmoid
 
 # There is no compiled kernel path; perfbench/workload.py records this flag.
@@ -57,50 +61,37 @@ def lstm_gates_backward(dh, dc, i, f, o, g, tc, c_prev):
     return dpre, dc_prev
 
 
-def pair_cosines_forward(vecs, left, right):
-    """Cosine similarity between row pairs (vecs[left[t]], vecs[right[t]]).
+def _unit_rows(vecs):
+    """Rows of ``vecs`` scaled to unit length, and their norms."""
+    norms = np.sqrt((vecs * vecs).sum(axis=1))
+    if (norms == 0.0).any():
+        raise DomainError("cosine is undefined for zero-norm vectors")
+    return vecs / norms[:, None], norms
 
-    Rows referenced by the index arrays must have non-zero norm. Returns
-    (sims, saved): ``saved`` = (u, v, nu, nv, dots), the gathered rows, their
-    norms and dot products, is what ``pair_cosines_backward`` takes.
+
+def pair_cosines_forward(vecs):
+    """All-pairs cosine matrix ``U @ U.T`` of the rows of ``vecs`` (n, d),
+    with ``U`` the rows normalised once. A zero-norm row is a DomainError."""
+    unit, _ = _unit_rows(vecs)
+    return unit @ unit.T
+
+
+def pair_cosines_backward(dcos, vecs):
+    """d(loss)/d(vecs) from d(loss)/d(cosine matrix) ``dcos``: ``(G + G^T) @ U``,
+    then the normalisation backward (each row's orthogonal part over its norm)."""
+    unit, norms = _unit_rows(vecs)
+    dunit = (dcos + dcos.T) @ unit
+    radial = (dunit * unit).sum(axis=1)
+    return (dunit - unit * radial[:, None]) / norms[:, None]
+
+
+def pair_pick_backward(dpicks, left, right, n):
+    """Gradient of the picks ``m[left, right]`` of an (n, n) matrix.
+
+    One bincount over the flat cells adds repeated cells in pick order, as
+    ``np.add.at`` would.
     """
-    u = vecs[left]
-    v = vecs[right]
-    # one (P, d) buffer for the three elementwise products
-    prod = u * u
-    nu = np.sqrt(prod.sum(axis=1))
-    nv = np.sqrt(np.multiply(v, v, out=prod).sum(axis=1))
-    dots = np.multiply(u, v, out=prod).sum(axis=1)
-    return dots / (nu * nv), (u, v, nu, nv, dots)
-
-
-def pair_cosines_backward(dsims, vecs, left, right, saved):
-    """Accumulate d(loss)/d(vecs) from per-pair cosine gradients.
-
-    ``saved`` is the second result of the ``pair_cosines_forward`` call on
-    the same ``vecs``, ``left`` and ``right``.
-    """
-    u, v, nu, nv, dots = saved
-    inv = 1.0 / (nu * nv)
-    cos = dots * inv
-    s = dsims[:, None]
-    inv = inv[:, None]
-    # du = s * (v * inv - u * (cos / (nu * nu))) and its mirror dv are
-    # written in place into one (2P, d) buffer with one (P, d) temporary;
-    # in-place and operand-swapped products give the same IEEE results.
-    p, d = u.shape
-    terms = np.empty((2 * p, d))
-    tmp = np.empty((p, d))
-    for out, a, b, norm in ((terms[:p], u, v, nu), (terms[p:], v, u, nv)):
-        np.multiply(b, inv, out=out)
-        np.multiply(a, (cos / (norm * norm))[:, None], out=tmp)
-        np.subtract(out, tmp, out=out)
-        np.multiply(out, s, out=out)
-    # One bincount over the flat (row, column) cells adds the left terms in
-    # pair order, then the right terms, as two np.add.at calls would.
-    n = vecs.shape[0]
-    cells = (np.concatenate([left, right])[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(cells, weights=terms.ravel(), minlength=n * d).reshape(n, d)
+    return np.bincount(left * n + right, weights=dpicks, minlength=n * n).reshape(n, n)
 
 
 def lcs_length(a, b):

@@ -1,7 +1,9 @@
 """Training objective: caption cross-entropy plus two grounding losses.
 
 The grounding losses act on the pool of all projected object vectors of a
-batch's images (UNK-labeled and zero-norm vectors are excluded):
+batch's images (UNK-labeled and zero-norm vectors are excluded). Each head
+picks its cosines out of the pool's one all-pairs matrix, so one cosine
+backward serves every head:
 
 * cluster loss — max-margin ranking over sampled triplets (anchor,
   same-class, other-class): mean of max(0, margin - cos(a, p) + cos(a, n))
@@ -38,7 +40,7 @@ with the same bounds in order, which the samplers rely on.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,6 +62,10 @@ class LabeledProjection:
     vectors: Tensor  # (N, d), superset matrix
     rows: np.ndarray  # (n,) indices of usable rows
     class_ids: np.ndarray  # (n,) class per usable row
+    cosines: Tensor = field(init=False)  # (n, n) cosines of the usable rows
+
+    def __post_init__(self):
+        self.cosines = ad.cosine_matrix(self.vectors, self.rows)
 
     @property
     def size(self) -> int:
@@ -172,9 +178,8 @@ def cluster_loss(
     anchors, positives, negatives = triplets
     if len(anchors) == 0:
         return Tensor(0.0)
-    rows = pool.rows
-    cos_ap = ad.pair_cosines(pool.vectors, rows[anchors], rows[positives])
-    cos_an = ad.pair_cosines(pool.vectors, rows[anchors], rows[negatives])
+    cos_ap = ad.pair_pick(pool.cosines, anchors, positives)
+    cos_an = ad.pair_pick(pool.cosines, anchors, negatives)
     hinge = ad.relu(ad.add(ad.sub(Tensor(margin), cos_ap), cos_an))
     return ad.mean_(hinge)
 
@@ -194,22 +199,12 @@ def sample_pairs(
     return left[keep], right[keep]
 
 
-def label_embedding(
-    class_id: int, w_e: np.ndarray, class_tokens: dict[int, list[int]]
-) -> np.ndarray:
-    """Word vector of a class: its token's embedding column, or the mean
-    of the constituent tokens' columns for multi-word labels."""
-    if class_id not in class_tokens:
-        raise DomainError(f"class {class_id} has no label embedding (UNK or unknown)")
-    cols = class_tokens[class_id]
-    return np.asarray(w_e)[:, cols].mean(axis=1)
-
-
 def label_embedding_matrix(
     w_e: Tensor, class_ids: np.ndarray, class_tokens: dict[int, list[int]]
 ) -> tuple[Tensor, np.ndarray]:
-    """Stack the label embeddings of the distinct classes in ascending order;
-    returns (matrix, matrix row of each entry of ``class_ids``)."""
+    """Stack the label embeddings (mean of each label's token columns) of the
+    distinct classes in ascending order; returns (matrix, matrix row of each
+    entry of ``class_ids``)."""
     present, row = np.unique(class_ids, return_inverse=True)
     present = present.tolist()
     missing = [c for c in present if c not in class_tokens]
@@ -234,11 +229,11 @@ def perceptual_loss(
     if len(left) < 2:
         log.warning("perceptual loss skipped: %d valid cross-class pairs", len(left))
         return Tensor(0.0)
-    rows = pool.rows
-    sim_obj = ad.pair_cosines(pool.vectors, rows[left], rows[right])
+    sim_obj = ad.pair_pick(pool.cosines, left, right)
     classes = np.concatenate([pool.class_ids[left], pool.class_ids[right]])
     embeddings, row = label_embedding_matrix(w_e, classes, class_tokens)
-    sim_text = ad.pair_cosines(embeddings, row[: len(left)], row[len(left) :])
+    word_cosines = ad.cosine_matrix(embeddings, np.arange(len(embeddings.data)))
+    sim_text = ad.pair_pick(word_cosines, row[: len(left)], row[len(left) :])
     try:
         correlation = ad.pearson_t(sim_obj, sim_text)
     except DegenerateStatisticsError as err:

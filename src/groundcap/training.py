@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .analysis import analyze, decode_corpus, split_cider, write_vector_export
-from .autodiff import GradientTape, Tensor
+from .autodiff import GradientTape
 from .data import Dataset, ImageExample, Vocabulary, build_vocabulary, encode_caption, write_atomic
 from .errors import ConfigError, DataValidationError, NumericalError
 from .losses import (
@@ -97,7 +97,6 @@ class TrainConfig:
     cluster_weight: float = 1.0
     perceptual_weight: float = 1.0
     sample_size: int = 500
-    freeze_embeddings_for_grounding: bool = False
     # reproducibility
     seed: int = 0
 
@@ -295,10 +294,7 @@ def _train_step(
             l_c = cluster_loss(pool, triplets, config.margin)
         if config.use_perceptual_loss:
             pairs = sample_pairs(pool, config.sample_size, streams.pairs)
-            embedding = p["embedding"]
-            if config.freeze_embeddings_for_grounding:
-                embedding = Tensor(params.arrays["embedding"])
-            l_p = perceptual_loss(pool, pairs, embedding, class_tokens)
+            l_p = perceptual_loss(pool, pairs, p["embedding"], class_tokens)
     total = total_loss(l_xe, l_c, l_p, config.cluster_weight, config.perceptual_weight)
     if not np.isfinite(total.data):
         raise NumericalError(f"non-finite loss at step {completed_steps + 1}")

@@ -1,13 +1,15 @@
-"""Loop versions of the grounding samplers, the pair-cosine kernels, the
+"""Loop versions of the grounding samplers, the pair-pick scatter, the
 masked-branch sigmoid and the numeric kernels.
 
 These are the definitions the vectorised code in ``groundcap.losses``,
 ``groundcap.kernels`` and ``groundcap.numeric`` must reproduce: the
-samplers, the pair cosines with their ``np.add.at`` scatter and the sigmoid
-bit for bit (the same index arrays, cosine, gradient and sigmoid bits and
-generator state after each call), and the ``*_loop`` kernels, which
-accumulate one element at a time, within the tolerances in
-``tests/test_kernels.py`` (exactly, for the dynamic-programming LCS).
+samplers, the ``np.add.at`` scatter of the pair picks and the sigmoid bit
+for bit (the same index arrays, gradient and sigmoid bits and generator
+state after each call), and the ``*_loop`` kernels, which accumulate one
+element at a time, within the tolerances in ``tests/test_kernels.py``
+(exactly, for the dynamic-programming LCS). The cosine-matrix loops
+differentiate each cell on its own, as the per-pair formula does, so they
+also check the matrix backward's ``(G + G^T) @ U`` and normalisation steps.
 """
 
 import math
@@ -71,31 +73,10 @@ def sample_pairs(
     return np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
 
 
-def pair_cosines_forward(vecs, left, right):
-    u = vecs[left]
-    v = vecs[right]
-    nu = np.sqrt((u * u).sum(axis=1))
-    nv = np.sqrt((v * v).sum(axis=1))
-    return (u * v).sum(axis=1) / (nu * nv)
-
-
-def pair_cosines_backward(dsims, vecs, left, right, saved=None):
-    # Recomputes everything from vecs; ``saved`` (the forward's arrays) is
-    # accepted only so that this can stand in for the kernel.
-    u = vecs[left]
-    v = vecs[right]
-    nu = np.sqrt((u * u).sum(axis=1))
-    nv = np.sqrt((v * v).sum(axis=1))
-    dots = (u * v).sum(axis=1)
-    inv = 1.0 / (nu * nv)
-    cos = dots * inv
-    s = dsims[:, None]
-    du = s * (v * inv[:, None] - u * (cos / (nu * nu))[:, None])
-    dv = s * (u * inv[:, None] - v * (cos / (nv * nv))[:, None])
-    dvecs = np.zeros_like(vecs)
-    np.add.at(dvecs, left, du)
-    np.add.at(dvecs, right, dv)
-    return dvecs
+def pair_pick_backward(dpicks, left, right, n):
+    dm = np.zeros((n, n))
+    np.add.at(dm, (left, right), dpicks)
+    return dm
 
 
 def sigmoid(x):
@@ -172,52 +153,39 @@ def lstm_gates_backward_loop(dh, dc, i, f, o, g, tc, c_prev):
     return dpre, dc_prev
 
 
-def pair_cosines_forward_loop(vecs, left, right):
-    m = left.shape[0]
-    d = vecs.shape[1]
-    sims = np.empty(m)
-    for t in range(m):
-        li = left[t]
-        ri = right[t]
-        dot = 0.0
-        nu = 0.0
-        nv = 0.0
-        for j in range(d):
-            a = vecs[li, j]
-            b = vecs[ri, j]
-            dot += a * b
-            nu += a * a
-            nv += b * b
-        sims[t] = dot / (math.sqrt(nu) * math.sqrt(nv))
-    return sims
+def _norm_loop(vecs, i):
+    total = 0.0
+    for j in range(vecs.shape[1]):
+        total += vecs[i, j] * vecs[i, j]
+    return math.sqrt(total)
 
 
-def pair_cosines_backward_loop(dsims, vecs, left, right):
-    m = left.shape[0]
-    d = vecs.shape[1]
+def pair_cosines_forward_loop(vecs):
+    n, d = vecs.shape
+    cos = np.empty((n, n))
+    for p in range(n):
+        for q in range(n):
+            dot = 0.0
+            for j in range(d):
+                dot += vecs[p, j] * vecs[q, j]
+            cos[p, q] = dot / (_norm_loop(vecs, p) * _norm_loop(vecs, q))
+    return cos
+
+
+def pair_cosines_backward_loop(dcos, vecs):
+    # d cos(u, v) / du = v / (|u| |v|) - u cos(u, v) / |u|^2, one cell at a time
+    n, d = vecs.shape
+    cos = pair_cosines_forward_loop(vecs)
     dvecs = np.zeros_like(vecs)
-    for t in range(m):
-        li = left[t]
-        ri = right[t]
-        dot = 0.0
-        nu2 = 0.0
-        nv2 = 0.0
-        for j in range(d):
-            a = vecs[li, j]
-            b = vecs[ri, j]
-            dot += a * b
-            nu2 += a * a
-            nv2 += b * b
-        nu = math.sqrt(nu2)
-        nv = math.sqrt(nv2)
-        inv = 1.0 / (nu * nv)
-        cos = dot * inv
-        s = dsims[t]
-        for j in range(d):
-            a = vecs[li, j]
-            b = vecs[ri, j]
-            dvecs[li, j] += s * (b * inv - a * cos / nu2)
-            dvecs[ri, j] += s * (a * inv - b * cos / nv2)
+    for p in range(n):
+        for q in range(n):
+            norm_p = _norm_loop(vecs, p)
+            norm_q = _norm_loop(vecs, q)
+            inv = 1.0 / (norm_p * norm_q)
+            s = dcos[p, q]
+            for j in range(d):
+                dvecs[p, j] += s * (vecs[q, j] * inv - vecs[p, j] * cos[p, q] / (norm_p * norm_p))
+                dvecs[q, j] += s * (vecs[p, j] * inv - vecs[q, j] * cos[p, q] / (norm_q * norm_q))
     return dvecs
 
 

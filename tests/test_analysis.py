@@ -190,6 +190,19 @@ class TestClusterSeparation:
         antiparallel = [np.array([1.0, 0.0]), np.array([-3.0, 0.0])]
         assert centroid_separation_score(antiparallel) == pytest.approx(100.0)
 
+    def test_zero_norm_vector_is_domain_error(self, rng):
+        words = rng.normal(size=(4, 3))
+        objects = words.copy()
+        objects[2] = 0.0
+        spaces = AlignedSpaces(list(range(4)), words, objects)
+        for score in (
+            lambda: mean_neighbor_overlap(spaces, k=1),
+            lambda: similarity_correlation(spaces),
+            lambda: centroid_separation_score(list(objects)),
+        ):
+            with pytest.raises(DomainError):
+                score()
+
     def test_all_identical_vectors_degenerate(self):
         vectors = np.tile(np.array([1.0, 2.0]), (4, 1))
         with pytest.raises(DegenerateStatisticsError):

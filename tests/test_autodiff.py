@@ -349,22 +349,35 @@ class TestPrimitiveGradients:
 
         _check(build, ref, [h1, z, wa, wav], fd_grad, rel_err)
 
-    def test_pair_cosines(self, rng, fd_grad, rel_err):
+    def test_cosine_matrix(self, rng, fd_grad, rel_err):
+        # rows 1 and 4 of the superset stay out of the matrix: zero gradient
         vecs = rng.normal(size=(6, 4))
-        left = np.array([0, 2, 4, 0])
-        right = np.array([1, 3, 5, 5])
-        probe = rng.normal(size=4)
+        rows = np.array([5, 0, 2, 3])
+        probe = rng.normal(size=(4, 4))
 
         def build(t):
-            return ad.sum_(ad.mul(ad.pair_cosines(t, left, right), ad.Tensor(probe)))
+            return ad.sum_(ad.mul(ad.cosine_matrix(t, rows), ad.Tensor(probe)))
 
         def ref(a):
-            sims = np.array(
-                [numeric.cosine(a[i], a[j]) for i, j in zip(left, right)]
-            )
+            sims = np.array([[numeric.cosine(a[i], a[j]) for j in rows] for i in rows])
             return float((sims * probe).sum())
 
         _check(build, ref, [vecs], fd_grad, rel_err)
+
+    def test_pair_pick(self, rng, fd_grad, rel_err):
+        # a repeated pick, a diagonal cell and both orders of one pair
+        m = rng.normal(size=(4, 4))
+        left = np.array([0, 2, 2, 3, 1, 0])
+        right = np.array([1, 3, 3, 3, 0, 1])
+        probe = rng.normal(size=6)
+
+        def build(t):
+            return ad.sum_(ad.mul(ad.pair_pick(t, left, right), ad.Tensor(probe)))
+
+        def ref(a):
+            return float((a[left, right] * probe).sum())
+
+        _check(build, ref, [m], fd_grad, rel_err)
 
     def test_cosine_and_pearson(self, rng, fd_grad, rel_err):
         u = rng.normal(size=5)

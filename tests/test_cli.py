@@ -145,6 +145,22 @@ class TestTrainEvaluateAnalyze:
         assert table["CIDEr"] > 0.0
         assert report["cider"].hex() == table["CIDEr"].hex()
 
+    @pytest.mark.parametrize("command", ["evaluate", "analyze"])
+    def test_feature_width_differs_from_checkpoint_exit_code_3(
+        self, command, run_dir, tmp_path, capsys
+    ):
+        narrow = tmp_path / "narrow"
+        assert main([
+            "generate-data", "--out", str(narrow), "--classes", "3", "--images", "20",
+            "--feature-size", "10", "--seed", "9",
+        ]) == 0
+        code = main([
+            command, "--checkpoint", str(run_dir / "checkpoint_best.json"),
+            "--data", str(narrow),
+        ])
+        assert code == 3
+        assert "the checkpoint expects 12" in capsys.readouterr().err
+
     def test_nan_training_exit_code_4(self, data_dir, tmp_path, capsys):
         # the first update moves every weight by about the learning rate, so
         # the second step's matmuls overflow and its loss is NaN
@@ -170,6 +186,20 @@ def _set_first_label(record):
 
 def _set_first_feature_infinite(record):
     record["features"][0][0] = float("inf")  # written as Infinity, read back as inf
+
+
+def _set_first_box_infinite(record):
+    record["boxes"][0][2] = float("inf")
+
+
+def _cut_first_feature_row(record):
+    record["features"][0] = record["features"][0][:10]  # the others keep 12
+
+
+def _copy_first_record_over_second(path):
+    lines = path.read_text().splitlines()
+    lines[1] = lines[0]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _train_on_broken_copy(break_data):
@@ -211,6 +241,15 @@ BROKEN_INPUTS = {
     ),
     "non_finite_feature": _train_on_broken_copy(
         lambda d: _edit_first_record(d / "test.jsonl", _set_first_feature_infinite)
+    ),
+    "infinite_box_coordinate": _train_on_broken_copy(
+        lambda d: _edit_first_record(d / "val.jsonl", _set_first_box_infinite)
+    ),
+    "mixed_feature_width": _train_on_broken_copy(
+        lambda d: _edit_first_record(d / "test.jsonl", _cut_first_feature_row)
+    ),
+    "duplicate_image_id": _train_on_broken_copy(
+        lambda d: _copy_first_record_over_second(d / "test.jsonl")
     ),
     "missing_checkpoint": _missing_checkpoint,
     "malformed_detections_line": lambda d, t: _assign_labels(

@@ -2,8 +2,8 @@
 
 The references accumulate one element at a time, so the floating-point
 kernels are compared within relative tolerances of 1e-14 to 1e-12 and the
-bit-parallel LCS exactly; the sigmoid and the pair cosines must also match
-their numpy references bit for bit.
+bit-parallel LCS exactly; the sigmoid and the pair-pick scatter must also
+match their numpy references bit for bit.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import loop_reference
 from groundcap import kernels, numeric
+from groundcap.errors import DomainError
 
 
 def _random_gate_inputs(rng, batch=7, d=5):
@@ -42,21 +43,22 @@ def test_lstm_gates_backward_matches_loop_reference(rng):
 
 def test_pair_cosines_matches_loop_reference(rng):
     vecs = rng.normal(size=(9, 4))
-    left = rng.integers(0, 9, size=20)
-    right = rng.integers(0, 9, size=20)
-    sims, saved = kernels.pair_cosines_forward(vecs, left, right)
     np.testing.assert_allclose(
-        sims,
-        loop_reference.pair_cosines_forward_loop(vecs, left, right),
+        kernels.pair_cosines_forward(vecs),
+        loop_reference.pair_cosines_forward_loop(vecs),
         rtol=1e-13,
     )
-    dsims = rng.normal(size=20)
+    dcos = rng.normal(size=(9, 9))
     np.testing.assert_allclose(
-        kernels.pair_cosines_backward(dsims, vecs, left, right, saved),
-        loop_reference.pair_cosines_backward_loop(dsims, vecs, left, right),
+        kernels.pair_cosines_backward(dcos, vecs),
+        loop_reference.pair_cosines_backward_loop(dcos, vecs),
         rtol=1e-12,
         atol=1e-14,
     )
+    vecs[3] = 0.0
+    for kernel in (kernels.pair_cosines_forward, lambda v: kernels.pair_cosines_backward(dcos, v)):
+        with pytest.raises(DomainError):
+            kernel(vecs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -112,7 +114,8 @@ def test_sigmoid_matches_masked_branch_reference(rng):
 
 
 def test_pair_cosines_backward_matches_add_at_reference(rng):
-    # forward and backward against the numpy forward and the add.at scatter
+    # the pick scatter against np.add.at, and the picks' cosines and row
+    # gradients through the matrix against the cell-by-cell loops
     vecs = rng.normal(size=(9, 4))
     # repeated rows, rows paired with themselves, unreferenced rows, no pairs
     cases = [
@@ -122,15 +125,21 @@ def test_pair_cosines_backward_matches_add_at_reference(rng):
     ]
     for _ in range(20):
         cases.append((rng.integers(0, 9, size=40), rng.integers(0, 9, size=40)))
+    cos = kernels.pair_cosines_forward(vecs)
+    want_cos = loop_reference.pair_cosines_forward_loop(vecs)
     for left, right in cases:
-        dsims = rng.normal(size=len(left))
-        sims, saved = kernels.pair_cosines_forward(vecs, left, right)
-        grad = kernels.pair_cosines_backward(dsims, vecs, left, right, saved)
-        want_sims = loop_reference.pair_cosines_forward(vecs, left, right)
-        want_grad = loop_reference.pair_cosines_backward(dsims, vecs, left, right)
-        assert grad.shape == vecs.shape
-        assert sims.tobytes() == want_sims.tobytes()
-        assert grad.tobytes() == want_grad.tobytes()
+        dpicks = rng.normal(size=len(left))
+        dcos = kernels.pair_pick_backward(dpicks, left, right, 9)
+        want_dcos = loop_reference.pair_pick_backward(dpicks, left, right, 9)
+        assert dcos.shape == (9, 9)
+        assert dcos.tobytes() == want_dcos.tobytes()
+        np.testing.assert_allclose(cos[left, right], want_cos[left, right], rtol=1e-13)
+        np.testing.assert_allclose(
+            kernels.pair_cosines_backward(dcos, vecs),
+            loop_reference.pair_cosines_backward_loop(want_dcos, vecs),
+            rtol=1e-12,
+            atol=1e-14,
+        )
 
 
 def test_lcs_known_values():

@@ -18,7 +18,7 @@ from groundcap.losses import (
     build_projection_pool,
     batch_cross_entropy,
     cluster_loss,
-    label_embedding,
+    label_embedding_matrix,
     perceptual_loss,
     sample_pairs,
     sample_triplets,
@@ -81,7 +81,8 @@ SEEDS = st.integers(0, 2**32 - 1)
 def assert_same_stream(sampler, reference, labels, draws, seed):
     """Consecutive calls on one generator give the reference's index arrays
     and leave the generator in the reference's state after every call."""
-    pool = make_pool(np.zeros((len(labels), 2)), labels)
+    # the samplers read only the labels; a pool's rows are never zero
+    pool = make_pool(np.ones((len(labels), 2)), labels)
     rng = np.random.default_rng(seed)
     ref_rng = np.random.default_rng(seed)
     for n_draws in draws:
@@ -199,17 +200,21 @@ class TestSamplePairs:
 class TestLabelEmbedding:
     def test_single_token_label(self, rng):
         w_e = rng.normal(size=(4, 9))
-        vec = label_embedding(0, w_e, {0: [3]})
-        np.testing.assert_array_equal(vec, w_e[:, 3])
+        matrix, row = label_embedding_matrix(Tensor(w_e), np.array([0]), {0: [3]})
+        np.testing.assert_array_equal(matrix.data, w_e[:, [3]].T)
+        np.testing.assert_array_equal(row, [0])
 
     def test_multi_token_label_averages(self, rng):
         w_e = rng.normal(size=(4, 9))
-        vec = label_embedding(1, w_e, {1: [2, 5]})
-        np.testing.assert_allclose(vec, (w_e[:, 2] + w_e[:, 5]) / 2.0, atol=1e-15)
+        matrix, row = label_embedding_matrix(
+            Tensor(w_e), np.array([1, 0, 1]), {0: [3], 1: [2, 5]}
+        )
+        np.testing.assert_allclose(matrix.data[1], (w_e[:, 2] + w_e[:, 5]) / 2.0, atol=1e-15)
+        np.testing.assert_array_equal(row, [1, 0, 1])
 
     def test_unknown_class_is_error(self, rng):
         with pytest.raises(DomainError):
-            label_embedding(7, rng.normal(size=(4, 9)), {0: [1]})
+            label_embedding_matrix(Tensor(rng.normal(size=(4, 9))), np.array([7]), {0: [1]})
 
 
 class TestPerceptualLoss:

@@ -125,7 +125,7 @@ class TestTrainLoop:
         train(cfg, tiny_dataset, run_dir=tmp_path / "vectorised")
         monkeypatch.setattr(training, "sample_triplets", loop_reference.sample_triplets)
         monkeypatch.setattr(training, "sample_pairs", loop_reference.sample_pairs)
-        monkeypatch.setattr(kernels, "pair_cosines_backward", loop_reference.pair_cosines_backward)
+        monkeypatch.setattr(kernels, "pair_pick_backward", loop_reference.pair_pick_backward)
         train(cfg, tiny_dataset, run_dir=tmp_path / "loops")
         runs = [tmp_path / "vectorised", tmp_path / "loops"]
         csvs = [strip_wall_ms((run / "convergence.csv").read_text()) for run in runs]
