@@ -9,6 +9,10 @@ parameters the loss never touched).
 
 Tensors are treated as immutable once produced. A tape is single-owner:
 build the graph, call backward once, throw both away.
+
+Fused ops have a hand-derived backward, checked by finite differences in
+the tests. ``teacher_forced_logprob`` is the whole teacher-forced decoder,
+all time steps, as one node: the training step's cross-entropy path.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels, numeric
-from .errors import ContractError, DomainError, ShapeError
+from .errors import ContractError, ShapeError
 
 _GRAD_ENABLED = [True]
 
@@ -189,119 +193,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _make(out, parents, bwd)
 
 
-def sum_(x: Tensor, axis: int | None = None) -> Tensor:
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.data.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy(),)
-
-    return _make(x.data.sum(axis=axis), (x,), bwd)
-
-
-def mean_(x: Tensor, axis: int | None = None) -> Tensor:
-    count = x.data.size if axis is None else x.data.shape[axis]
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, x.data.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g / count, axis), x.data.shape).copy(),)
-
-    return _make(x.data.mean(axis=axis), (x,), bwd)
+def mean_(x: Tensor) -> Tensor:
+    """Mean of all entries."""
+    return _make(x.data.mean(), (x,), lambda g: (np.full(x.data.shape, g / x.data.size),))
 
 
 def relu(x: Tensor) -> Tensor:
     return _make(np.maximum(x.data, 0.0), (x,), lambda g: (g * (x.data > 0.0),))
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    y = numeric.log_softmax(x.data, axis=axis)
-
-    def bwd(g):
-        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
-
-    return _make(y, (x,), bwd)
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"slice_cols expects a matrix, got shape {x.data.shape}")
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return _make(x.data[:, start:stop].copy(), (x,), bwd)
-
-
-def embedding_cols(w: Tensor, ids: np.ndarray) -> Tensor:
-    """Rows of the lookup: out[t] = w[:, ids[t]] for w (d, V)."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= w.data.shape[1]):
-        raise DomainError(
-            f"token id out of range for vocabulary of size {w.data.shape[1]}"
-        )
-
-    def bwd(g):
-        gw = np.zeros_like(w.data)
-        np.add.at(gw.T, ids, g)
-        return (gw,)
-
-    return _make(w.data[:, ids].T, (w,), bwd)
-
-
-def gather_cols(x: Tensor, ids: np.ndarray) -> Tensor:
-    """Per-row pick: out[b] = x[b, ids[b]]."""
-    ids = np.asarray(ids, dtype=np.int64)
-    rows = np.arange(x.data.shape[0])
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[rows, ids] = g
-        return (gx,)
-
-    return _make(x.data[rows, ids], (x,), bwd)
-
-
-def pad_rows(flat: Tensor, offsets: np.ndarray, counts: np.ndarray, width: int) -> Tensor:
-    """Pack row segments of ``flat`` (N, d) into a zero-padded (B, width, d).
-
-    Segments may overlap (several consumers of the same rows); backward
-    accumulates.
-    """
-    n_seg = len(offsets)
-    d = flat.data.shape[1]
-    out = np.zeros((n_seg, width, d))
-    for b in range(n_seg):
-        out[b, : counts[b]] = flat.data[offsets[b] : offsets[b] + counts[b]]
-
-    def bwd(g):
-        gf = np.zeros_like(flat.data)
-        for b in range(n_seg):
-            gf[offsets[b] : offsets[b] + counts[b]] += g[b, : counts[b]]
-        return (gf,)
-
-    return _make(out, (flat,), bwd)
-
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; ``rate`` 0 is the identity and draws nothing."""
-    if rate == 0.0:
-        return x
-    if not 0.0 <= rate < 1.0:
-        raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
-    mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return _make(x.data * mask, (x,), lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +241,27 @@ def lstm_cell(x: Tensor, hc_prev: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> 
     return _make(np.concatenate([h, c], axis=1), (x, hc_prev, wx, wh, b), bwd)
 
 
+def _attention(hh, zz, z, valid, wav, u):
+    """Context vectors and weights of masked attention; tanh(hh + zz) goes into ``u``."""
+    np.tanh(np.add(hh[:, None, :], zz, out=u), out=u)
+    e = np.where(valid, u @ wav, -np.inf)
+    e = e - e.max(axis=1, keepdims=True)
+    ex = np.exp(e)
+    alpha = ex / ex.sum(axis=1, keepdims=True)
+    return np.einsum("bk,bkd->bd", alpha, z), alpha
+
+
+def _attention_backward(g, z, u, alpha, wav, dpre):
+    """Score gradients from d(context) ``g``; those of the tanh inputs go into
+    ``dpre``, in place, so that no large temporary is freed and faulted in again."""
+    dalpha = np.einsum("bd,bkd->bk", g, z)
+    de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+    np.subtract(1.0, np.multiply(u, u, out=dpre), out=dpre)
+    dpre *= de[:, :, None]
+    dpre *= wav
+    return de
+
+
 def attend(h1: Tensor, z: Tensor, mask: np.ndarray, wa: Tensor, wav: Tensor) -> Tensor:
     """Additive attention over object vectors with a validity mask.
 
@@ -351,33 +270,124 @@ def attend(h1: Tensor, z: Tensor, mask: np.ndarray, wa: Tensor, wav: Tensor) -> 
     mask (B, K) with at least one valid entry per row.
     """
     d = h1.data.shape[1]
-    w_h = wa.data[:, :d]
-    w_z = wa.data[:, d:]
-    hh = h1.data @ w_h.T
+    w_h, w_z = wa.data[:, :d], wa.data[:, d:]
     zz = z.data @ w_z.T
-    u = np.tanh(hh[:, None, :] + zz)
-    e = u @ wav.data
-    e = np.where(mask > 0, e, -np.inf)
-    e = e - e.max(axis=1, keepdims=True)
-    ex = np.exp(e)
-    alpha = ex / ex.sum(axis=1, keepdims=True)
-    ct = np.einsum("bk,bkd->bd", alpha, z.data)
+    u = np.empty(zz.shape)
+    ct, alpha = _attention(h1.data @ w_h.T, zz, z.data, mask > 0, wav.data, u)
 
     def bwd(g):
-        dalpha = np.einsum("bd,bkd->bk", g, z.data)
-        dz = alpha[:, :, None] * g[:, None, :]
-        de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
-        dwav = np.einsum("bka,bk->a", u, de)
-        du = de[:, :, None] * wav.data
-        dpre = du * (1.0 - u * u)
+        dpre = np.empty(u.shape)
+        de = _attention_backward(g, z.data, u, alpha, wav.data, dpre)
         dhh = dpre.sum(axis=1)
-        dh1 = dhh @ w_h
-        dw_h = dhh.T @ h1.data
-        dz += dpre @ w_z
-        dw_z = np.einsum("bka,bkd->ad", dpre, z.data)
-        return dh1, dz, np.concatenate([dw_h, dw_z], axis=1), dwav
+        dz = alpha[:, :, None] * g[:, None, :] + dpre @ w_z
+        dwa = np.concatenate([dhh.T @ h1.data, np.einsum("bka,bkd->ad", dpre, z.data)], axis=1)
+        return dhh @ w_h, dz, dwa, np.einsum("bka,bk->a", u, de)
 
     return _make(ct, (h1, z, wa, wav), bwd)
+
+
+def teacher_forced_logprob(
+    z_flat: Tensor,
+    weights: Sequence[Tensor],
+    rows: np.ndarray,
+    valid: np.ndarray,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    t_mask: np.ndarray,
+    drop: np.ndarray,
+) -> Tensor:
+    """Mean log-probability of each target sequence under the decoder of
+    ``model.py``, teacher-forced, as one node (``weights`` in the order of
+    ``model.DECODER_PARAMS``). Example b attends over ``z_flat[rows[b, k]]``
+    where ``valid[b, k]``; ``inputs``, ``targets``, ``t_mask`` are (B, T)
+    and ``drop`` the (T, 3, B, d) dropout masks of x, h1 and h2. Following
+    Appleyard et al. (arXiv 1604.01946), the attention projection of z, the
+    input GEMMs of LSTM1, the output layer and every weight gradient run once
+    over all steps, not once per step.
+    """
+    emb, wx1, wh1, b1, wa, wav, wx2, wh2, b2, w_out, b_out = (w.data for w in weights)
+    n, steps = inputs.shape
+    d, a = wh1.shape[1], wav.shape[0]
+    z = np.where(valid[:, :, None], z_flat.data[rows], 0.0)
+    inv_count = 1.0 / valid.sum(axis=1)
+    z_bar = z.sum(axis=1) * inv_count[:, None]
+    w_h, w_z = wa[:, :d], wa[:, d:]
+    zz = z @ w_z.T
+    x = emb.T[inputs.T] * drop[:, 0]  # (T, B, d)
+    pre_in = (x.reshape(-1, d) @ wx1[:, :d].T).reshape(steps, n, 4 * d)
+    pre_in += z_bar @ wx1[:, d : 2 * d].T + b1
+    w_rec = np.concatenate([wx1[:, 2 * d :], wh1], axis=1)  # acts on [h2 fed, h1]
+    w2 = np.concatenate([wx2, wh2], axis=1)  # acts on [ct, h1 fed, h2]
+
+    # per-step inputs of the recurrent GEMMs, kept for the weight gradients
+    rec = np.zeros((steps, n, 2 * d))
+    in2 = np.zeros((steps, n, 3 * d))
+    h2_fed = np.empty((steps, n, d))
+    us = np.empty((steps,) + zz.shape)
+    alphas = np.empty((steps,) + valid.shape)
+    cells1, cells2 = np.zeros((2, steps + 1, n, d))  # row t: the cell state entering step t
+    gates1, gates2 = [], []
+    for t in range(steps):
+        if t:  # the recurrent inputs, from step t - 1
+            rec[t] = np.concatenate([h2_fed[t - 1], h1], axis=1)
+            in2[t, :, 2 * d :] = h2
+            pre_in[t] += rec[t] @ w_rec.T
+        h1, cells1[t + 1], *cache = kernels.lstm_gates_forward(pre_in[t], cells1[t])
+        gates1.append(cache)
+        in2[t, :, d : 2 * d] = h1 * drop[t, 1]
+        in2[t, :, :d], alphas[t] = _attention(in2[t, :, d : 2 * d] @ w_h.T, zz, z, valid, wav, us[t])
+        h2, cells2[t + 1], *cache = kernels.lstm_gates_forward(in2[t] @ w2.T + b2, cells2[t])
+        gates2.append(cache)
+        h2_fed[t] = h2 * drop[t, 2]
+
+    logp = numeric.log_softmax(h2_fed.reshape(-1, d) @ w_out.T + b_out, axis=1)
+    picks = (np.arange(steps * n), targets.T.ravel())
+    inv_len = 1.0 / t_mask.sum(axis=1)
+    out = (logp[picks].reshape(steps, n) * t_mask.T).sum(axis=0) * inv_len
+
+    def bwd(g):
+        dlp = ((g * inv_len) * t_mask.T).ravel()
+        dlogits = np.exp(logp) * -dlp[:, None]
+        dlogits[picks] += dlp
+        dh2_out = (dlogits @ w_out).reshape(steps, n, d)
+        dpre1, dpre2 = np.empty((2, steps, n, 4 * d))
+        dct = np.empty((steps, n, d))
+        dhh = np.empty((steps, n, a))
+        des = np.empty(alphas.shape)
+        dpre, datt = np.zeros((2,) + zz.shape)  # d(tanh input): one step, summed over steps
+        dh2_fed = dh1_rec = dh2_rec = dc1 = dc2 = np.zeros((n, d))
+        for t in reversed(range(steps)):
+            dh2 = (dh2_out[t] + dh2_fed) * drop[t, 2] + dh2_rec
+            dpre2[t], dc2 = kernels.lstm_gates_backward(dh2, dc2, *gates2[t], cells2[t])
+            dct[t], dh1_fed, dh2_rec = np.split(dpre2[t] @ w2, 3, axis=1)
+            des[t] = _attention_backward(dct[t], z, us[t], alphas[t], wav, dpre)
+            datt += dpre
+            dhh[t] = dpre.sum(axis=1)
+            dh1 = (dh1_fed + dhh[t] @ w_h) * drop[t, 1] + dh1_rec
+            dpre1[t], dc1 = kernels.lstm_gates_backward(dh1, dc1, *gates1[t], cells1[t])
+            dh2_fed, dh1_rec = np.split(dpre1[t] @ w_rec, 2, axis=1)
+
+        flat1, flat2 = dpre1.reshape(-1, 4 * d), dpre2.reshape(-1, 4 * d)
+        sum1 = dpre1.sum(axis=0)
+        dw_rec = flat1.T @ rec.reshape(-1, 2 * d)
+        dwx1 = np.concatenate([flat1.T @ x.reshape(-1, d), sum1.T @ z_bar, dw_rec[:, :d]], axis=1)
+        dw2 = flat2.T @ in2.reshape(-1, 3 * d)
+        demb = np.zeros_like(emb)
+        np.add.at(demb.T, inputs.T.ravel(), (flat1 @ wx1[:, :d]) * drop[:, 0].reshape(-1, d))
+        dw_h = dhh.reshape(-1, a).T @ in2[:, :, d : 2 * d].reshape(-1, d)
+        dw_z = datt.reshape(-1, a).T @ z.reshape(-1, d)
+        dz = alphas.transpose(1, 2, 0) @ dct.transpose(1, 0, 2) + datt @ w_z
+        dz += ((sum1 @ wx1[:, d : 2 * d]) * inv_count[:, None])[:, None, :]
+        dz_flat = np.zeros_like(z_flat.data)
+        np.add.at(dz_flat, rows[valid], dz[valid])
+        return (
+            dz_flat, demb, dwx1, dw_rec[:, d:], sum1.sum(axis=0),
+            np.concatenate([dw_h, dw_z], axis=1), des.ravel() @ us.reshape(-1, a),
+            dw2[:, : 2 * d], dw2[:, 2 * d :], flat2.sum(axis=0),
+            dlogits.T @ h2_fed.reshape(-1, d), dlogits.sum(axis=0),
+        )
+
+    return _make(out, (z_flat, *weights), bwd)
 
 
 def cosine_matrix(vecs: Tensor, rows: np.ndarray) -> Tensor:

@@ -12,11 +12,15 @@ z = W_in v. States start at zero and the first input token is BOS.
 Training feeds the ground-truth previous token at every step (teacher
 forcing) and applies inverted dropout to x_t, h1 and h2 before their
 consumers; the dropped h2 feeds both the output projection and the next
-step's LSTM1 input. Inference decodes greedily until EOS or the length
-cap, argmax ties broken toward the lowest token id. It runs a split in
-chunks of DECODE_CHUNK images: each chunk pads its object sets to one
-(B, K, d) block, attention masks the padding out, and a row leaves the
-batch once it emits EOS.
+step's LSTM1 input. The teacher-forced pass is one tape node over all
+steps (``autodiff.teacher_forced_logprob``); its dropout masks are drawn up
+front in one call, x, h1, h2 for each step in turn, as a step-by-step pass
+would draw them.
+
+Inference decodes greedily until EOS or the length cap, argmax ties broken
+toward the lowest token id. It runs a split in chunks of DECODE_CHUNK
+images: each chunk pads its object sets to one (B, K, d) block, attention
+masks the padding out, and a row leaves the batch once it emits EOS.
 """
 
 from __future__ import annotations
@@ -260,13 +264,18 @@ class DropoutPlan:
     rate: float
     rng: np.random.Generator | None
 
-    def apply(self, t: Tensor) -> Tensor:
+    def masks(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Inverted-dropout masks of ``shape``; ones, drawing nothing, at rate 0."""
         if self.rate == 0.0 or self.rng is None:
-            return t
-        return ad.dropout(t, self.rate, self.rng)
+            return np.ones(shape)
+        return (self.rng.random(shape) >= self.rate) / (1.0 - self.rate)
 
 
 NO_DROPOUT = DropoutPlan(rate=0.0, rng=None)
+
+# The decoder's parameters in the order of ad.teacher_forced_logprob's weights.
+DECODER_PARAMS = ("embedding", "lstm1.wx", "lstm1.wh", "lstm1.b", "att.proj", "att.score",
+                  "lstm2.wx", "lstm2.wh", "lstm2.b", "out.w", "out.b")
 
 
 @dataclass
@@ -293,7 +302,6 @@ def batch_forward(
     ``image_of_example[e]`` maps example e to its image, so several
     captions of one image share a single projection.
     """
-    d = cfg.hidden_size
     batch = len(tokens)
     if batch == 0:
         raise DomainError("empty batch")
@@ -303,43 +311,24 @@ def batch_forward(
     counts_img = np.array([f.shape[0] for f in features])
     offsets_img = np.concatenate([[0], np.cumsum(counts_img)[:-1]]).astype(np.int64)
     z_flat = ad.linear(Tensor(np.concatenate(features, axis=0)), p["input_proj"])
+    counts = counts_img[image_of_example]
+    slots = np.arange(counts.max())
+    valid = slots[None, :] < counts[:, None]
+    rows = np.where(valid, offsets_img[image_of_example][:, None] + slots, 0)
 
-    offsets = np.array([offsets_img[i] for i in image_of_example])
-    counts = np.array([counts_img[i] for i in image_of_example])
-    width = int(counts.max())
-    z_pad = ad.pad_rows(z_flat, offsets, counts, width)
-    mask = (np.arange(width)[None, :] < counts[:, None]).astype(np.float64)
-    z_bar = ad.mul(ad.sum_(z_pad, axis=1), Tensor((1.0 / counts)[:, None]))
-
-    t_max = max(len(t) for t in tokens)
-    targets = np.full((batch, t_max), EOS_ID, dtype=np.int64)
-    t_mask = np.zeros((batch, t_max))
-    for e, seq in enumerate(tokens):
-        targets[e, : len(seq)] = seq
-        t_mask[e, : len(seq)] = 1.0
-    inputs = np.full((batch, t_max), BOS_ID, dtype=np.int64)
+    lengths = np.array([len(t) for t in tokens])
+    t_mask = (np.arange(lengths.max())[None, :] < lengths[:, None]).astype(np.float64)
+    targets = np.full(t_mask.shape, EOS_ID, dtype=np.int64)
+    targets[t_mask > 0] = np.concatenate(tokens)
+    if targets.min() < 0 or targets.max() >= cfg.vocab_size:
+        raise DomainError(f"token id out of range for vocabulary of size {cfg.vocab_size}")
+    inputs = np.full(t_mask.shape, BOS_ID, dtype=np.int64)
     inputs[:, 1:] = targets[:, :-1]
 
-    hc1 = Tensor(np.zeros((batch, 2 * d)))
-    hc2 = Tensor(np.zeros((batch, 2 * d)))
-    h2_fed = Tensor(np.zeros((batch, d)))
-    total_logprob: Tensor | None = None
-    for t in range(t_max):
-        x = dropout_plan.apply(ad.embedding_cols(p["embedding"], inputs[:, t]))
-        in1 = ad.concat([x, z_bar, h2_fed], axis=1)
-        hc1 = ad.lstm_cell(in1, hc1, p["lstm1.wx"], p["lstm1.wh"], p["lstm1.b"])
-        h1 = dropout_plan.apply(ad.slice_cols(hc1, 0, d))
-        ct = ad.attend(h1, z_pad, mask, p["att.proj"], p["att.score"])
-        in2 = ad.concat([ct, h1], axis=1)
-        hc2 = ad.lstm_cell(in2, hc2, p["lstm2.wx"], p["lstm2.wh"], p["lstm2.b"])
-        h2_fed = dropout_plan.apply(ad.slice_cols(hc2, 0, d))
-        logits = ad.linear(h2_fed, p["out.w"], p["out.b"])
-        step_lp = ad.gather_cols(ad.log_softmax(logits, axis=1), targets[:, t])
-        masked = ad.mul(step_lp, Tensor(t_mask[:, t]))
-        total_logprob = masked if total_logprob is None else ad.add(total_logprob, masked)
-
-    lengths = np.array([float(len(t)) for t in tokens])
-    per_example = ad.mul(total_logprob, Tensor(1.0 / lengths))
+    drop = dropout_plan.masks((t_mask.shape[1], 3, batch, cfg.hidden_size))
+    per_example = ad.teacher_forced_logprob(
+        z_flat, [p[name] for name in DECODER_PARAMS], rows, valid, inputs, targets, t_mask, drop
+    )
     flat_labels = (
         np.concatenate([np.asarray(l, dtype=np.int64) for l in labels])
         if labels

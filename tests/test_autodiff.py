@@ -1,7 +1,10 @@
 """Contracts of the numeric core: plain helpers, tape ops, gradient checks.
 
 Every differentiable primitive is checked against central finite
-differences (step 1e-5, float64) with relative error <= 1e-4.
+differences (step 1e-5, float64) with relative error <= 1e-4. That
+includes the ops of the step-by-step tape decoder in ``tape_reference``
+(sum, log-softmax, concatenation, column slices, embedding lookup, target
+pick, padding, dropout), the oracle of the fused teacher-forced op.
 """
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tape_reference as tr
 from groundcap import autodiff as ad
 from groundcap import numeric
 from groundcap.errors import (
@@ -138,8 +142,8 @@ class TestTape:
         target = 2
         tape = ad.GradientTape()
         logits = tape.parameter("logits", logits_val.copy())
-        lp = ad.log_softmax(logits, axis=-1)
-        loss = ad.neg(ad.sum_(ad.mul(lp, ad.Tensor(np.eye(5)[target]))))
+        lp = tr.log_softmax(logits, axis=-1)
+        loss = ad.neg(tr.sum_(ad.mul(lp, ad.Tensor(np.eye(5)[target]))))
         grads = ad.backward(tape, loss)
         expected = numeric.softmax(logits_val) - np.eye(5)[target]
         np.testing.assert_allclose(grads["logits"], expected, atol=1e-12)
@@ -213,7 +217,7 @@ class TestPrimitiveGradients:
         b = rng.normal(size=5)
         probe = rng.normal(size=(3, 5))
         _check(
-            lambda xx, ww, bb: ad.sum_(ad.mul(ad.linear(xx, ww, bb), ad.Tensor(probe))),
+            lambda xx, ww, bb: tr.sum_(ad.mul(ad.linear(xx, ww, bb), ad.Tensor(probe))),
             lambda xx, ww, bb: float(((xx @ ww.T + bb) * probe).sum()),
             [x, w, b],
             fd_grad,
@@ -226,7 +230,7 @@ class TestPrimitiveGradients:
         b = rng.normal(size=(2, 3))
 
         def build(x, y):
-            return ad.sum_(ad.neg(ad.relu(ad.add(ad.sub(ad.Tensor(0.2), x), y))))
+            return tr.sum_(ad.neg(ad.relu(ad.add(ad.sub(ad.Tensor(0.2), x), y))))
 
         _check(
             build,
@@ -240,7 +244,7 @@ class TestPrimitiveGradients:
         x = rng.uniform(0.5, 2.0, size=(2, 3)) * rng.choice([-1.0, 1.0], size=(2, 3))
         w = rng.normal(size=(2, 3))
         _check(
-            lambda t: ad.sum_(ad.mul(ad.relu(t), ad.Tensor(w))),
+            lambda t: tr.sum_(ad.mul(ad.relu(t), ad.Tensor(w))),
             lambda a: float((np.maximum(a, 0.0) * w).sum()),
             [x],
             fd_grad,
@@ -251,7 +255,7 @@ class TestPrimitiveGradients:
         x = rng.normal(size=(2, 5))
         w = rng.normal(size=(2, 5))
         _check(
-            lambda t: ad.sum_(ad.mul(ad.log_softmax(t, axis=1), ad.Tensor(w))),
+            lambda t: tr.sum_(ad.mul(tr.log_softmax(t, axis=1), ad.Tensor(w))),
             lambda a: float((numeric.log_softmax(a, axis=1) * w).sum()),
             [x],
             fd_grad,
@@ -263,8 +267,8 @@ class TestPrimitiveGradients:
         b = rng.normal(size=(2, 2))
 
         def build(x, y):
-            cat = ad.concat([x, y], axis=1)
-            return ad.sum_(ad.mul(ad.slice_cols(cat, 1, 4), ad.slice_cols(cat, 0, 3)))
+            cat = tr.concat([x, y], axis=1)
+            return tr.sum_(ad.mul(tr.slice_cols(cat, 1, 4), tr.slice_cols(cat, 0, 3)))
 
         def ref(x, y):
             cat = np.concatenate([x, y], axis=1)
@@ -278,8 +282,8 @@ class TestPrimitiveGradients:
         picks = np.array([0, 2, 3])
 
         def build(t):
-            rows = ad.embedding_cols(t, ids)
-            return ad.sum_(ad.gather_cols(rows, picks))
+            rows = tr.embedding_cols(t, ids)
+            return tr.sum_(tr.gather_cols(rows, picks))
 
         def ref(a):
             return float(a[:, ids].T[np.arange(3), picks].sum())
@@ -293,7 +297,7 @@ class TestPrimitiveGradients:
         scale = rng.normal(size=(3, 4, 3))
 
         def build(t):
-            return ad.sum_(ad.mul(ad.pad_rows(t, offsets, counts, 4), ad.Tensor(scale)))
+            return tr.sum_(ad.mul(tr.pad_rows(t, offsets, counts, 4), ad.Tensor(scale)))
 
         def ref(a):
             out = np.zeros((3, 4, 3))
@@ -313,7 +317,7 @@ class TestPrimitiveGradients:
         probe = rng.normal(size=(batch, 2 * d))
 
         def build(xx, hh, wxx, whh, bb):
-            return ad.sum_(ad.mul(ad.lstm_cell(xx, hh, wxx, whh, bb), ad.Tensor(probe)))
+            return tr.sum_(ad.mul(ad.lstm_cell(xx, hh, wxx, whh, bb), ad.Tensor(probe)))
 
         def ref(xx, hh, wxx, whh, bb):
             from groundcap import kernels
@@ -335,7 +339,7 @@ class TestPrimitiveGradients:
         probe = rng.normal(size=(batch, d))
 
         def build(hh, zz, ww, wv):
-            return ad.sum_(ad.mul(ad.attend(hh, zz, mask, ww, wv), ad.Tensor(probe)))
+            return tr.sum_(ad.mul(ad.attend(hh, zz, mask, ww, wv), ad.Tensor(probe)))
 
         def ref(hh, zz, ww, wv):
             u = np.tanh((hh @ ww[:, :d].T)[:, None, :] + zz @ ww[:, d:].T)
@@ -356,7 +360,7 @@ class TestPrimitiveGradients:
         probe = rng.normal(size=(4, 4))
 
         def build(t):
-            return ad.sum_(ad.mul(ad.cosine_matrix(t, rows), ad.Tensor(probe)))
+            return tr.sum_(ad.mul(ad.cosine_matrix(t, rows), ad.Tensor(probe)))
 
         def ref(a):
             sims = np.array([[numeric.cosine(a[i], a[j]) for j in rows] for i in rows])
@@ -372,7 +376,7 @@ class TestPrimitiveGradients:
         probe = rng.normal(size=6)
 
         def build(t):
-            return ad.sum_(ad.mul(ad.pair_pick(t, left, right), ad.Tensor(probe)))
+            return tr.sum_(ad.mul(ad.pair_pick(t, left, right), ad.Tensor(probe)))
 
         def ref(a):
             return float((a[left, right] * probe).sum())
@@ -396,7 +400,7 @@ class TestPrimitiveGradients:
         probe = rng.normal(size=(3, 3))
 
         def build(t):
-            return ad.sum_(ad.mul(ad.column_group_mean(t, groups), ad.Tensor(probe)))
+            return tr.sum_(ad.mul(ad.column_group_mean(t, groups), ad.Tensor(probe)))
 
         def ref(a):
             rows = np.stack([a[:, g].mean(axis=1) for g in groups])
@@ -406,12 +410,12 @@ class TestPrimitiveGradients:
 
     def test_dropout_scales_and_masks(self, rng):
         x = ad.Tensor(np.ones((4, 5)))
-        out = ad.dropout(x, 0.0, rng)
+        out = tr.dropout(x, 0.0, rng)
         assert out is x
         tape = ad.GradientTape()
         p = tape.parameter("p", np.ones((200, 50)))
-        dropped = ad.dropout(p, 0.2, np.random.default_rng(0))
+        dropped = tr.dropout(p, 0.2, np.random.default_rng(0))
         vals = np.unique(dropped.data)
         assert set(np.round(vals, 12)) <= {0.0, round(1 / 0.8, 12)}
-        grads = ad.backward(tape, ad.sum_(dropped))
+        grads = ad.backward(tape, tr.sum_(dropped))
         np.testing.assert_array_equal(grads["p"] == 0.0, dropped.data == 0.0)

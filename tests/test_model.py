@@ -11,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import decode_reference
+import tape_reference
 from decode_reference import (
     DecoderState,
     attend,
@@ -29,6 +30,7 @@ from groundcap.data import BOS_ID, EOS_ID, SyntheticSpec, generate_synthetic_dat
 from groundcap.errors import DataValidationError, DomainError, ShapeError
 from groundcap.model import (
     DECODE_CHUNK,
+    DropoutPlan,
     ModelConfig,
     ModelParams,
     batch_forward,
@@ -471,6 +473,128 @@ class TestBatchForward:
 
             fd = fd_grad(fn, [arr])[0]
             assert rel_err(grads[name], fd) <= FD_TOL, name
+
+
+def run_batch_forward(forward, params, feats, image_of_example, tokens, rate, seed, probe=None):
+    """Loss value, per-parameter gradients and the dropout generator's state
+    after one teacher-forced pass; ``probe`` adds a grounding-like head that
+    reads ``projected_flat``, the second path into ``input_proj``."""
+    tape = ad.GradientTape()
+    rng = np.random.default_rng(seed)
+    labels = [[0] * f.shape[0] for f in feats]
+    out = forward(
+        params.tensors(tape), params.config, feats, labels, image_of_example, tokens,
+        DropoutPlan(rate=rate, rng=rng),
+    )
+    loss = ad.neg(ad.mean_(out.per_example_logprob))
+    if probe is not None:
+        loss = ad.add(loss, ad.mean_(ad.mul(out.projected_flat, ad.Tensor(probe))))
+    grads = ad.backward(tape, loss)
+    return out.per_example_logprob.data, grads, rng.bit_generator.state
+
+
+def assert_close_relative(got, want, tol=1e-12):
+    """Agreement to ``tol`` relative to the largest entry of ``want``."""
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+class TestFusedTeacherForcedOp:
+    """``batch_forward``'s one-node decoder against the step-by-step tape."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        counts=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        captions=st.lists(
+            st.tuples(st.integers(0, 2), st.lists(st.integers(0, 6), min_size=1, max_size=5)),
+            min_size=1,
+            max_size=5,
+        ),
+        rate=st.sampled_from([0.0, 0.2]),
+    )
+    @example(seed=1, counts=[1], captions=[(0, [3])], rate=0.2)
+    @example(  # one image shared by three captions of lengths 1 to T, next to a 1-object image
+        seed=2, counts=[4, 1], captions=[(0, [5]), (1, [3, 4, 1]), (0, [6, 6, 2, 4, 1]), (0, [1])],
+        rate=0.2,
+    )
+    def test_matches_step_by_step_tape(self, seed, counts, captions, rate):
+        params = decoder_params(seed % 1000, vocab=7, d=3, d_in=2, scale=6.0)
+        rng = np.random.default_rng(seed)
+        feats = [rng.normal(size=(k, 2)) for k in counts]
+        image_of_example = [img % len(counts) for img, _ in captions]
+        tokens = [seq for _, seq in captions]
+        probe = rng.normal(size=(sum(counts), 3))
+        got, got_grads, got_state = run_batch_forward(
+            batch_forward, params, feats, image_of_example, tokens, rate, seed, probe
+        )
+        want, want_grads, want_state = run_batch_forward(
+            tape_reference.batch_forward, params, feats, image_of_example, tokens, rate, seed,
+            probe,
+        )
+        assert_close_relative(got, want)
+        assert got_state == want_state
+        assert set(got_grads) == set(want_grads)
+        for name, grad in want_grads.items():
+            assert_close_relative(got_grads[name], grad)
+
+    def test_train_shapes_match_step_by_step_tape(self):
+        # train-sized widths, a batch of captions with up to 10 objects each
+        params = decoder_params(5, vocab=20, d=16, d_in=8, scale=3.0)
+        rng = np.random.default_rng(5)
+        counts = rng.integers(2, 11, size=12)
+        feats = [rng.normal(size=(k, 8)) for k in counts]
+        image_of_example = list(rng.integers(0, 12, size=30))
+        tokens = [list(rng.integers(3, 20, size=rng.integers(1, 8))) + [EOS_ID] for _ in range(30)]
+        got, got_grads, got_state = run_batch_forward(
+            batch_forward, params, feats, image_of_example, tokens, 0.2, 6
+        )
+        want, want_grads, want_state = run_batch_forward(
+            tape_reference.batch_forward, params, feats, image_of_example, tokens, 0.2, 6
+        )
+        assert_close_relative(got, want)
+        assert got_state == want_state
+        for name, grad in want_grads.items():
+            assert_close_relative(got_grads[name], grad)
+
+    def test_gradient_check_with_dropout_and_grounding_head(self, rng, fd_grad, rel_err):
+        params = decoder_params(17, vocab=6, d=3, d_in=2, scale=4.0)
+        feats = [rng.normal(size=(1, 2)), rng.normal(size=(3, 2))]
+        image_of_example = [1, 0, 1]
+        tokens = [[3, 4, EOS_ID], [5], [4, EOS_ID]]
+        probe = rng.normal(size=(4, 3))
+        _, grads, _ = run_batch_forward(
+            batch_forward, params, feats, image_of_example, tokens, 0.2, 8, probe
+        )
+
+        def loss_from(arrays: dict) -> float:
+            p = ModelParams(config=params.config, arrays=arrays)
+            with ad.no_grad():
+                out = batch_forward(
+                    p.constants(), p.config, feats, [[0], [0, 0, 0]], image_of_example,
+                    tokens, DropoutPlan(rate=0.2, rng=np.random.default_rng(8)),
+                )
+            return float(
+                -out.per_example_logprob.data.mean() + (out.projected_flat.data * probe).mean()
+            )
+
+        for name, arr in params.arrays.items():
+
+            def fn(block, _name=name):
+                return loss_from({k: (block if k == _name else v) for k, v in params.arrays.items()})
+
+            assert rel_err(grads[name], fd_grad(fn, [arr])[0]) <= FD_TOL, name
+
+    @pytest.mark.parametrize("bad_id", [-1, 6, 99])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_out_of_range_token_is_domain_error(self, rng, bad_id, position):
+        params = toy_params(vocab=6)
+        tokens = [[3, 4]]
+        tokens[0][position] = bad_id
+        with pytest.raises(DomainError, match="out of range"):
+            batch_forward(
+                params.constants(), params.config, [rng.normal(size=(2, 3))], [[0, 0]], [0],
+                tokens,
+            )
 
 
 class TestCheckpoint:
