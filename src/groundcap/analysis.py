@@ -40,6 +40,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import kernels, numeric
 from .autodiff import Tensor
@@ -176,7 +177,7 @@ class AnalysisReport:
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
         try:
-            return cls(**json.loads(text))
+            return cls(**orjson.loads(text))
         except (TypeError, ValueError) as err:
             raise DataValidationError(f"malformed analysis report: {err}") from err
 

@@ -13,7 +13,10 @@ Dataset files are JSON lines, one record per image:
      "labels": [int x k], "captions": [str, ...]}
 The same format ingests externally produced feature files. The class
 table is a flat JSON map label-id -> label string in which the UNK class
-carries the literal string "UNK".
+carries the literal string "UNK". Inputs are parsed as RFC 8259 JSON in
+UTF-8: NaN/Infinity literals, numbers that overflow float64 and lone
+surrogate escapes are malformed JSON. An image id is a JSON string or a
+64-bit integer.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import ConfigError, DataValidationError
 
@@ -99,18 +103,6 @@ def encode_caption(text: str, vocab: Vocabulary, max_len: int = 16) -> list[int]
     ids = [vocab.token_to_id(t) for t in normalize(text)[:max_len]]
     ids.append(EOS_ID)
     return ids
-
-
-def decode_tokens(ids: list[int], vocab: Vocabulary) -> str:
-    """Inverse of encode_caption up to UNK mapping; stops at EOS."""
-    words = []
-    for i in ids:
-        if i == EOS_ID:
-            break
-        if i == BOS_ID:
-            continue
-        words.append(vocab.id_to_token(i))
-    return " ".join(words)
 
 
 @dataclass(frozen=True)
@@ -203,7 +195,7 @@ class ClassTable:
     @classmethod
     def from_json(cls, text: str) -> "ClassTable":
         try:
-            names = {int(k): str(v) for k, v in json.loads(text).items()}
+            names = {int(k): str(v) for k, v in orjson.loads(text).items()}
         except (AttributeError, ValueError) as err:
             raise DataValidationError(f"malformed class table: {err}") from err
         return cls(names=names)
@@ -235,11 +227,21 @@ def example_to_record(ex: ImageExample) -> dict:
     }
 
 
+def image_id_of(rec: dict) -> str:
+    """The record's id, which must be a JSON string or a 64-bit integer.
+    orjson reads a wider integer as a float, whose str() is rounded, so two
+    distinct ids could collide."""
+    value = rec["id"]
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise DataValidationError(f"image id {value!r} is not a JSON string or a 64-bit integer")
+    return str(value)
+
+
 def record_to_example(rec: dict) -> ImageExample:
     try:
         boxes = [BoundingBox(*map(float, b)) for b in rec["boxes"]]
         return ImageExample(
-            image_id=str(rec["id"]),
+            image_id=image_id_of(rec),
             features=np.asarray(rec["features"], dtype=np.float64),
             boxes=boxes,
             labels=[int(l) for l in rec["labels"]],
@@ -271,13 +273,13 @@ def write_jsonl(examples: list[ImageExample], path: Path) -> None:
 def read_jsonl(path: Path) -> list[ImageExample]:
     out = []
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
+                    record = orjson.loads(line)
                 except ValueError as err:
                     raise DataValidationError(f"{path}:{lineno}: malformed JSON: {err}") from err
                 out.append(record_to_example(record))

@@ -9,14 +9,14 @@ as no overlap.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import kernels
-from .data import BoundingBox, DataValidationError
+from .data import BoundingBox, DataValidationError, image_id_of
 from .errors import ConfigError
 
 
@@ -52,18 +52,18 @@ def assign_labels(
 def _load_detections(path: Path) -> dict[str, list[Detection]]:
     per_image: dict[str, list[Detection]] = {}
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    rec = json.loads(line)
+                    rec = orjson.loads(line)
                     dets = [
                         Detection(box=BoundingBox(*map(float, box)), label=int(label))
                         for box, label in zip(rec["boxes"], rec["labels"])
                     ]
-                    per_image[str(rec["id"])] = dets
+                    per_image[image_id_of(rec)] = dets
                 except (KeyError, TypeError, ValueError) as err:
                     raise DataValidationError(f"malformed detection record: {err}") from err
     except OSError as err:

@@ -41,19 +41,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity of two vectors; zero-norm inputs are an error."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise ShapeError(f"cosine needs equal lengths, got {u.shape} and {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise DomainError("cosine is undefined for zero-norm vectors")
-    return float(np.dot(u, v) / (nu * nv))
-
-
 def pearson(xs: np.ndarray, ys: np.ndarray) -> float:
     """Sample Pearson correlation coefficient of two equally long lists."""
     xs = np.asarray(xs, dtype=np.float64).ravel()

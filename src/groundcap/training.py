@@ -493,7 +493,7 @@ def run_experiment_matrix(
             write_atomic(run_dir / "analysis.json", report.to_json() + "\n")
             write_vector_export(exports, run_dir / "vectors.jsonl")
             metric_rows.append({"variant": name, "seed": seed, **table})
-            analysis_rows.append({"variant": name, "seed": seed, **json.loads(report.to_json())})
+            analysis_rows.append({"variant": name, "seed": seed, **asdict(report)})
             run_summaries.append(
                 {
                     "variant": name,

@@ -3,6 +3,7 @@
 One image and one batch-1 LSTM step at a time. ``groundcap.model.
 greedy_decode`` must pick the same tokens, image for image, and
 ``sequence_logprob`` is the per-example reference for ``batch_forward``.
+``decode_tokens`` turns token ids back into a caption string.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from groundcap import autodiff as ad
 from groundcap import kernels, numeric
 from groundcap.autodiff import Tensor
-from groundcap.data import BOS_ID, EOS_ID
+from groundcap.data import BOS_ID, EOS_ID, Vocabulary
 from groundcap.errors import DomainError
 from groundcap.model import ModelParams, mean_pool, project_features
 
@@ -156,3 +157,15 @@ def greedy_decode_one(z: np.ndarray, params: ModelParams, max_len: int = 16) -> 
 def greedy_decode(zs: list[np.ndarray], params: ModelParams, max_len: int = 16) -> list[list[int]]:
     """``groundcap.model.greedy_decode``'s signature, one image at a time."""
     return [greedy_decode_one(z, params, max_len) for z in zs]
+
+
+def decode_tokens(ids: list[int], vocab: Vocabulary) -> str:
+    """Inverse of ``encode_caption`` up to UNK mapping; stops at EOS."""
+    words = []
+    for i in ids:
+        if i == EOS_ID:
+            break
+        if i == BOS_ID:
+            continue
+        words.append(vocab.id_to_token(i))
+    return " ".join(words)

@@ -10,12 +10,15 @@ element at a time, within the tolerances in ``tests/test_kernels.py``
 (exactly, for the dynamic-programming LCS). The cosine-matrix loops
 differentiate each cell on its own, as the per-pair formula does, so they
 also check the matrix backward's ``(G + G^T) @ U`` and normalisation steps.
+``cosine`` is the two-vector formula the tests compare structure numbers
+with.
 """
 
 import math
 
 import numpy as np
 
+from groundcap.errors import DomainError, ShapeError
 from groundcap.losses import LabeledProjection
 
 
@@ -151,6 +154,19 @@ def lstm_gates_backward_loop(dh, dc, i, f, o, g, tc, c_prev):
             dpre[b, 3 * d + j] = dct * vi * (1.0 - vg * vg)
             dc_prev[b, j] = dct * vf
     return dpre, dc_prev
+
+
+def cosine(u, v) -> float:
+    """Cosine similarity of two vectors; zero-norm inputs are an error."""
+    u = np.asarray(u, dtype=np.float64).ravel()
+    v = np.asarray(v, dtype=np.float64).ravel()
+    if u.shape != v.shape:
+        raise ShapeError(f"cosine needs equal lengths, got {u.shape} and {v.shape}")
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise DomainError("cosine is undefined for zero-norm vectors")
+    return float(np.dot(u, v) / (nu * nv))
 
 
 def _norm_loop(vecs, i):

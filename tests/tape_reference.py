@@ -23,7 +23,12 @@ from groundcap import numeric
 from groundcap.autodiff import Tensor, _make
 from groundcap.data import BOS_ID, EOS_ID
 from groundcap.errors import DomainError, ShapeError
-from groundcap.model import NO_DROPOUT, BatchForward, DropoutPlan, ModelConfig
+from groundcap.model import NO_DROPOUT, BatchForward, DropoutPlan, ModelConfig, ModelParams
+
+
+def constants(params: ModelParams) -> dict[str, Tensor]:
+    """Every parameter array as a Tensor that records no gradient."""
+    return {name: Tensor(arr) for name, arr in params.arrays.items()}
 
 
 def sum_(x: Tensor, axis: int | None = None) -> Tensor:

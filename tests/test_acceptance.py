@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import loop_reference
 from groundcap import autodiff as ad
-from groundcap import numeric
 from groundcap.analysis import AnalysisReport, analyze
 from groundcap.autodiff import Tensor
 from groundcap.data import (
@@ -201,7 +201,7 @@ class TestCriterion2LossEndpoints:
         words = np.stack([np.array([1.0, 0.0]),
                           np.array([np.cos(1.0), np.sin(1.0)]),
                           np.array([np.cos(1.4), np.sin(1.4)])])
-        w_sims = [numeric.cosine(words[i], words[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+        w_sims = [loop_reference.cosine(words[i], words[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
         target = np.eye(3)
         target[0, 1] = target[1, 0] = 0.3 - w_sims[0]
         target[0, 2] = target[2, 0] = 0.3 - w_sims[1]

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import loop_reference
 from groundcap import numeric
 from groundcap.analysis import (
     AlignedSpaces,
@@ -52,7 +53,7 @@ class TestClassCentroids:
         proto /= np.linalg.norm(proto)
         samples = proto + 0.1 * rng.normal(size=(100, 8))
         cents = class_centroids(samples, np.zeros(100, dtype=int))
-        assert numeric.cosine(cents[0], proto) >= 0.99
+        assert loop_reference.cosine(cents[0], proto) >= 0.99
 
     def test_unk_exclusion_and_empty_error(self):
         v = np.eye(3)
@@ -120,7 +121,7 @@ class TestSimilarityCorrelation:
              np.array([np.cos(1.4), np.sin(1.4)])]
         )
         w_sims = [
-            numeric.cosine(words[i], words[j]) for i, j in [(0, 1), (0, 2), (1, 2)]
+            loop_reference.cosine(words[i], words[j]) for i, j in [(0, 1), (0, 2), (1, 2)]
         ]
         target = np.eye(3)
         offset = 0.3
@@ -140,8 +141,8 @@ class TestSimilarityCorrelation:
         objects = ring([5.0, 40.0, 80.0, 170.0])
         spaces = AlignedSpaces([0, 1, 2, 3], words, objects)
         pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        w = [numeric.cosine(words[i], words[j]) for i, j in pairs]
-        o = [numeric.cosine(objects[i], objects[j]) for i, j in pairs]
+        w = [loop_reference.cosine(words[i], words[j]) for i, j in pairs]
+        o = [loop_reference.cosine(objects[i], objects[j]) for i, j in pairs]
         assert similarity_correlation(spaces) == pytest.approx(
             numeric.pearson(o, w), abs=1e-12
         )
@@ -171,7 +172,7 @@ class TestClusterSeparation:
         inter, intra = cluster_separation(vectors, np.array([0, 0, 1, 1]))
         assert intra == pytest.approx(100.0, abs=1e-9)
         # raw centroids are a and b themselves
-        assert inter == pytest.approx(100.0 * (1 - numeric.cosine(a, b)) / 2, abs=1e-9)
+        assert inter == pytest.approx(100.0 * (1 - loop_reference.cosine(a, b)) / 2, abs=1e-9)
 
     def test_endpoints_identical_classes_orthogonal_centroids(self):
         # three point-classes on orthogonal axes: homogeneity at its maximum,

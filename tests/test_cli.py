@@ -1,12 +1,15 @@
 """CLI wiring: subcommands, config files, exit codes."""
 
 import json
+import re
 import shutil
 
+import numpy as np
 import pytest
 
 from groundcap.cli import build_train_config, main, read_config_file
 from groundcap.data import load_dataset, read_jsonl
+from groundcap.model import ModelConfig, ModelParams, save_checkpoint
 
 TINY_FLAGS = [
     "--hidden-size", "8",
@@ -185,7 +188,7 @@ def _set_first_label(record):
 
 
 def _set_first_feature_infinite(record):
-    record["features"][0][0] = float("inf")  # written as Infinity, read back as inf
+    record["features"][0][0] = float("inf")  # written as Infinity, which is not JSON
 
 
 def _set_first_box_infinite(record):
@@ -194,6 +197,17 @@ def _set_first_box_infinite(record):
 
 def _cut_first_feature_row(record):
     record["features"][0] = record["features"][0][:10]  # the others keep 12
+
+
+def _set_first_caption_lone_surrogate(record):
+    record["captions"][0] = "\ud800"  # a lone surrogate: written as the escape \ud800
+
+
+def _overflow_first_feature(path):
+    lines = path.read_text().splitlines()
+    lines[0], edits = re.subn(r'"features": \[\[[^,\]]+', '"features": [[1e400', lines[0], count=1)
+    assert edits == 1
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _copy_first_record_over_second(path):
@@ -215,6 +229,16 @@ def _train_on_broken_copy(break_data):
 
 def _missing_checkpoint(data_dir, tmp_path):
     return ["evaluate", "--checkpoint", str(tmp_path / "missing.json"), "--data", str(data_dir)]
+
+
+def _nan_checkpoint(data_dir, tmp_path):
+    path = tmp_path / "nan.json"
+    params = ModelParams.init(ModelConfig(vocab_size=5, feature_size=12, hidden_size=4),
+                              np.random.default_rng(0))
+    params.arrays["out.b"][0] = float("nan")  # json.dumps writes the literal NaN
+    save_checkpoint(params, path)
+    assert b"NaN" in path.read_bytes()
+    return ["evaluate", "--checkpoint", str(path), "--data", str(data_dir)]
 
 
 def _assign_labels(targets, detections, classes, tmp_path):
@@ -242,6 +266,12 @@ BROKEN_INPUTS = {
     "non_finite_feature": _train_on_broken_copy(
         lambda d: _edit_first_record(d / "test.jsonl", _set_first_feature_infinite)
     ),
+    "feature_overflowing_float64": _train_on_broken_copy(
+        lambda d: _overflow_first_feature(d / "val.jsonl")
+    ),
+    "caption_lone_surrogate": _train_on_broken_copy(
+        lambda d: _edit_first_record(d / "train.jsonl", _set_first_caption_lone_surrogate)
+    ),
     "infinite_box_coordinate": _train_on_broken_copy(
         lambda d: _edit_first_record(d / "val.jsonl", _set_first_box_infinite)
     ),
@@ -252,6 +282,7 @@ BROKEN_INPUTS = {
         lambda d: _copy_first_record_over_second(d / "test.jsonl")
     ),
     "missing_checkpoint": _missing_checkpoint,
+    "nan_in_checkpoint": _nan_checkpoint,
     "malformed_detections_line": lambda d, t: _assign_labels(
         d / "test.jsonl", _write(t / "dets.jsonl", "{not json\n"), d / "classes.json", t
     ),

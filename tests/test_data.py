@@ -1,10 +1,17 @@
 """Vocabulary construction, caption codec, dataset I/O, synthetic generator."""
 
+import json
+import math
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from decode_reference import decode_tokens
 from groundcap import data
 from groundcap.data import (
     BOS_ID,
@@ -14,12 +21,31 @@ from groundcap.data import (
     SyntheticSpec,
     Vocabulary,
     build_vocabulary,
-    decode_tokens,
     encode_caption,
     generate_synthetic_dataset,
     normalize,
 )
 from groundcap.errors import ConfigError, DataValidationError
+
+
+def _float64_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# both zeros, subnormals (the smallest and the largest), the smallest normal
+# and the largest finite value
+EXTREME_FLOATS = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -5e-324,
+                  2.225073858507201e-308, 2.2250738585072014e-308, -1.7976931348623157e308]
+FINITE_FLOAT64 = st.one_of(
+    st.sampled_from(EXTREME_FLOATS),
+    st.integers(0, 2**64 - 1).map(_float64_of_bits).filter(math.isfinite),
+)
+# two distinct values (0.0 and -0.0 count as one) for a box's side
+BOX_SIDE = st.lists(FINITE_FLOAT64, min_size=2, max_size=2, unique=True)
+RECORD_WITH_ID = (
+    '{"id": ID, "features": [[0.5]], "boxes": [[0.0, 0.0, 1.0, 1.0]], '
+    '"labels": [0], "captions": ["a"]}\n'
+)
 
 
 class TestVocabulary:
@@ -227,6 +253,52 @@ class TestDatasetIO:
     def test_malformed_record(self):
         with pytest.raises(DataValidationError):
             data.record_to_example({"id": "x"})
+
+    @given(st.lists(st.tuples(st.integers(1, 3), st.data()), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    @example([(1, None)])
+    def test_float_bits_survive_write_and_read(self, shapes):
+        """Every finite float64 reads back with its exact bits, as ``json`` reads it."""
+        examples = []
+        for m, (k, draw) in enumerate(shapes):
+            if draw is None:  # the explicit example: the extremes in one record
+                feats, sides = [EXTREME_FLOATS], [((-0.0, 5e-324), (-1.7976931348623157e308, -5e-324))]
+            else:
+                feats = draw.draw(st.lists(
+                    st.lists(FINITE_FLOAT64, min_size=3, max_size=3), min_size=k, max_size=k
+                ))
+                sides = [(draw.draw(BOX_SIDE), draw.draw(BOX_SIDE)) for _ in range(k)]
+            boxes = [data.BoundingBox(min(xs), min(ys), max(xs), max(ys)) for xs, ys in sides]
+            examples.append(data.ImageExample(
+                image_id=f"img-{m}", features=np.array(feats), boxes=boxes,
+                labels=[0] * len(boxes), captions=["a"],
+            ))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "split.jsonl"
+            data.write_jsonl(examples, path)
+            oracle = [json.loads(line) for line in path.read_text().splitlines()]
+            back = data.read_jsonl(path)
+        for ex, rec, got in zip(examples, oracle, back):
+            want_feats = [v.hex() for v in ex.features.ravel().tolist()]
+            assert [v.hex() for v in got.features.ravel().tolist()] == want_feats
+            assert [float(v).hex() for row in rec["features"] for v in row] == want_feats
+            want_boxes = [v.hex() for b in ex.boxes for v in b.as_array().tolist()]
+            assert [v.hex() for b in got.boxes for v in b.as_array().tolist()] == want_boxes
+            assert [float(v).hex() for box in rec["boxes"] for v in box] == want_boxes
+
+    def test_integer_id_reads_as_its_digits(self, tmp_path):
+        path = tmp_path / "split.jsonl"
+        path.write_text(RECORD_WITH_ID.replace("ID", "7"))
+        assert [ex.image_id for ex in data.read_jsonl(path)] == ["7"]
+
+    # 2**64 + 1: orjson reads an integer beyond 64 bits as a float, whose
+    # str() would collide with that of 2**64
+    @pytest.mark.parametrize("literal", ["18446744073709551617", "7.0", "true", "null"])
+    def test_id_that_is_not_a_string_or_integer_is_rejected(self, literal, tmp_path):
+        path = tmp_path / "split.jsonl"
+        path.write_text(RECORD_WITH_ID.replace("ID", literal))
+        with pytest.raises(DataValidationError, match="not a JSON string or a 64-bit integer"):
+            data.read_jsonl(path)
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(DataValidationError):

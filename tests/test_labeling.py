@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from groundcap.data import BoundingBox, read_jsonl
+from groundcap.errors import DataValidationError
 from groundcap.labeling import Detection, assign_labels, iou, label_dataset_file
 
 UNK = 99
@@ -134,3 +135,12 @@ class TestLabelDatasetFile:
         out = tmp_path / "out.jsonl"
         label_dataset_file(targets, dets, out, unk_id=UNK)
         assert read_jsonl(out)[0].labels == [UNK]
+
+    def test_detection_id_beyond_64_bits_is_rejected(self, tmp_path):
+        # orjson reads 2**64 + 1 as a float, whose str() matches that of 2**64
+        targets = tmp_path / "targets.jsonl"
+        targets.write_text("")
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text('{"id": 18446744073709551617, "boxes": [], "labels": []}\n')
+        with pytest.raises(DataValidationError, match="64-bit integer"):
+            label_dataset_file(targets, dets, tmp_path / "out.jsonl", unk_id=UNK)

@@ -5,6 +5,7 @@ The single-example decoder (``lstm_step``, ``attend``, ``decode_step``,
 batched ``greedy_decode`` and ``batch_forward``; its tests stay here.
 """
 
+import gzip
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -356,6 +357,17 @@ class TestBatchedGreedyDecode:
         got = assert_matches_reference(split_objects(seed, counts, params), params)
         assert len(got) == batch
 
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1.0, 10.0))
+    def test_random_biases_match_reference(self, seed, scale):
+        # init biases are zero but for the forget gates; these exercise every
+        # bias term, including LSTM1's, which the decoder adds once per chunk
+        params = decoder_params(seed, vocab=9, d=5, d_in=3, scale=scale)
+        rng = np.random.default_rng(seed)
+        for name in ("lstm1.b", "lstm2.b", "out.b"):
+            params.arrays[name] = scale * rng.normal(size=params.arrays[name].shape)
+        assert_matches_reference(split_objects(seed, [1, 2, 3, 4, 5, 6] * 5, params), params)
+
     def test_captions_end_at_different_steps(self):
         # Rows leave the batch at different steps and the cap holds for the rest.
         params = decoder_params(3, vocab=8, d=4, d_in=3, scale=25.0)
@@ -427,7 +439,7 @@ class TestBatchForward:
         tokens = [[3, EOS_ID], [4, 5, EOS_ID], [EOS_ID]]
         with ad.no_grad():
             out = batch_forward(
-                params.constants(), params.config, feats,
+                tape_reference.constants(params), params.config, feats,
                 [[0] * f.shape[0] for f in feats], [0, 1, 2], tokens,
             )
         for e in range(3):
@@ -440,7 +452,7 @@ class TestBatchForward:
         tokens = [[3, EOS_ID], [4, EOS_ID]]  # two captions of one image
         with ad.no_grad():
             out = batch_forward(
-                params.constants(), params.config, feats, [[0, 0, 0]], [0, 0], tokens
+                tape_reference.constants(params), params.config, feats, [[0, 0, 0]], [0, 0], tokens
             )
         assert out.projected_flat.data.shape == (3, 4)
 
@@ -454,7 +466,7 @@ class TestBatchForward:
             p = ModelParams(config=cfg, arrays=arrays)
             with ad.no_grad():
                 out = batch_forward(
-                    p.constants(), cfg, feats, [[0, 0], [0, 0, 0]], [0, 1], tokens
+                    tape_reference.constants(p), cfg, feats, [[0, 0], [0, 0, 0]], [0, 1], tokens
                 )
             return float(-out.per_example_logprob.data.mean())
 
@@ -570,7 +582,7 @@ class TestFusedTeacherForcedOp:
             p = ModelParams(config=params.config, arrays=arrays)
             with ad.no_grad():
                 out = batch_forward(
-                    p.constants(), p.config, feats, [[0], [0, 0, 0]], image_of_example,
+                    tape_reference.constants(p), p.config, feats, [[0], [0, 0, 0]], image_of_example,
                     tokens, DropoutPlan(rate=0.2, rng=np.random.default_rng(8)),
                 )
             return float(
@@ -592,12 +604,25 @@ class TestFusedTeacherForcedOp:
         tokens[0][position] = bad_id
         with pytest.raises(DomainError, match="out of range"):
             batch_forward(
-                params.constants(), params.config, [rng.normal(size=(2, 3))], [[0, 0]], [0],
+                tape_reference.constants(params), params.config, [rng.normal(size=(2, 3))], [[0, 0]], [0],
                 tokens,
             )
 
 
+FIXTURE_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "fixture" / "checkpoint_best.json.gz"
+
+
 class TestCheckpoint:
+    def test_fixture_loads_to_the_arrays_json_reads(self, tmp_path):
+        path = tmp_path / "checkpoint_best.json"
+        path.write_bytes(gzip.decompress(FIXTURE_CHECKPOINT.read_bytes()))
+        oracle = json.loads(path.read_text())["params"]
+        params, _ = load_checkpoint(path)
+        assert sorted(params.arrays) == sorted(oracle)
+        for name, entry in oracle.items():
+            want = np.array(entry["data"])
+            assert params.arrays[name].ravel().tobytes() == want.tobytes(), name
+
     def test_roundtrip(self, tmp_path, rng):
         params = toy_params(seed=17)
         path = tmp_path / "ckpt.json"
