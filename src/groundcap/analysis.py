@@ -68,16 +68,11 @@ class AlignedSpaces:
             raise DataValidationError("aligned spaces must share one class list")
 
 
-def class_centroids(
-    vectors: np.ndarray, labels: np.ndarray, exclude: int | None = None
-) -> dict[int, np.ndarray]:
+def class_centroids(vectors: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray]:
     """Arithmetic mean of the vectors of each class."""
     vectors = np.asarray(vectors, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    keep = labels != exclude if exclude is not None else np.ones(len(labels), bool)
-    out: dict[int, np.ndarray] = {}
-    for c in np.unique(labels[keep]):
-        out[int(c)] = vectors[labels == c].mean(axis=0)
+    out = {int(c): vectors[labels == c].mean(axis=0) for c in np.unique(labels)}
     if not out:
         raise DomainError("no labeled vectors to build centroids from")
     return out
@@ -194,15 +189,11 @@ def collect_objects(
     examples: list[ImageExample], unk_id: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """All non-UNK object vectors of a split with their labels."""
-    feats, labels = [], []
-    for ex in examples:
-        for vec, label in zip(ex.features, ex.labels):
-            if label != unk_id:
-                feats.append(vec)
-                labels.append(label)
-    if not feats:
+    labels = np.concatenate([ex.labels for ex in examples] or [np.zeros(0, dtype=np.int64)])
+    keep = labels != unk_id
+    if not keep.any():
         raise DataValidationError("split has no labeled (non-UNK) objects")
-    return np.stack(feats), np.asarray(labels, dtype=np.int64)
+    return np.concatenate([ex.features for ex in examples])[keep], labels[keep]
 
 
 def decode_corpus(

@@ -11,7 +11,13 @@ Dataset files are JSON lines, one record per image:
     {"id": str, "features": [[float x d_in] x k],
      "boxes": [[x_min, y_min, x_max, y_max] x k],
      "labels": [int x k], "captions": [str, ...]}
-The same format ingests externally produced feature files. The class
+The same format ingests externally produced feature files. The detection
+file of ``assign-labels`` holds {"id", "boxes", "labels"} records whose
+boxes and labels have equal lengths, zero allowed. Feature values and box
+coordinates are JSON numbers, labels JSON integers that fit in 64 bits,
+captions JSON strings: ``true``, ``null`` or a quoted number there is an
+error, not converted. Every box satisfies ``-inf < x_min < x_max < inf``
+and ``-inf < y_min < y_max < inf``, which also rejects NaN. The class
 table is a flat JSON map label-id -> label string in which the UNK class
 carries the literal string "UNK". Inputs are parsed as RFC 8259 JSON in
 UTF-8: NaN/Infinity literals, numbers that overflow float64 and lone
@@ -26,6 +32,7 @@ import logging
 import os
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -105,26 +112,22 @@ def encode_caption(text: str, vocab: Vocabulary, max_len: int = 16) -> list[int]
     return ids
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box; coordinates are conventionally normalized to [0,1]."""
-
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def __post_init__(self):
-        # chained comparisons also reject NaN and infinite coordinates
-        inf = float("inf")
-        if not (-inf < self.x_min < self.x_max < inf and -inf < self.y_min < self.y_max < inf):
+def box_array(boxes, count: int, where: str) -> np.ndarray:
+    """``boxes`` as a (count, 4) float64 array of (x_min, y_min, x_max, y_max)
+    rows, each with ``-inf < x_min < x_max < inf`` and
+    ``-inf < y_min < y_max < inf``; the chained comparisons also reject NaN."""
+    boxes = np.asarray(boxes, dtype=np.float64)
+    if boxes.shape == (0,):
+        boxes = boxes.reshape(0, 4)
+    if boxes.shape != (count, 4):
+        raise DataValidationError(f"{where}: boxes of shape {boxes.shape}, not ({count}, 4)")
+    inf = float("inf")
+    for x_min, y_min, x_max, y_max in boxes.tolist():
+        if not (-inf < x_min < x_max < inf and -inf < y_min < y_max < inf):
             raise DataValidationError(
-                "degenerate or non-finite box "
-                f"({self.x_min}, {self.y_min}, {self.x_max}, {self.y_max})"
+                f"{where}: degenerate or non-finite box ({x_min}, {y_min}, {x_max}, {y_max})"
             )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x_min, self.y_min, self.x_max, self.y_max])
+    return boxes
 
 
 @dataclass
@@ -133,8 +136,8 @@ class ImageExample:
 
     image_id: str
     features: np.ndarray  # (k, d_in) float64
-    boxes: list[BoundingBox]
-    labels: list[int]
+    boxes: np.ndarray  # (k, 4) float64, see box_array
+    labels: np.ndarray  # (k,) int64
     captions: list[str]
 
     def __post_init__(self):
@@ -144,11 +147,12 @@ class ImageExample:
                 f"image {self.image_id}: features must be a (k>=1, d_in) matrix"
             )
         k = self.features.shape[0]
-        if len(self.boxes) != k or len(self.labels) != k:
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.labels.shape != (k,):
             raise DataValidationError(
-                f"image {self.image_id}: {k} features but {len(self.boxes)} boxes "
-                f"and {len(self.labels)} labels"
+                f"image {self.image_id}: {k} features but labels of shape {self.labels.shape}"
             )
+        self.boxes = box_array(self.boxes, k, f"image {self.image_id}")
 
 
 @dataclass(frozen=True)
@@ -220,9 +224,9 @@ class Dataset:
 def example_to_record(ex: ImageExample) -> dict:
     return {
         "id": ex.image_id,
-        "features": [[float(v) for v in row] for row in ex.features],
-        "boxes": [[b.x_min, b.y_min, b.x_max, b.y_max] for b in ex.boxes],
-        "labels": [int(l) for l in ex.labels],
+        "features": ex.features.tolist(),
+        "boxes": ex.boxes.tolist(),
+        "labels": ex.labels.tolist(),
         "captions": list(ex.captions),
     }
 
@@ -237,17 +241,33 @@ def image_id_of(rec: dict) -> str:
     return str(value)
 
 
+# the Python types orjson reads each JSON kind as; true and false read as bool
+_JSON_TYPES = {"number": {float, int}, "integer": {int}, "string": {str}}
+
+
+def json_array(value, kind: str, where: str, rows: bool = False) -> list:
+    """``value`` if it is a JSON array of JSON ``kind`` values (with ``rows``,
+    an array of such arrays)."""
+    if type(value) is list:
+        items = chain.from_iterable(value) if rows else value
+        if set(map(type, items)) <= _JSON_TYPES[kind]:
+            return value
+    nesting = "arrays of " if rows else ""
+    raise DataValidationError(f"{where} must be a JSON array of {nesting}{kind}s")
+
+
 def record_to_example(rec: dict) -> ImageExample:
     try:
-        boxes = [BoundingBox(*map(float, b)) for b in rec["boxes"]]
+        image_id = image_id_of(rec)
+        where = f"image {image_id}:"
         return ImageExample(
-            image_id=image_id_of(rec),
-            features=np.asarray(rec["features"], dtype=np.float64),
-            boxes=boxes,
-            labels=[int(l) for l in rec["labels"]],
-            captions=[str(c) for c in rec["captions"]],
+            image_id=image_id,
+            features=json_array(rec["features"], "number", f"{where} features", rows=True),
+            boxes=json_array(rec["boxes"], "number", f"{where} boxes", rows=True),
+            labels=json_array(rec["labels"], "integer", f"{where} labels"),
+            captions=json_array(rec["captions"], "string", f"{where} captions"),
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise DataValidationError(f"malformed dataset record: {err}") from err
 
 
@@ -315,7 +335,7 @@ def load_dataset(data_dir: Path) -> Dataset:
         path = data_dir / f"{name}.jsonl"
         splits[name] = read_jsonl(path)
         for ex in splits[name]:
-            unknown = set(ex.labels) - table.names.keys()
+            unknown = set(ex.labels.tolist()) - table.names.keys()
             if unknown:
                 raise DataValidationError(
                     f"{path}: image {ex.image_id} has labels {sorted(unknown)} "
@@ -364,9 +384,9 @@ class SyntheticSpec:
     feature_size: int = 32
     geometry: str = "matched"  # or "scrambled"
     captions_per_image: int = 2
-    # share of images whose caption reverses the label order: irreducible
-    # ambiguity no model can resolve, which pins every run's achievable
-    # validation score to the same ceiling
+    # share of images whose caption reverses the label order: ambiguity no
+    # model can resolve, which caps validation CIDEr at the score of always
+    # emitting the canonical (unswapped) caption
     caption_order_noise: float = 0.3
 
     def validate(self) -> None:
@@ -440,12 +460,12 @@ def class_prototypes(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarra
     return protos
 
 
-def _random_box(rng: np.random.Generator) -> BoundingBox:
+def _random_box(rng: np.random.Generator) -> tuple[float, float, float, float]:
     x0 = rng.uniform(0.0, 0.55)
     y0 = rng.uniform(0.0, 0.55)
     w = rng.uniform(0.1, 0.4)
     h = rng.uniform(0.1, 0.4)
-    return BoundingBox(x0, y0, min(x0 + w, 1.0), min(y0 + h, 1.0))
+    return x0, y0, min(x0 + w, 1.0), min(y0 + h, 1.0)
 
 
 def _caption_for(class_ids: list[int], names: dict[int, str], swap: bool) -> str:
@@ -454,10 +474,11 @@ def _caption_for(class_ids: list[int], names: dict[int, str], swap: bool) -> str
     The two lowest class ids present fill the pair template in class-id
     order (not object order, so the target is learnable from an unordered
     object set), reversed for the ``swap`` fraction of images. Without the
-    swap the caption is a pure function of the label set, which keeps
-    validation CIDEr flat once a model has converged and makes
-    early-stopping times comparable across runs; the swap adds a
-    model-independent noise floor so no run can chase the ceiling.
+    swap the caption is a pure function of the label set. With it, no model
+    can tell a swapped image from its canonical twin, so validation CIDEr
+    is capped at the score of the canonical captions (836.2 on the
+    validation split of the acceptance-matrix data). Runs still reach
+    different best scores and stop at different times.
     """
     distinct = sorted(set(class_ids))
     if len(distinct) >= 2:

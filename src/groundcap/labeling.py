@@ -4,53 +4,45 @@ Each target box takes the label of the detection with the highest IoU;
 targets overlapping nothing (or an empty detection list) fall back to the
 UNK class. Ties break toward the lowest detection index so labeling is
 reproducible. Edge-touching boxes have zero intersection area and count
-as no overlap.
+as no overlap. Boxes are (x_min, y_min, x_max, y_max) rows, as in
+``data.box_array``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import orjson
 
 from . import kernels
-from .data import BoundingBox, DataValidationError, image_id_of
+from .data import DataValidationError, box_array, image_id_of, json_array, read_jsonl, write_jsonl
 from .errors import ConfigError
 
-
-@dataclass(frozen=True)
-class Detection:
-    box: BoundingBox
-    label: int
+NO_DETECTIONS = (np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
+def iou(a: np.ndarray, b: np.ndarray) -> float:
     """Intersection over union of two boxes; 0 when disjoint."""
-    return float(kernels.iou_matrix(a.as_array()[None], b.as_array()[None])[0, 0])
+    pair = np.asarray([a, b], dtype=np.float64)
+    return float(kernels.iou_matrix(pair[:1], pair[1:])[0, 0])
 
 
 def assign_labels(
-    targets: list[BoundingBox], detections: list[Detection], unk_id: int
-) -> list[int]:
+    targets: np.ndarray, det_boxes: np.ndarray, det_labels: np.ndarray, unk_id: int
+) -> np.ndarray:
     """Label of the max-IoU detection per target, UNK on zero overlap."""
-    if not targets:
-        return []
-    if not detections:
-        return [unk_id] * len(targets)
-    t = np.stack([b.as_array() for b in targets])
-    d = np.stack([det.box.as_array() for det in detections])
-    matrix = kernels.iou_matrix(t, d)
+    if len(det_labels) == 0:
+        return np.full(len(targets), unk_id, dtype=np.int64)
+    matrix = kernels.iou_matrix(targets, det_boxes)
     best = matrix.argmax(axis=1)  # first maximum = lowest detection index
-    out = []
-    for row, col in enumerate(best):
-        out.append(detections[col].label if matrix[row, col] > 0.0 else unk_id)
-    return out
+    overlap = matrix[np.arange(len(targets)), best] > 0.0
+    return np.where(overlap, det_labels[best], unk_id)
 
 
-def _load_detections(path: Path) -> dict[str, list[Detection]]:
-    per_image: dict[str, list[Detection]] = {}
+def _load_detections(path: Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Image id -> (boxes (m, 4), labels (m,)) of its detection record."""
+    per_image: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     try:
         with open(path, "rb") as fh:
             for line in fh:
@@ -59,12 +51,14 @@ def _load_detections(path: Path) -> dict[str, list[Detection]]:
                     continue
                 try:
                     rec = orjson.loads(line)
-                    dets = [
-                        Detection(box=BoundingBox(*map(float, box)), label=int(label))
-                        for box, label in zip(rec["boxes"], rec["labels"])
-                    ]
-                    per_image[image_id_of(rec)] = dets
-                except (KeyError, TypeError, ValueError) as err:
+                    image_id = image_id_of(rec)
+                    where = f"image {image_id} detections"
+                    labels = np.asarray(
+                        json_array(rec["labels"], "integer", f"{where}: labels"), dtype=np.int64
+                    )
+                    boxes = json_array(rec["boxes"], "number", f"{where}: boxes", rows=True)
+                    per_image[image_id] = box_array(boxes, len(labels), where), labels
+                except (KeyError, TypeError, ValueError, OverflowError) as err:
                     raise DataValidationError(f"malformed detection record: {err}") from err
     except OSError as err:
         raise DataValidationError(f"cannot read {path}: {err}") from err
@@ -76,17 +70,14 @@ def label_dataset_file(
 ) -> int:
     """Fill the labels of every record in a JSONL feature file.
 
-    Detections are matched to targets by image id; images without a
-    detection record get UNK throughout. Returns the number of images
-    written.
+    Detector records are matched to targets by image id; images without
+    one get UNK throughout. Returns the number of images written.
     """
-    from .data import read_jsonl, write_jsonl
-
     if unk_id < 0:
         raise ConfigError(f"unk_id must be non-negative, got {unk_id}")
     detections = _load_detections(Path(detections_path))
     examples = read_jsonl(Path(targets_path))
     for ex in examples:
-        ex.labels = assign_labels(ex.boxes, detections.get(ex.image_id, []), unk_id)
+        ex.labels = assign_labels(ex.boxes, *detections.get(ex.image_id, NO_DETECTIONS), unk_id)
     write_jsonl(examples, Path(out_path))
     return len(examples)

@@ -308,7 +308,7 @@ def batch_forward(
     p: dict[str, Tensor],
     cfg: ModelConfig,
     features: list[np.ndarray],
-    labels: list[list[int]],
+    labels: list[np.ndarray],
     image_of_example: list[int],
     tokens: list[list[int]],
     dropout_plan: DropoutPlan = NO_DROPOUT,
@@ -346,13 +346,8 @@ def batch_forward(
     per_example = ad.teacher_forced_logprob(
         z_flat, [p[name] for name in DECODER_PARAMS], rows, valid, inputs, targets, t_mask, drop
     )
-    flat_labels = (
-        np.concatenate([np.asarray(l, dtype=np.int64) for l in labels])
-        if labels
-        else np.zeros(0, dtype=np.int64)
-    )
     return BatchForward(
         per_example_logprob=per_example,
         projected_flat=z_flat,
-        flat_labels=flat_labels,
+        flat_labels=np.concatenate(labels),
     )

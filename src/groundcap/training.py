@@ -264,7 +264,7 @@ def _train_step(
 
     position: dict[int, int] = {}
     feats: list[np.ndarray] = []
-    labels: list[list[int]] = []
+    labels: list[np.ndarray] = []
     image_of_example: list[int] = []
     tokens: list[list[int]] = []
     for img_idx, seq in batch:
@@ -332,7 +332,7 @@ def train(config: TrainConfig, dataset: Dataset, run_dir: Path | None = None) ->
     unk_id = dataset.class_table.unk_id
     if config.grounding_enabled:
         class_tokens = dataset.class_table.label_token_ids(vocab)
-        if all(l == unk_id for ex in dataset.train for l in ex.labels):
+        if all((ex.labels == unk_id).all() for ex in dataset.train):
             raise ConfigError("grounding losses enabled but every training label is UNK")
 
     model_config = ModelConfig(

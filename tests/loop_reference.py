@@ -11,7 +11,9 @@ element at a time, within the tolerances in ``tests/test_kernels.py``
 differentiate each cell on its own, as the per-pair formula does, so they
 also check the matrix backward's ``(G + G^T) @ U`` and normalisation steps.
 ``cosine`` is the two-vector formula the tests compare structure numbers
-with.
+with. ``box_is_valid`` is the box rule one box at a time, which the array
+check in ``groundcap.data`` must agree with on every float, NaN and
+infinities included.
 """
 
 import math
@@ -241,3 +243,9 @@ def iou_matrix_loop(boxes_a, boxes_b):
             union = area_a + (bx1 - bx0) * (by1 - by0) - inter
             out[p, q] = inter / union
     return out
+
+
+def box_is_valid(x_min, y_min, x_max, y_max) -> bool:
+    # chained comparisons also reject NaN and infinite coordinates
+    inf = float("inf")
+    return -inf < x_min < x_max < inf and -inf < y_min < y_max < inf

@@ -22,12 +22,11 @@ from groundcap import autodiff as ad
 from groundcap.analysis import AnalysisReport, analyze
 from groundcap.autodiff import Tensor
 from groundcap.data import (
-    BoundingBox,
     EOS_ID,
     SyntheticSpec,
     generate_synthetic_dataset,
 )
-from groundcap.labeling import Detection, assign_labels, iou
+from groundcap.labeling import assign_labels, iou
 from groundcap.losses import (
     LabeledProjection,
     cluster_loss,
@@ -423,7 +422,7 @@ class TestCriterion8LabelAssignment:
         def random_box():
             x0, y0 = rng.uniform(0, 0.7, size=2)
             w, h = rng.uniform(0.02, 0.3, size=2)
-            return BoundingBox(x0, y0, x0 + w, y0 + h)
+            return np.array([x0, y0, x0 + w, y0 + h])
 
         violations = []
         for trial in range(1000):
@@ -438,22 +437,18 @@ class TestCriterion8LabelAssignment:
 
         # hand fixtures
         unk = 99
-        t = BoundingBox(0, 0, 2, 2)
+        t = np.array([[0.0, 0.0, 2.0, 2.0]])
         hand_ok = (
-            iou(BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 3, 3)) == pytest.approx(1 / 7)
-            and assign_labels([BoundingBox(0.8, 0.8, 0.9, 0.9)],
-                              [Detection(BoundingBox(0, 0, 0.2, 0.2), 3)], unk) == [unk]
-            and assign_labels([t], [], unk) == [unk]
+            iou(np.array([0.0, 0, 2, 2]), np.array([1.0, 1, 3, 3])) == pytest.approx(1 / 7)
+            and assign_labels(np.array([[0.8, 0.8, 0.9, 0.9]]),
+                              np.array([[0, 0, 0.2, 0.2]]), np.array([3]), unk).tolist() == [unk]
+            and assign_labels(t, np.zeros((0, 4)), np.zeros(0, dtype=np.int64), unk).tolist() == [unk]
             and assign_labels(
-                [t],
-                [Detection(BoundingBox(0, 0, 1, 2), 5), Detection(BoundingBox(1, 0, 2, 2), 6)],
-                unk,
-            ) == [5]  # exact IoU tie -> lowest detection index
+                t, np.array([[0.0, 0, 1, 2], [1, 0, 2, 2]]), np.array([5, 6]), unk,
+            ).tolist() == [5]  # exact IoU tie -> lowest detection index
             and assign_labels(
-                [t],
-                [Detection(BoundingBox(1, 1, 3, 3), 1), Detection(BoundingBox(0, 0, 2, 4), 2)],
-                unk,
-            ) == [2]  # IoU 1/7 vs 1/2
+                t, np.array([[1.0, 1, 3, 3], [0, 0, 2, 4]]), np.array([1, 2]), unk,
+            ).tolist() == [2]  # IoU 1/7 vs 1/2
         )
         ok = not violations and hand_ok
         report(

@@ -55,12 +55,9 @@ class TestClassCentroids:
         cents = class_centroids(samples, np.zeros(100, dtype=int))
         assert loop_reference.cosine(cents[0], proto) >= 0.99
 
-    def test_unk_exclusion_and_empty_error(self):
-        v = np.eye(3)
-        cents = class_centroids(v, np.array([0, 0, 9]), exclude=9)
-        assert set(cents) == {0}
-        with pytest.raises(DomainError):
-            class_centroids(v, np.array([9, 9, 9]), exclude=9)
+    def test_empty_labels_error(self):
+        with pytest.raises(DomainError, match="no labeled vectors"):
+            class_centroids(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
 
 
 class TestMeanNeighborOverlap:
@@ -307,7 +304,7 @@ class TestAnalyze:
     def test_missing_labels_is_validation_error(self, setup):
         ds, vocab, params = setup
         for ex in ds.test:
-            ex.labels = [ds.class_table.unk_id] * len(ex.labels)
+            ex.labels = np.full_like(ex.labels, ds.class_table.unk_id)
         with pytest.raises(DataValidationError):
             analyze(params, ds.test, ds.class_table, vocab, cider=12.5)
 

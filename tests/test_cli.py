@@ -73,7 +73,7 @@ class TestAssignLabels:
             "--out", str(out),
         ])
         assert code == 0
-        assert read_jsonl(out)[0].labels == [1, 2]
+        assert read_jsonl(out)[0].labels.tolist() == [1, 2]
 
     def test_malformed_targets_exit_code_3(self, tmp_path, capsys):
         targets = tmp_path / "targets.jsonl"
@@ -187,6 +187,15 @@ def _set_first_label(record):
     record["labels"][0] = 99  # the class table holds ids 0..3
 
 
+def _set_first(field, value, row=None):
+    """An edit that sets ``record[field][0]``, or ``record[field][row][0]``, to ``value``."""
+    def edit(record):
+        target = record[field] if row is None else record[field][row]
+        target[0] = value
+
+    return edit
+
+
 def _set_first_feature_infinite(record):
     record["features"][0][0] = float("inf")  # written as Infinity, which is not JSON
 
@@ -280,6 +289,34 @@ BROKEN_INPUTS = {
     ),
     "duplicate_image_id": _train_on_broken_copy(
         lambda d: _copy_first_record_over_second(d / "test.jsonl")
+    ),
+    "label_float": _train_on_broken_copy(
+        lambda d: _edit_first_record(d / "train.jsonl", _set_first("labels", 3.7))
+    ),
+    "label_bool": _train_on_broken_copy(
+        lambda d: _edit_first_record(d / "train.jsonl", _set_first("labels", True))
+    ),
+    "label_string": _train_on_broken_copy(
+        lambda d: _edit_first_record(d / "train.jsonl", _set_first("labels", "1"))
+    ),
+    "label_beyond_int64": _train_on_broken_copy(
+        lambda d: _edit_first_record(d / "train.jsonl", _set_first("labels", 2**63))
+    ),
+    "caption_null": _train_on_broken_copy(
+        lambda d: _edit_first_record(d / "train.jsonl", _set_first("captions", None))
+    ),
+    "caption_number": _train_on_broken_copy(
+        lambda d: _edit_first_record(d / "train.jsonl", _set_first("captions", 5))
+    ),
+    "box_coordinate_string": _train_on_broken_copy(
+        lambda d: _edit_first_record(d / "train.jsonl", _set_first("boxes", "0.5", row=0))
+    ),
+    "feature_string": _train_on_broken_copy(
+        lambda d: _edit_first_record(d / "train.jsonl", _set_first("features", "0.5", row=0))
+    ),
+    # numpy would read true among floats as 1.0
+    "feature_bool": _train_on_broken_copy(
+        lambda d: _edit_first_record(d / "train.jsonl", _set_first("features", True, row=0))
     ),
     "missing_checkpoint": _missing_checkpoint,
     "nan_in_checkpoint": _nan_checkpoint,

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import loop_reference
 from decode_reference import decode_tokens
 from groundcap import data
 from groundcap.data import (
@@ -42,6 +43,11 @@ FINITE_FLOAT64 = st.one_of(
 )
 # two distinct values (0.0 and -0.0 count as one) for a box's side
 BOX_SIDE = st.lists(FINITE_FLOAT64, min_size=2, max_size=2, unique=True)
+# the non-finite values and the extremes, so that the box rule meets each of them often
+BOX_COORDINATE = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1.0, -1.0, *EXTREME_FLOATS]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
 RECORD_WITH_ID = (
     '{"id": ID, "features": [[0.5]], "boxes": [[0.0, 0.0, 1.0, 1.0]], '
     '"labels": [0], "captions": ["a"]}\n'
@@ -243,7 +249,7 @@ class TestDatasetIO:
         for a, b in zip(ds.train, back):
             assert a.image_id == b.image_id
             np.testing.assert_array_equal(a.features, b.features)
-            assert a.labels == b.labels
+            np.testing.assert_array_equal(a.labels, b.labels)
             assert a.captions == b.captions
 
     def test_load_dataset_missing_file(self, tmp_path):
@@ -268,10 +274,10 @@ class TestDatasetIO:
                     st.lists(FINITE_FLOAT64, min_size=3, max_size=3), min_size=k, max_size=k
                 ))
                 sides = [(draw.draw(BOX_SIDE), draw.draw(BOX_SIDE)) for _ in range(k)]
-            boxes = [data.BoundingBox(min(xs), min(ys), max(xs), max(ys)) for xs, ys in sides]
+            boxes = np.array([[min(xs), min(ys), max(xs), max(ys)] for xs, ys in sides])
             examples.append(data.ImageExample(
                 image_id=f"img-{m}", features=np.array(feats), boxes=boxes,
-                labels=[0] * len(boxes), captions=["a"],
+                labels=np.zeros(len(boxes), dtype=np.int64), captions=["a"],
             ))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "split.jsonl"
@@ -282,8 +288,8 @@ class TestDatasetIO:
             want_feats = [v.hex() for v in ex.features.ravel().tolist()]
             assert [v.hex() for v in got.features.ravel().tolist()] == want_feats
             assert [float(v).hex() for row in rec["features"] for v in row] == want_feats
-            want_boxes = [v.hex() for b in ex.boxes for v in b.as_array().tolist()]
-            assert [v.hex() for b in got.boxes for v in b.as_array().tolist()] == want_boxes
+            want_boxes = [v.hex() for v in ex.boxes.ravel().tolist()]
+            assert [v.hex() for v in got.boxes.ravel().tolist()] == want_boxes
             assert [float(v).hex() for box in rec["boxes"] for v in box] == want_boxes
 
     def test_integer_id_reads_as_its_digits(self, tmp_path):
@@ -302,4 +308,37 @@ class TestDatasetIO:
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(DataValidationError):
-            data.BoundingBox(0.5, 0.2, 0.5, 0.8)
+            data.ImageExample(
+                image_id="x", features=np.zeros((1, 1)), boxes=np.array([[0.5, 0.2, 0.5, 0.8]]),
+                labels=np.zeros(1, dtype=np.int64), captions=["a"],
+            )
+
+    @given(st.lists(BOX_COORDINATE, min_size=1, max_size=4),
+           st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    @example([0.2, 0.5], [0, 0, 1, 1])  # swapped corners
+    @example([0.2, 0.5], [0, 0, 0, 1])  # equal x edges
+    @example([0.0, -0.0, 1.0], [0, 0, 1, 2])  # 0.0 to -0.0 is no extent
+    @example([-0.0, 0.0, 1.0], [0, 0, 1, 2])
+    @example([0.0, 5e-324, -5e-324], [2, 2, 0, 1])  # subnormal extents
+    @example([math.nan, 0.0, 1.0], [1, 0, 2, 1])
+    @example([math.nan, 0.0, 1.0], [1, 1, 2, 0])
+    @example([-math.inf, 0.0, 1.0], [0, 1, 2, 2])
+    @example([math.inf, 0.0, 1.0], [1, 1, 0, 2])
+    def test_box_rule_matches_the_per_box_oracle(self, pool, picks):
+        """``ImageExample`` keeps exactly the boxes ``loop_reference.box_is_valid``
+        accepts, with their bits. Coordinates come from a pool of up to four
+        values, so equal edges and swapped corners are common."""
+        box = [pool[i % len(pool)] for i in picks]
+
+        def make():
+            return data.ImageExample(
+                image_id="x", features=np.zeros((1, 1)), boxes=[box],
+                labels=[0], captions=["a"],
+            )
+
+        if loop_reference.box_is_valid(*box):
+            assert [v.hex() for v in make().boxes[0].tolist()] == [v.hex() for v in box]
+        else:
+            with pytest.raises(DataValidationError, match="degenerate or non-finite box"):
+                make()

@@ -207,7 +207,7 @@ class TestTrainLoop:
         ds = copy.deepcopy(tiny_dataset)
         unk = ds.class_table.unk_id
         for ex in ds.train:
-            ex.labels = [unk] * len(ex.labels)
+            ex.labels = np.full_like(ex.labels, unk)
         cfg = replace(TINY, use_cluster_loss=True)
         with pytest.raises(ConfigError, match="UNK"):
             train(cfg, ds)
