@@ -203,7 +203,12 @@ def decode_corpus(
     max_len: int,
 ) -> EvaluationCorpus:
     """Greedy-decode a split in one batched call, paired with its normalized
-    references image by image."""
+    references image by image. Every caller scores the corpus with CIDEr,
+    so a split of fewer than 2 images is a DataValidationError."""
+    if len(examples) < 2:
+        raise DataValidationError(
+            f"scoring a split needs at least 2 images for CIDEr, got {len(examples)}"
+        )
     references = []
     for ex in examples:
         refs = [r for r in (normalize(c) for c in ex.captions) if r]

@@ -372,14 +372,13 @@ def teacher_forced_logprob(
         dw_rec = flat1.T @ rec.reshape(-1, 2 * d)
         dwx1 = np.concatenate([flat1.T @ x.reshape(-1, d), sum1.T @ z_bar, dw_rec[:, :d]], axis=1)
         dw2 = flat2.T @ in2.reshape(-1, 3 * d)
-        demb = np.zeros_like(emb)
-        np.add.at(demb.T, inputs.T.ravel(), (flat1 @ wx1[:, :d]) * drop[:, 0].reshape(-1, d))
+        dx = (flat1 @ wx1[:, :d]) * drop[:, 0].reshape(-1, d)
+        demb = np.ascontiguousarray(kernels.scatter_rows(inputs.T.ravel(), dx, emb.shape[1]).T)
         dw_h = dhh.reshape(-1, a).T @ in2[:, :, d : 2 * d].reshape(-1, d)
         dw_z = datt.reshape(-1, a).T @ z.reshape(-1, d)
         dz = alphas.transpose(1, 2, 0) @ dct.transpose(1, 0, 2) + datt @ w_z
         dz += ((sum1 @ wx1[:, d : 2 * d]) * inv_count[:, None])[:, None, :]
-        dz_flat = np.zeros_like(z_flat.data)
-        np.add.at(dz_flat, rows[valid], dz[valid])
+        dz_flat = kernels.scatter_rows(rows[valid], dz[valid], len(z_flat.data))
         return (
             dz_flat, demb, dwx1, dw_rec[:, d:], sum1.sum(axis=0),
             np.concatenate([dw_h, dw_z], axis=1), des.ravel() @ us.reshape(-1, a),

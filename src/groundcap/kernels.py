@@ -85,13 +85,21 @@ def pair_cosines_backward(dcos, vecs):
     return (dunit - unit * radial[:, None]) / norms[:, None]
 
 
-def pair_pick_backward(dpicks, left, right, n):
-    """Gradient of the picks ``m[left, right]`` of an (n, n) matrix.
+def scatter_rows(ids, values, n):
+    """Rows of ``values`` (m, w) summed into an (n, w) array at rows ``ids``.
 
-    One bincount over the flat cells adds repeated cells in pick order, as
-    ``np.add.at`` would.
+    One bincount over the flat cells adds repeated rows in pick order, as
+    ``np.add.at`` would, so the sums have the same bits.
     """
-    return np.bincount(left * n + right, weights=dpicks, minlength=n * n).reshape(n, n)
+    w = values.shape[1]
+    cells = (ids[:, None] * w + np.arange(w)).ravel()
+    return np.bincount(cells, weights=values.ravel(), minlength=n * w).reshape(n, w)
+
+
+def pair_pick_backward(dpicks, left, right, n):
+    """Gradient of the picks ``m[left, right]`` of an (n, n) matrix: each
+    pick is row ``left * n + right`` of the flat matrix."""
+    return scatter_rows(left * n + right, dpicks[:, None], n * n).reshape(n, n)
 
 
 def lcs_length(a, b):

@@ -27,7 +27,6 @@ attention projection of z and LSTM1's mean(z) term with its bias.
 
 from __future__ import annotations
 
-import ctypes
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +35,7 @@ import numpy as np
 import orjson
 
 from . import autodiff as ad
-from . import kernels, numeric
+from . import heap, kernels, numeric
 from .autodiff import Tensor
 from .data import BOS_ID, EOS_ID, write_atomic
 from .errors import DataValidationError, DomainError, ShapeError
@@ -44,13 +43,6 @@ from .errors import DataValidationError, DomainError, ShapeError
 INIT_SCALE = 0.08
 FORGET_BIAS = 1.0
 CHECKPOINT_VERSION = 1
-
-# glibc's malloc_trim; None where the C library has none (musl, macOS, Windows)
-try:
-    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):
-    _MALLOC_TRIM = None
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -175,8 +167,7 @@ def load_checkpoint(path: Path) -> tuple[ModelParams, dict]:
     # pages back, a process that loads the 2.8 MB benchmark checkpoint once
     # per call kept about 10 MB more resident than one that parsed it with
     # the json module.
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
+    heap.trim_heap()
     params = ModelParams(config=config, arrays=arrays)
     params.validate()
     return params, payload.get("extra", {})

@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import heap
 from .analysis import analyze, decode_corpus, split_cider, write_vector_export
 from .autodiff import GradientTape
 from .data import Dataset, ImageExample, Vocabulary, build_vocabulary, encode_caption, write_atomic
@@ -312,7 +313,14 @@ def _train_step(
 
 
 def train(config: TrainConfig, dataset: Dataset, run_dir: Path | None = None) -> TrainResult:
-    """Optimize on the train split with early stopping on validation CIDEr."""
+    """Optimize on the train split with early stopping on validation CIDEr.
+
+    Training first tells glibc to keep the process's heap (``heap.keep_heap``),
+    so that every step reuses the pages of the step before instead of
+    faulting them in again. The setting holds for the rest of the process,
+    so later ``train`` calls, such as the runs of ``run_experiment_matrix``,
+    and whatever else the process does keep their freed memory too.
+    """
     config.validate()
     if not dataset.train:
         raise DataValidationError("training needs a non-empty train split")
@@ -320,6 +328,7 @@ def train(config: TrainConfig, dataset: Dataset, run_dir: Path | None = None) ->
         raise DataValidationError(
             "training needs >= 2 validation images (CIDEr early stopping)"
         )
+    heap.keep_heap()
     if run_dir is not None:
         run_dir = Path(run_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -448,8 +457,6 @@ def evaluate(
     max_len: int = 16,
 ) -> dict[str, float]:
     """Greedy-decode a split and emit the 100-scaled metric row."""
-    if not examples:
-        raise DataValidationError("cannot evaluate an empty split")
     return metric_table(decode_corpus(params, examples, vocab, max_len))
 
 

@@ -1,12 +1,12 @@
-"""Loop versions of the grounding samplers, the pair-pick scatter, the
-masked-branch sigmoid and the numeric kernels.
+"""Loop versions of the grounding samplers, the pair-pick and row scatters,
+the masked-branch sigmoid and the numeric kernels.
 
 These are the definitions the vectorised code in ``groundcap.losses``,
 ``groundcap.kernels`` and ``groundcap.numeric`` must reproduce: the
-samplers, the ``np.add.at`` scatter of the pair picks and the sigmoid bit
-for bit (the same index arrays, gradient and sigmoid bits and generator
-state after each call), and the ``*_loop`` kernels, which accumulate one
-element at a time, within the tolerances in ``tests/test_kernels.py``
+samplers, the ``np.add.at`` scatters of the pair picks and of rows, and the
+sigmoid bit for bit (the same index arrays, gradient and sigmoid bits and
+generator state after each call), and the ``*_loop`` kernels, which
+accumulate one element at a time, within the tolerances in ``tests/test_kernels.py``
 (exactly, for the dynamic-programming LCS). The cosine-matrix loops
 differentiate each cell on its own, as the per-pair formula does, so they
 also check the matrix backward's ``(G + G^T) @ U`` and normalisation steps.
@@ -82,6 +82,12 @@ def pair_pick_backward(dpicks, left, right, n):
     dm = np.zeros((n, n))
     np.add.at(dm, (left, right), dpicks)
     return dm
+
+
+def scatter_rows(ids, values, n):
+    out = np.zeros((n, values.shape[1]))
+    np.add.at(out, ids, values)
+    return out
 
 
 def sigmoid(x):

@@ -164,6 +164,22 @@ class TestTrainEvaluateAnalyze:
         assert code == 3
         assert "the checkpoint expects 12" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("images", [0, 1])
+    @pytest.mark.parametrize("command", ["evaluate", "analyze"])
+    def test_split_below_two_images_exit_code_3(
+        self, command, images, run_dir, data_dir, tmp_path, capsys
+    ):
+        small = tmp_path / "small"
+        shutil.copytree(data_dir, small)
+        lines = (small / "test.jsonl").read_text().splitlines(keepends=True)
+        (small / "test.jsonl").write_text("".join(lines[:images]))
+        code = main([
+            command, "--checkpoint", str(run_dir / "checkpoint_best.json"), "--data", str(small),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("data validation error: ") and "at least 2 images for CIDEr" in err
+
     def test_nan_training_exit_code_4(self, data_dir, tmp_path, capsys):
         # the first update moves every weight by about the learning rate, so
         # the second step's matmuls overflow and its loss is NaN

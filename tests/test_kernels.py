@@ -142,6 +142,28 @@ def test_pair_cosines_backward_matches_add_at_reference(rng):
         )
 
 
+def test_scatter_rows_matches_add_at_reference(rng):
+    # repeated rows (in and out of order), a single row picked many times,
+    # unreferenced rows, one column, and no rows at all
+    cases = [
+        (np.array([4, 0, 4, 2, 4, 0, 6]), 7, 5),
+        (np.full(50, 3), 7, 3),
+        (np.arange(7)[::-1].copy(), 7, 4),
+        (rng.integers(0, 7, size=200), 7, 1),
+        (np.zeros(0, dtype=np.int64), 7, 5),
+        (np.zeros(0, dtype=np.int64), 0, 5),
+    ]
+    for _ in range(20):
+        cases.append((rng.integers(0, 30, size=300), 30, 64))
+    for ids, n, w in cases:
+        # values spread over many magnitudes, so the sum order shows in the bits
+        values = rng.normal(size=(len(ids), w)) * 10.0 ** rng.integers(-8, 9, size=(len(ids), w))
+        got = kernels.scatter_rows(ids, values, n)
+        want = loop_reference.scatter_rows(ids, values, n)
+        assert got.shape == want.shape == (n, w)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_lcs_known_values():
     lcs = kernels.lcs_length
     assert lcs(np.array([1, 2, 3], dtype=np.int64), np.array([1, 2, 3], dtype=np.int64)) == 3

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import decode_reference
+import loop_reference
 import tape_reference
 from decode_reference import (
     DecoderState,
@@ -26,7 +27,7 @@ from decode_reference import (
     sequence_logprob,
 )
 from groundcap import autodiff as ad
-from groundcap import numeric
+from groundcap import kernels, numeric
 from groundcap.data import BOS_ID, EOS_ID, SyntheticSpec, generate_synthetic_dataset
 from groundcap.errors import DataValidationError, DomainError, ShapeError
 from groundcap.model import (
@@ -567,6 +568,30 @@ class TestFusedTeacherForcedOp:
         assert got_state == want_state
         for name, grad in want_grads.items():
             assert_close_relative(got_grads[name], grad)
+
+    def test_row_scatters_match_add_at_bytes(self, monkeypatch):
+        # the backward's two row scatters (embedding rows, object rows)
+        # against np.add.at: one image feeds four captions, images share
+        # captions, and a few token ids repeat within and across captions
+        params = decoder_params(5, vocab=20, d=16, d_in=8, scale=3.0)
+        rng = np.random.default_rng(11)
+        feats = [rng.normal(size=(k, 8)) for k in (10, 2, 7, 1, 10, 4)]
+        image_of_example = [0, 0, 2, 0, 1, 2, 3, 4, 5, 5, 0]
+        tokens = [
+            list(rng.integers(3, 7, size=rng.integers(1, 9))) + [EOS_ID] for _ in image_of_example
+        ]
+        probe = rng.normal(size=(sum(len(f) for f in feats), 16))
+        got, got_grads, _ = run_batch_forward(
+            batch_forward, params, feats, image_of_example, tokens, 0.2, 6, probe
+        )
+        monkeypatch.setattr(kernels, "scatter_rows", loop_reference.scatter_rows)
+        want, want_grads, _ = run_batch_forward(
+            batch_forward, params, feats, image_of_example, tokens, 0.2, 6, probe
+        )
+        assert got.tobytes() == want.tobytes()
+        for name, grad in want_grads.items():
+            assert got_grads[name].flags.c_contiguous, name
+            assert got_grads[name].tobytes() == grad.tobytes(), name
 
     def test_gradient_check_with_dropout_and_grounding_head(self, rng, fd_grad, rel_err):
         params = decoder_params(17, vocab=6, d=3, d_in=2, scale=4.0)

@@ -1,6 +1,7 @@
 """Harness behaviour: optimizer, schedule, early stopping, determinism, logs."""
 
 import json
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import decode_reference
 import loop_reference
-from groundcap import analysis, kernels, training
+from groundcap import analysis, heap, kernels, training
 from groundcap.analysis import analyze
 from groundcap.data import SyntheticSpec, generate_synthetic_dataset, normalize
 from groundcap.errors import ConfigError, DataValidationError, NumericalError
@@ -126,6 +127,7 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "sample_triplets", loop_reference.sample_triplets)
         monkeypatch.setattr(training, "sample_pairs", loop_reference.sample_pairs)
         monkeypatch.setattr(kernels, "pair_pick_backward", loop_reference.pair_pick_backward)
+        monkeypatch.setattr(kernels, "scatter_rows", loop_reference.scatter_rows)
         train(cfg, tiny_dataset, run_dir=tmp_path / "loops")
         runs = [tmp_path / "vectorised", tmp_path / "loops"]
         csvs = [strip_wall_ms((run / "convergence.csv").read_text()) for run in runs]
@@ -282,6 +284,78 @@ class TestTrainLoop:
         ds.val = []
         with pytest.raises(DataValidationError):
             train(TINY, ds)
+
+
+class TestKeepHeap:
+    """``train`` keeps the process's heap through glibc's mallopt, where the
+    C library has it; results never depend on it."""
+
+    def test_train_grounded_shapes_take_few_page_faults_per_step(self, monkeypatch):
+        resource = pytest.importorskip("resource")
+        if getattr(heap._LIBC, "mallopt", None) is None:
+            pytest.skip("the C library has no mallopt")
+        # the train-grounded benchmark's shapes: batches of 100 captions, 2 to
+        # 10 objects per image, hidden size 64, both grounding losses
+        dataset = generate_synthetic_dataset(
+            SyntheticSpec(num_classes=20, spread=0.1, images=250, feature_size=32,
+                          objects_min=2, objects_max=10),
+            seed=9,
+        )
+        cfg = replace(
+            TINY, hidden_size=64, batch_size=100, sample_size=2000, max_epochs=3,
+            use_cluster_loss=True, use_perceptual_loss=True,
+        )
+        faults = []
+        step = training._train_step
+
+        def probed(*args):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            out = step(*args)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            return out
+
+        monkeypatch.setattr(training, "_train_step", probed)
+        result = train(cfg, dataset)
+        later = [f for f, row in zip(faults, result.rows) if row.epoch > 1]
+        assert len(faults) == result.total_steps and len(later) >= 5
+        # without the setting, each of these steps takes thousands
+        assert np.median(later) < 100, faults
+
+    def test_same_bytes_without_the_c_library(self, tiny_dataset, tmp_path, monkeypatch):
+        cfg = replace(
+            TINY, seed=5, max_epochs=2, sample_size=200,
+            use_cluster_loss=True, use_perceptual_loss=True,
+        )
+        train(cfg, tiny_dataset, run_dir=tmp_path / "libc")
+        monkeypatch.setattr(heap, "_LIBC", None)
+        train(cfg, tiny_dataset, run_dir=tmp_path / "none")
+        load_checkpoint(tmp_path / "none" / "checkpoint_best.json")  # trims nothing
+        runs = [tmp_path / "libc", tmp_path / "none"]
+        csvs = [strip_wall_ms((run / "convergence.csv").read_text()) for run in runs]
+        assert csvs[0] == csvs[1]
+        checkpoints = [(run / "checkpoint_best.json").read_bytes() for run in runs]
+        assert checkpoints[0] == checkpoints[1]
+
+    def test_refused_setting_is_logged_and_training_goes_on(
+        self, tiny_dataset, monkeypatch, caplog
+    ):
+        calls = []
+
+        class RefusingLibc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 0
+
+        monkeypatch.setattr(heap, "_LIBC", RefusingLibc())
+        with caplog.at_level(logging.DEBUG, logger="groundcap.heap"):
+            result = train(replace(TINY, max_epochs=1), tiny_dataset)
+        assert result.total_steps > 0
+        assert calls == [(-1, 1 << 30), (-3, 32 << 20)]
+        refused = [r for r in caplog.records if r.name == "groundcap.heap"]
+        assert [r.levelno for r in refused] == [logging.DEBUG] * 2
+        assert "M_TRIM_THRESHOLD" in refused[0].getMessage()
+        assert "M_MMAP_THRESHOLD" in refused[1].getMessage()
 
 
 class TestEvaluate:
