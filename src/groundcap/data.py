@@ -325,7 +325,11 @@ def load_class_table(path: Path) -> ClassTable:
 
 
 def load_dataset(data_dir: Path) -> Dataset:
-    """Read a dataset directory; image ids are unique, features one width."""
+    """Read a dataset directory; image ids are unique, features one width.
+
+    Every feature is finite: the JSON parser rejects NaN, Infinity and
+    numbers that overflow float64.
+    """
     data_dir = Path(data_dir)
     table = load_class_table(data_dir / "classes.json")
     splits = {}
@@ -341,8 +345,6 @@ def load_dataset(data_dir: Path) -> Dataset:
                     f"{path}: image {ex.image_id} has labels {sorted(unknown)} "
                     "that are not in the class table"
                 )
-            if not np.isfinite(ex.features).all():
-                raise DataValidationError(f"{path}: image {ex.image_id} has non-finite features")
             if ex.image_id in seen:
                 raise DataValidationError(f"{path}: image id {ex.image_id} appears twice")
             seen.add(ex.image_id)

@@ -20,23 +20,35 @@ All scorers consume pre-tokenized captions (lists of token strings) and
 are invariant to the order of images and of references within an image.
 
 As coco-caption's ``BleuScorer`` and ``CiderScorer`` cook their references
-once, a ``ReferenceIndex`` counts each reference's 1..4-grams once and keeps
-what BLEU and CIDEr-D derive from them: per image, the reference lengths
-and the clipped maximum counts; one idf per n-gram; per reference, the
-tf-idf vectors, norms and bigram length. ``metric_table`` builds one index,
-counts each candidate's n-grams once, and takes BLEU-1..4 from one pass of
-integer counts. Every float is produced by the same expression, in the same
-order, as in the per-call scorers the index replaced (kept in
-``tests/metric_reference.py``), so the scores keep every bit: early
-stopping compares CIDEr with a strict ``>``.
+once, ``NgramTables`` interns a corpus's 1..4-grams once, as arrays: token
+ids; n-gram ids per order from ``np.unique`` over (previous-order id, next
+token); one entry per (sentence, n-gram) with its count and the place of
+its first occurrence; and, through one sorted key and ``searchsorted``, the
+entry of each candidate n-gram in each reference of its image. BLEU-1..4
+take their clipped counts from those lookups as integers; CIDEr-D takes
+the document frequency per image, the weights, norms and similarities from
+whole-array operations. Early stopping compares CIDEr with a strict ``>``,
+so the scores keep every bit of the per-call dict scorers the tables
+replaced (kept in ``tests/metric_reference.py``), by three rules:
+
+(a) ``log``, ``exp`` and the square ``w**2`` go through ``math`` and Python's
+    ``**``, applied only to the distinct values (document frequencies,
+    integer length differences and weights): numpy's ufuncs round a few
+    arguments differently (``_idf``, ``_penalty``, ``_square``).
+(b) Every sum the dict scorers ran left to right from 0.0 (the norms, each
+    reference's similarity and the sum over references) still does:
+    ``_left_sums`` adds a zero-padded (width, groups) block one rank at a
+    time, where ``np.add.reduce`` would sum pairwise from 8 terms on.
+(c) The per-image ``np.mean`` over the 4 orders, the ``/ len(refs) * 10.0``
+    and the ``np.mean`` over images stay as in the dict scorers: a mean
+    along one axis of a 2-D array need not add in the same order.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -69,21 +81,6 @@ class EvaluationCorpus:
         return len(self.entries)
 
 
-def _ngram_counts(tokens: list[str]) -> list[dict]:
-    """The 1..4-gram counts of ``tokens``, one dict per order, each in order
-    of first occurrence."""
-    t2 = tokens[1:]
-    t3 = tokens[2:]
-    t4 = tokens[3:]
-    out = []
-    for ngrams in (zip(tokens), zip(tokens, t2), zip(tokens, t2, t3), zip(tokens, t2, t3, t4)):
-        counts = {}
-        for ngram in ngrams:
-            counts[ngram] = counts.get(ngram, 0) + 1
-        out.append(counts)
-    return out
-
-
 def _check_bleu_corpus(corpus: EvaluationCorpus) -> None:
     if len(corpus) == 0:
         raise DomainError("BLEU of an empty corpus is undefined")
@@ -97,87 +94,143 @@ def _check_cider_corpus(corpus: EvaluationCorpus) -> None:
         )
 
 
-class ReferenceIndex:
-    """The references of a corpus, processed once for BLEU and CIDEr-D.
+class NgramTables:
+    """The 1..4-grams of a corpus's candidates and references, interned as arrays.
 
-    Each reference's 1..4-gram counts are taken once. From them the index
-    keeps, per image, the reference lengths and BLEU's clip (the maximum
-    count of each n-gram over the image's references). CIDEr-D's part is
-    built on first use: one idf per n-gram, with document = image, and per
-    reference its tf-idf vectors, norms and bigram length.
+    Sentences are numbered candidates first (sentence ``i`` is image ``i``'s
+    candidate), then the references, image by image. Tokens get ids in order
+    of first appearance; the ids of the (k+1)-grams come from ``np.unique``
+    over (k-gram id, next token). Every packed key is at most the number of
+    token positions squared, so it stays far below int64's limit, where a
+    key packed from k token ids (vocabulary ** k) could overflow.
+    ``orders[k]`` holds the (k+1)-grams.
     """
 
-    def __init__(self, references: list[list[list[str]]]):
-        if not references:
-            raise DomainError("a reference index needs at least one image")
-        self.ref_lens = [[len(r) for r in refs] for refs in references]
-        self.ref_counts = [[_ngram_counts(r) for r in refs] for refs in references]
-        self.clips = [_clip_counts(counts) for counts in self.ref_counts]
-        self.log_m = math.log(len(references))
-
-    @cached_property
-    def idf(self) -> dict:
-        # An image's clip holds every n-gram of its references exactly once.
-        df = Counter(g for clip in self.clips for order in clip for g in order)
-        return {g: self.log_m - math.log(max(1.0, d)) for g, d in df.items()}
-
-    @cached_property
-    def ref_vecs(self) -> list:
-        return [[self.tfidf(c) for c in counts] for counts in self.ref_counts]
-
-    def tfidf(self, counts: list[dict]):
-        """(per-order tf-idf vectors, their norms, bigram length) of counts.
-
-        An n-gram no reference holds has document frequency 0 and the idf
-        ``log_m``, as ``log_m - log(max(1, 0))`` gives.
-        """
-        idf = self.idf.get
-        log_m = self.log_m
-        vec = []
-        norm = []
-        for order in counts:
-            weights = {g: tf * idf(g, log_m) for g, tf in order.items()}
-            sq = 0.0
-            for w in weights.values():
-                sq += w**2
-            vec.append(weights)
-            norm.append(math.sqrt(sq))
-        # the reference code measures length in bigrams
-        return vec, norm, sum(counts[1].values())
-
-
-def _clip_counts(ref_counts: list[list[dict]]) -> list[dict]:
-    clip = [{} for _ in range(MAX_N)]
-    for counts in ref_counts:
-        for order, best in zip(counts, clip):
-            for ngram, count in order.items():
-                if count > best.get(ngram, 0):
-                    best[ngram] = count
-    return clip
-
-
-def _cook(corpus: EvaluationCorpus) -> tuple[ReferenceIndex, list[list[dict]]]:
-    """The corpus's reference index and each candidate's n-gram counts."""
-    index = ReferenceIndex([refs for _, refs in corpus.entries])
-    return index, [_ngram_counts(cand) for cand, _ in corpus.entries]
-
-
-def _bleu_all(corpus: EvaluationCorpus, index: ReferenceIndex, cand_counts) -> list[float]:
-    """BLEU-1..4 from one pass over the corpus."""
-    guess = [0] * MAX_N
-    correct = [0] * MAX_N
-    total_testlen = 0
-    total_reflen = 0.0
-    for (cand, _), counts, lens, clip in zip(
-        corpus.entries, cand_counts, index.ref_lens, index.clips
-    ):
-        testlen = len(cand)
-        total_testlen += testlen
-        total_reflen += min((abs(r - testlen), r) for r in lens)[1]
+    def __init__(self, corpus: EvaluationCorpus):
+        cands = [cand for cand, _ in corpus.entries]
+        refs = [ref for _, image_refs in corpus.entries for ref in image_refs]
+        self.n_images = len(cands)
+        self.n_refs = np.fromiter((len(r) for _, r in corpus.entries), np.int64, self.n_images)
+        self.ref_start = np.cumsum(self.n_refs) - self.n_refs
+        self.ref_image = np.repeat(np.arange(self.n_images), self.n_refs)
+        sentences = cands + refs
+        lens = np.fromiter(map(len, sentences), np.int64, len(sentences))
+        self.n_sentences = len(sentences)
+        self.cand_len, self.ref_len = lens[: self.n_images], lens[self.n_images :]
+        flat = list(chain.from_iterable(sentences))
+        vocab = {t: i for i, t in enumerate(dict.fromkeys(flat))}
+        tokens = np.fromiter(map(vocab.__getitem__, flat), np.int64, len(flat))
+        sent = np.repeat(np.arange(len(sentences)), lens)
+        # the number of tokens from each position to the end of its sentence
+        left = np.repeat(np.cumsum(lens), lens) - np.arange(len(flat))
+        self.orders = []
+        grams, n_grams = tokens, len(vocab)
         for k in range(MAX_N):
-            guess[k] += max(0, testlen - k)
-            best = clip[k]
-            correct[k] += sum(min(c, best.get(g, 0)) for g, c in counts[k].items())
+            at = np.flatnonzero(left > k)  # the positions where a (k+1)-gram starts
+            if k:
+                ids, inv = np.unique(grams[at] * len(vocab) + tokens[at + k], return_inverse=True)
+                grams = np.empty_like(tokens)
+                grams[at] = inv
+                n_grams = len(ids)
+            self.orders.append(_Order(self, sent[at], grams[at], max(n_grams, 1)))
+
+
+class _Order:
+    """One order's (sentence, n-gram) entries and the candidate-against-reference
+    lookups.
+
+    The entries are sorted by the key sentence * ``width`` + n-gram id, with
+    each n-gram's count in its sentence and ``rank``, the place of its first
+    occurrence among the sentence's entries. The candidates' entries come
+    first (``n_cand`` of them). One row per (candidate entry, reference of its
+    image) holds ``pair_entry``, ``pair_ref`` and ``pair_hit``, the reference's
+    entry of the same n-gram or -1.
+    """
+
+    def __init__(self, tables: NgramTables, sent: np.ndarray, grams: np.ndarray, width: int):
+        self.width = width
+        key, first, self.count = np.unique(
+            sent * width + grams, return_index=True, return_counts=True
+        )
+        self.sent, self.gram = np.divmod(key, width)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        self.rank = rank - np.searchsorted(self.sent, self.sent)
+        self.n_cand = int(np.searchsorted(self.sent, tables.n_images))
+        image = self.sent[: self.n_cand]
+        reps = tables.n_refs[image]
+        self.pair_start = np.cumsum(reps) - reps
+        self.pair_entry = np.repeat(np.arange(self.n_cand), reps)
+        self.pair_ref = np.arange(len(self.pair_entry)) + np.repeat(
+            tables.ref_start[image] - self.pair_start, reps
+        )
+        wanted = (tables.n_images + self.pair_ref) * width + self.gram[self.pair_entry]
+        hit = np.minimum(np.searchsorted(key, wanted), len(key) - 1)
+        self.pair_hit = np.where(key[hit] == wanted, hit, -1)
+
+
+def _per_distinct(f, values: np.ndarray, *args) -> np.ndarray:
+    """``f`` of each distinct value of ``values``, spread back to every entry."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return f(distinct, *args)[inverse]
+
+
+def _idf(df: np.ndarray, log_m: float) -> np.ndarray:
+    """CIDEr-D's idf of each document frequency, through ``math.log``.
+
+    An n-gram no reference holds has document frequency 0 and the idf
+    ``log_m``, as ``log_m - log(max(1, 0))`` gives.
+    """
+    return np.array([log_m - math.log(max(1.0, d)) for d in df.tolist()], dtype=np.float64)
+
+
+def _square(weights: np.ndarray) -> np.ndarray:
+    """Each weight's Python ``w**2``, which is not always numpy's ``w*w``."""
+    return np.array([w**2 for w in weights.tolist()], dtype=np.float64)
+
+
+def _penalty(delta: np.ndarray) -> np.ndarray:
+    """CIDEr-D's Gaussian length penalty of each integer length difference,
+    through ``math.exp``."""
+    return np.array(
+        [math.exp(-(float(d) ** 2) / (2.0 * CIDER_SIGMA**2)) for d in delta.tolist()],
+        dtype=np.float64,
+    )
+
+
+def _left_sums(
+    values: np.ndarray, rank: np.ndarray, group: np.ndarray, n_groups: int
+) -> np.ndarray:
+    """Per group, the sum of its values from 0.0, left to right by rank.
+
+    The values go into a zero-padded (width, groups) block that is added one
+    rank at a time, so each sum adds in the order of a Python loop; a
+    padding zero leaves a sum of non-negative values unchanged.
+    """
+    width = int(rank.max()) + 1 if len(rank) else 0
+    block = np.zeros((width, n_groups) + values.shape[1:])
+    block[rank, group] = values
+    acc = np.zeros((n_groups,) + values.shape[1:])
+    for row in block:
+        acc += row
+    return acc
+
+
+def _bleu_all(tables: NgramTables) -> list[float]:
+    """BLEU-1..4 from the corpus's integer counts."""
+    guess = []
+    correct = []
+    for k, order in enumerate(tables.orders):
+        guess.append(int(np.maximum(tables.cand_len - k, 0).sum()))
+        ref_count = np.where(order.pair_hit >= 0, order.count[order.pair_hit], 0)
+        clip = np.maximum.reduceat(ref_count, order.pair_start) if order.n_cand else ref_count
+        correct.append(int(np.minimum(order.count[: order.n_cand], clip).sum()))
+    total_testlen = int(tables.cand_len.sum())
+    # per image, the reference length closest to the candidate's, ties to the shorter
+    longest = int(tables.ref_len.max()) + 1
+    gap = np.abs(tables.ref_len - tables.cand_len[tables.ref_image])
+    closest = np.minimum.reduceat(gap * longest + tables.ref_len, tables.ref_start) % longest
+    total_reflen = float(closest.sum())
     ratio = (total_testlen + _TINY) / (total_reflen + _SMALL)
     scores = []
     for n in range(1, MAX_N + 1):
@@ -196,7 +249,7 @@ def bleu(corpus: EvaluationCorpus, n: int) -> float:
     if not 1 <= n <= 4:
         raise DomainError(f"BLEU order must be in 1..4, got {n}")
     _check_bleu_corpus(corpus)
-    return _bleu_all(corpus, *_cook(corpus))[n - 1]
+    return _bleu_all(NgramTables(corpus))[n - 1]
 
 
 def rouge_l(corpus: EvaluationCorpus) -> float:
@@ -224,52 +277,58 @@ def rouge_l(corpus: EvaluationCorpus) -> float:
     return float(np.mean(scores))
 
 
-def _cider_sim(vec_c, vec_r, norm_c, norm_r, len_c, len_r) -> list[float]:
-    delta = float(len_c - len_r)
-    penalty = math.exp(-(delta**2) / (2.0 * CIDER_SIGMA**2))
-    vals = []
-    for k in range(MAX_N):
-        acc = 0.0
-        ref = vec_r[k]
-        for ngram, weight in vec_c[k].items():
-            r = ref.get(ngram, 0.0)
-            acc += (r if r < weight else weight) * r  # min(weight, r)
-        if norm_c[k] != 0.0 and norm_r[k] != 0.0:
-            acc /= norm_c[k] * norm_r[k]
-        vals.append(acc * penalty)
-    return vals
-
-
-def _cider(index: ReferenceIndex, cand_counts) -> float:
-    scores = []
-    for counts, ref_vecs in zip(cand_counts, index.ref_vecs):
-        vec_c, norm_c, len_c = index.tfidf(counts)
-        acc = [0.0] * MAX_N
-        for vec_r, norm_r, len_r in ref_vecs:
-            vals = _cider_sim(vec_c, vec_r, norm_c, norm_r, len_c, len_r)
-            acc = [a + v for a, v in zip(acc, vals)]
-        scores.append(float(np.mean(acc)) / len(ref_vecs) * 10.0)
+def _cider(tables: NgramTables) -> float:
+    n_images = tables.n_images
+    log_m = math.log(n_images)
+    sims = np.zeros((len(tables.ref_len), MAX_N))
+    for k, order in enumerate(tables.orders):
+        # document frequency: the number of images whose references hold the n-gram
+        ref_image = tables.ref_image[order.sent[order.n_cand :] - n_images]
+        held = np.unique(ref_image * order.width + order.gram[order.n_cand :])
+        df = np.bincount(held % order.width, minlength=order.width)
+        weight = order.count * _per_distinct(_idf, df[order.gram], log_m)
+        squares = _per_distinct(_square, weight)
+        norm = np.sqrt(_left_sums(squares, order.rank, order.sent, tables.n_sentences))
+        # each candidate-reference similarity, summed in the candidate's n-gram order
+        found = order.pair_hit >= 0
+        entry = order.pair_entry[found]
+        ref = order.pair_ref[found]
+        w_ref = weight[order.pair_hit[found]]
+        terms = np.minimum(weight[entry], w_ref) * w_ref
+        sim = _left_sums(terms, order.rank[entry], ref, len(sims))
+        norm_c = norm[tables.ref_image]
+        norm_r = norm[n_images:]
+        np.divide(sim, norm_c * norm_r, out=sim, where=(norm_c != 0.0) & (norm_r != 0.0))
+        sims[:, k] = sim
+    # the reference code measures length in bigrams
+    bigrams_c = np.maximum(tables.cand_len - 1, 0)
+    bigrams_r = np.maximum(tables.ref_len - 1, 0)
+    sims *= _per_distinct(_penalty, bigrams_c[tables.ref_image] - bigrams_r)[:, None]
+    # per image, the sum over its references in their order
+    ref_rank = np.arange(len(sims)) - tables.ref_start[tables.ref_image]
+    per_image = _left_sums(sims, ref_rank, tables.ref_image, n_images)
+    scores = [float(np.mean(acc)) / n * 10.0 for acc, n in zip(per_image, tables.n_refs.tolist())]
     return float(np.mean(scores))
 
 
 def cider(corpus: EvaluationCorpus) -> float:
     """CIDEr-D consensus score (raw scale, roughly [0, 10])."""
     _check_cider_corpus(corpus)
-    return _cider(*_cook(corpus))
+    return _cider(NgramTables(corpus))
 
 
 def metric_table(corpus: EvaluationCorpus) -> dict[str, float]:
     """All metrics of a corpus, scaled by 100 for reporting, from one
-    reference index and one count of each candidate's n-grams."""
+    set of n-gram tables."""
     _check_bleu_corpus(corpus)
     _check_cider_corpus(corpus)
-    index, cand_counts = _cook(corpus)
-    b1, b2, b3, b4 = _bleu_all(corpus, index, cand_counts)
+    tables = NgramTables(corpus)
+    b1, b2, b3, b4 = _bleu_all(tables)
     return {
         "BLEU-1": 100.0 * b1,
         "BLEU-2": 100.0 * b2,
         "BLEU-3": 100.0 * b3,
         "BLEU-4": 100.0 * b4,
         "ROUGE-L": 100.0 * rouge_l(corpus),
-        "CIDEr": 100.0 * _cider(index, cand_counts),
+        "CIDEr": 100.0 * _cider(tables),
     }

@@ -1,10 +1,10 @@
-"""The caption scorers as they stood before the reference index.
+"""The caption scorers as they stood before the interned n-gram tables.
 
 ``_ngram_counts``, ``bleu``, ``rouge_l``, ``_tfidf``, ``_cider_sim``, ``cider`` and
-``metric_table`` are the per-call scorers that ``groundcap.metrics`` replaced with
-one reference index per corpus; ``_lcs`` runs the dynamic-programming LCS of
-``loop_reference``. ``tests/test_metrics.py`` requires the index-based
-scorers to reproduce these floats bit for bit.
+``metric_table`` are the per-call dict scorers that ``groundcap.metrics``
+replaced with n-gram arrays interned once per corpus; ``_lcs`` runs the
+dynamic-programming LCS of ``loop_reference``. ``tests/test_metrics.py``
+requires the array scorers to reproduce these floats bit for bit.
 """
 
 import math

@@ -3,8 +3,8 @@
 The frozen numbers in tests/fixtures/metric_reference.json were produced
 by tools/make_metric_fixtures.py, an independent adaptation of the
 reference coco-caption scorers. ``metric_reference`` keeps the per-call
-scorers that the reference index replaced; the index-based scorers must
-reproduce their floats bit for bit.
+dict scorers that the interned n-gram tables replaced; the array scorers
+must reproduce their floats bit for bit.
 """
 
 import json
@@ -17,6 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import metric_reference
+from groundcap import metrics
+from groundcap.data import SyntheticSpec, generate_synthetic_dataset, normalize
 from groundcap.errors import DataValidationError, DomainError
 from groundcap.metrics import EvaluationCorpus, bleu, cider, metric_table, rouge_l
 
@@ -209,19 +211,121 @@ EDGE_CASES = corpus_of(
 )
 
 
+@st.composite
+def wide_corpora(draw):
+    """Corpora that stress the interning: up to 60 tokens, references of up
+    to 25 tokens, candidates made only of unseen tokens, and images whose
+    references are all identical."""
+    vocab = [f"w{i}" for i in range(draw(st.integers(1, 60)))]
+    unseen = ["u0", "u1", "u2"]
+    ref = st.lists(st.sampled_from(vocab), min_size=1, max_size=25)
+    entries = []
+    for _ in range(draw(st.integers(2, 30))):
+        refs = draw(st.lists(ref, min_size=1, max_size=5))
+        if draw(st.booleans()):
+            refs = [list(refs[0]) for _ in refs]
+        pool = unseen if draw(st.booleans()) else vocab + unseen
+        entries.append((draw(st.lists(st.sampled_from(pool), max_size=25)), refs))
+    return EvaluationCorpus(entries=entries)
+
+
+def _assert_bit_identical(corpus):
+    assert _hex(metric_table(corpus)) == _hex(metric_reference.metric_table(corpus))
+    for n in range(1, 5):
+        assert bleu(corpus, n).hex() == metric_reference.bleu(corpus, n).hex()
+    assert cider(corpus).hex() == metric_reference.cider(corpus).hex()
+
+
+def benchmark_scale_corpus() -> EvaluationCorpus:
+    """500 synthetic images with 3 references each. Each candidate is another
+    image's caption: images 1, 4, 7, ... cut it short (possibly to nothing),
+    and images 2, 5, 8, ... insert a token that no reference has."""
+    dataset = generate_synthetic_dataset(SyntheticSpec(images=500, captions_per_image=3), seed=5)
+    refs = [[normalize(c) for c in ex.captions] for ex in dataset.splits["train"]
+            + dataset.splits["val"] + dataset.splits["test"]]
+    rng = np.random.default_rng(5)
+    entries = []
+    for i, image_refs in enumerate(refs):
+        other = refs[(i + 1 + int(rng.integers(len(refs) - 1))) % len(refs)]
+        cand = list(other[int(rng.integers(len(other)))])
+        if i % 3 == 1:
+            cand = cand[: int(rng.integers(len(cand)))]
+        elif i % 3 == 2:
+            cand.insert(int(rng.integers(len(cand) + 1)), "unseen")
+        entries.append((cand, image_refs))
+    return EvaluationCorpus(entries=entries)
+
+
 class TestReferenceIndexOracle:
+    """The scorers on interned n-gram tables against the per-call dict scorers."""
+
     @settings(max_examples=150, deadline=None)
     @given(corpus=corpora())
     @example(corpus=EDGE_CASES)
     def test_bit_identical_to_per_call_scorers(self, corpus):
-        assert _hex(metric_table(corpus)) == _hex(metric_reference.metric_table(corpus))
-        for n in range(1, 5):
-            assert bleu(corpus, n).hex() == metric_reference.bleu(corpus, n).hex()
+        _assert_bit_identical(corpus)
         assert rouge_l(corpus).hex() == metric_reference.rouge_l(corpus).hex()
-        assert cider(corpus).hex() == metric_reference.cider(corpus).hex()
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpus=wide_corpora())
+    @example(corpus=corpus_of([("u0 u1", ["a b a", "a b a"]), ("u2", ["c", "c"])]))
+    def test_bit_identical_on_wide_vocabularies(self, corpus):
+        _assert_bit_identical(corpus)
+
+    def test_bit_identical_at_benchmark_scale(self):
+        corpus = benchmark_scale_corpus()
+        assert len(corpus) == 500
+        assert {len(refs) for _, refs in corpus.entries} == {3}
+        _assert_bit_identical(corpus)
 
     def test_metric_table_domain_errors(self):
         with pytest.raises(DomainError, match="BLEU"):
             metric_table(EvaluationCorpus(entries=[]))
         with pytest.raises(DomainError, match="IDF"):
             metric_table(corpus_of([("a", ["a"])]))
+
+
+def _scan_mismatches(values, numpy_fn, python_fn):
+    """The values where ``numpy_fn`` and ``python_fn`` give different bits."""
+    python = np.array([python_fn(v) for v in values.tolist()])
+    return values[numpy_fn(values) != python]
+
+
+class TestPythonArithmeticHelpers:
+    """CIDEr-D's idf, squared weights and length penalty go through ``math``
+    and Python's ``**``, whose bits numpy's ufuncs do not always give. Each
+    case scans for values where the two disagree and checks the scorer's
+    helper on them; it skips only where they agree on every value scanned."""
+
+    def test_square_is_python_pow(self):
+        weights = np.random.default_rng(0).uniform(0.0, 100.0, 1_000_000)
+        differ = _scan_mismatches(weights, lambda w: w * w, lambda w: w**2)
+        if not len(differ):
+            pytest.skip("numpy's w*w equals Python's w**2 on every value scanned")
+        assert [v.hex() for v in metrics._square(differ).tolist()] == [
+            (w**2).hex() for w in differ.tolist()
+        ]
+
+    def test_penalty_is_math_exp(self):
+        delta = np.arange(-1000, 1001)
+        differ = _scan_mismatches(
+            delta,
+            lambda d: np.exp(-(d.astype(np.float64) ** 2) / (2.0 * metrics.CIDER_SIGMA**2)),
+            lambda d: math.exp(-(float(d) ** 2) / (2.0 * metrics.CIDER_SIGMA**2)),
+        )
+        if not len(differ):
+            pytest.skip("np.exp equals math.exp on every penalty argument scanned")
+        assert [v.hex() for v in metrics._penalty(differ).tolist()] == [
+            math.exp(-(float(d) ** 2) / (2.0 * metrics.CIDER_SIGMA**2)).hex()
+            for d in differ.tolist()
+        ]
+
+    def test_idf_is_math_log(self):
+        # with log_m = 0 the idf is the negated log, so no rounding hides a change
+        df = np.arange(1, 1_000_001)
+        differ = _scan_mismatches(df, lambda d: np.log(d.astype(np.float64)), math.log)
+        if not len(differ):
+            pytest.skip("np.log equals math.log on every document frequency scanned")
+        assert [v.hex() for v in metrics._idf(differ, 0.0).tolist()] == [
+            (0.0 - math.log(d)).hex() for d in differ.tolist()
+        ]
