@@ -228,10 +228,12 @@ def _cmd_train(args) -> int:
 
 
 def _load_checkpoint_and_data(args):
-    """Checkpoint (parameters, vocabulary, decode length) and a dataset of its feature width."""
+    """Checkpoint (parameters, vocabulary, decode length) and the dataset with
+    only ``args.split`` read in full (see ``load_dataset``), of the
+    checkpoint's feature width."""
     params, vocab, max_len = load_for_inference(args.checkpoint)
-    dataset = load_dataset(args.data)
-    widths = {ex.features.shape[1] for split in dataset.splits.values() for ex in split}
+    dataset = load_dataset(args.data, split=args.split)
+    widths = {ex.features.shape[1] for ex in dataset.splits[args.split]}
     if widths - {params.config.feature_size}:
         raise DataValidationError(
             f"{args.data}: features of width {widths.pop()}, "

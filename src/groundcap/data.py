@@ -290,8 +290,8 @@ def write_jsonl(examples: list[ImageExample], path: Path) -> None:
             fh.write("\n")
 
 
-def read_jsonl(path: Path) -> list[ImageExample]:
-    out = []
+def _read_records(path: Path):
+    """The JSON record of each non-blank line of a JSON-lines file."""
     try:
         with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -299,13 +299,23 @@ def read_jsonl(path: Path) -> list[ImageExample]:
                 if not line:
                     continue
                 try:
-                    record = orjson.loads(line)
+                    yield orjson.loads(line)
                 except ValueError as err:
                     raise DataValidationError(f"{path}:{lineno}: malformed JSON: {err}") from err
-                out.append(record_to_example(record))
     except OSError as err:
         raise DataValidationError(f"cannot read {path}: {err}") from err
-    return out
+
+
+def read_jsonl(path: Path) -> list[ImageExample]:
+    return [record_to_example(record) for record in _read_records(path)]
+
+
+def _read_ids(path: Path) -> list[str]:
+    """The image id of each record of a JSON-lines file; the rest is not checked."""
+    try:
+        return [image_id_of(record) for record in _read_records(path)]
+    except (KeyError, TypeError) as err:
+        raise DataValidationError(f"{path}: malformed dataset record: {err}") from err
 
 
 def save_dataset(dataset: Dataset, out_dir: Path) -> None:
@@ -324,20 +334,36 @@ def load_class_table(path: Path) -> ClassTable:
     return ClassTable.from_json(text)
 
 
-def load_dataset(data_dir: Path) -> Dataset:
-    """Read a dataset directory; image ids are unique, features one width.
+SPLITS = ("train", "val", "test")
+
+
+def load_dataset(data_dir: Path, split: str | None = None) -> Dataset:
+    """Read a dataset directory; image ids are unique across its splits.
+
+    Without ``split`` every record of every split is read and checked: its
+    labels are keys of the class table and its features have the width of
+    every other image's. With ``split`` only that split is read and checked
+    so; every line of the other two must still be JSON with a valid image
+    id, and those splits come back empty.
 
     Every feature is finite: the JSON parser rejects NaN, Infinity and
     numbers that overflow float64.
     """
+    if split is not None and split not in SPLITS:
+        raise ConfigError(f"unknown split {split!r}, expected one of {SPLITS}")
     data_dir = Path(data_dir)
     table = load_class_table(data_dir / "classes.json")
     splits = {}
     seen: set[str] = set()
     width = None
-    for name in ("train", "val", "test"):
+    for name in SPLITS:
         path = data_dir / f"{name}.jsonl"
-        splits[name] = read_jsonl(path)
+        if split in (None, name):
+            splits[name] = read_jsonl(path)
+            ids = [ex.image_id for ex in splits[name]]
+        else:
+            splits[name] = []
+            ids = _read_ids(path)
         for ex in splits[name]:
             unknown = set(ex.labels.tolist()) - table.names.keys()
             if unknown:
@@ -345,13 +371,14 @@ def load_dataset(data_dir: Path) -> Dataset:
                     f"{path}: image {ex.image_id} has labels {sorted(unknown)} "
                     "that are not in the class table"
                 )
-            if ex.image_id in seen:
-                raise DataValidationError(f"{path}: image id {ex.image_id} appears twice")
-            seen.add(ex.image_id)
             width = ex.features.shape[1] if width is None else width
             if ex.features.shape[1] != width:
                 raise DataValidationError(f"{path}: image {ex.image_id} has feature width "
                                           f"{ex.features.shape[1]}, not {width}")
+        for image_id in ids:
+            if image_id in seen:
+                raise DataValidationError(f"{path}: image id {image_id} appears twice")
+            seen.add(image_id)
     return Dataset(class_table=table, **splits)
 
 

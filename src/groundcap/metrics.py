@@ -39,9 +39,11 @@ replaced (kept in ``tests/metric_reference.py``), by three rules:
     reference's similarity and the sum over references) still does:
     ``_left_sums`` adds a zero-padded (width, groups) block one rank at a
     time, where ``np.add.reduce`` would sum pairwise from 8 terms on.
-(c) The per-image ``np.mean`` over the 4 orders, the ``/ len(refs) * 10.0``
-    and the ``np.mean`` over images stay as in the dict scorers: a mean
-    along one axis of a 2-D array need not add in the same order.
+(c) The per-image mean over the 4 orders is ``(((c0 + c1) + c2) + c3) / 4.0``,
+    then ``/ len(refs) * 10.0``, for all images at once: numpy's ``np.mean``
+    of 4 values, which the dict scorers called per image, adds them left to
+    right from 0.0 (a test pins this on rows where other orders round
+    differently). The mean over images is the same ``np.mean`` call.
 """
 
 from __future__ import annotations
@@ -306,8 +308,9 @@ def _cider(tables: NgramTables) -> float:
     sims *= _per_distinct(_penalty, bigrams_c[tables.ref_image] - bigrams_r)[:, None]
     # per image, the sum over its references in their order
     ref_rank = np.arange(len(sims)) - tables.ref_start[tables.ref_image]
-    per_image = _left_sums(sims, ref_rank, tables.ref_image, n_images)
-    scores = [float(np.mean(acc)) / n * 10.0 for acc, n in zip(per_image, tables.n_refs.tolist())]
+    c0, c1, c2, c3 = _left_sums(sims, ref_rank, tables.ref_image, n_images).T
+    # per image, the mean over the 4 orders as np.mean adds them: left to right
+    scores = (((c0 + c1) + c2) + c3) / 4.0 / tables.n_refs * 10.0
     return float(np.mean(scores))
 
 

@@ -22,7 +22,8 @@ toward the lowest token id. It runs a split in chunks of DECODE_CHUNK
 images: each chunk pads its object sets to one (B, K, d) block, attention
 masks the padding out, and a row leaves the batch once it emits EOS. As in
 the teacher-forced op, the loop invariants are computed once per chunk: the
-attention projection of z and LSTM1's mean(z) term with its bias.
+attention projection of z and LSTM1's mean(z) term with its bias, mean(z)
+for all the chunk's images from one masked sum over the padded block.
 """
 
 from __future__ import annotations
@@ -185,13 +186,6 @@ def project_features(features: np.ndarray, w_in: np.ndarray) -> np.ndarray:
     return features @ w_in.T
 
 
-def mean_pool(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 1:
-        raise DomainError("mean_pool needs at least one vector")
-    return z.mean(axis=0)
-
-
 # Images per greedy-decode pass. Larger chunks decode no faster and hold
 # more padded state in memory.
 DECODE_CHUNK = 100
@@ -207,32 +201,46 @@ def greedy_decode(
     """
     if max_len < 1:
         raise DomainError(f"max_len must be >= 1, got {max_len}")
-    z_bars = [mean_pool(z) for z in zs]
+    counts = np.fromiter(map(len, zs), np.int64, len(zs))
+    if len(zs) and counts.min() < 1:
+        raise DomainError("every image needs at least one object vector")
     captions: list[list[int]] = []
     for start in range(0, len(zs), DECODE_CHUNK):
         stop = start + DECODE_CHUNK
-        captions += _greedy_decode_chunk(zs[start:stop], z_bars[start:stop], params, max_len)
+        captions += _greedy_decode_chunk(zs[start:stop], counts[start:stop], params, max_len)
     return captions
 
 
+def _padded_objects(
+    zs: list[np.ndarray], counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The object sets as one zero-padded (B, K, d) block, its (B, K) mask
+    of real rows and each image's mean row z_bar.
+
+    The masked reduction adds each image's rows in order from +0.0, as
+    ``mean`` along the rows of one image does, so z_bar has the same bits.
+    """
+    valid = np.arange(counts.max())[None, :] < counts[:, None]
+    z_pad = np.zeros(valid.shape + (zs[0].shape[1],))
+    z_pad[valid] = np.concatenate(zs)
+    z_bar = np.add.reduce(z_pad, axis=1, where=valid[..., None]) / counts[:, None]
+    return z_pad, valid, z_bar
+
+
 def _greedy_decode_chunk(
-    zs: list[np.ndarray], z_bars: list[np.ndarray], params: ModelParams, max_len: int
+    zs: list[np.ndarray], counts: np.ndarray, params: ModelParams, max_len: int
 ) -> list[list[int]]:
     """One padded batch of images; rows leave the active set at EOS."""
     a = params.arrays
     batch = len(zs)
     d = params.config.hidden_size
-    counts = np.array([z.shape[0] for z in zs])
-    z_pad = np.zeros((batch, int(counts.max()), d))
-    for row, z in enumerate(zs):
-        z_pad[row, : z.shape[0]] = z
-    valid = np.arange(z_pad.shape[1])[None, :] < counts[:, None]
+    z_pad, valid, z_bar = _padded_objects(zs, counts)
     wx1, w_h, w_z = a["lstm1.wx"], a["att.proj"][:, :d], a["att.proj"][:, d:]
     w_rec = np.concatenate([wx1[:, 2 * d :], a["lstm1.wh"]], axis=1)  # acts on [h2, h1]
     w2 = np.concatenate([a["lstm2.wx"], a["lstm2.wh"]], axis=1)  # acts on [ct, h1, h2]
     # loop invariants, filtered with the state as rows leave
     zz = z_pad @ w_z.T
-    pre_z = np.stack(z_bars) @ wx1[:, d : 2 * d].T + a["lstm1.b"]
+    pre_z = z_bar @ wx1[:, d : 2 * d].T + a["lstm1.b"]
     u = np.empty(zz.shape)
 
     h1, c1, h2, c2 = (np.zeros((batch, d)) for _ in range(4))

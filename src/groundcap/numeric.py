@@ -32,13 +32,13 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function; exp only sees -|x|, so it never overflows.
 
-    1/(1+e) with e = exp(-x) for x >= 0, e/(1+e) with e = exp(x) otherwise
-    (NaN included, so a NaN keeps its sign bit).
+    With e = exp(-|x|) it is max(e, 1)/(1+e) = 1/(1+e) for x >= 0 and
+    max(e, 0)/(1+e) = e/(1+e) otherwise: the bits of the two-branch form,
+    without selecting between branches. A NaN keeps its sign bit.
     """
     x = np.asarray(x, dtype=np.float64)
-    pos = x >= 0.0
-    e = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.exp(np.minimum(x, -x))
+    return np.maximum(e, x >= 0.0) / (1.0 + e)
 
 
 def pearson(xs: np.ndarray, ys: np.ndarray) -> float:

@@ -36,7 +36,16 @@ from . import autodiff as ad
 from . import heap
 from .analysis import analyze, decode_corpus, split_cider, write_vector_export
 from .autodiff import GradientTape
-from .data import Dataset, ImageExample, Vocabulary, build_vocabulary, encode_caption, write_atomic
+from .data import (
+    RESERVED,
+    Dataset,
+    ImageExample,
+    Vocabulary,
+    build_vocabulary,
+    encode_caption,
+    json_array,
+    write_atomic,
+)
 from .errors import ConfigError, DataValidationError, NumericalError
 from .losses import (
     build_projection_pool,
@@ -443,10 +452,16 @@ def _checkpoint_extra(config: TrainConfig, vocab: Vocabulary, epoch: int, val_ci
 
 
 def vocab_from_checkpoint_extra(extra: dict) -> Vocabulary:
+    """The checkpoint's vocabulary: unique token strings, the reserved
+    tokens first."""
     tokens = extra.get("vocab_tokens")
     if not tokens:
         raise DataValidationError("checkpoint lacks the vocabulary needed for decoding")
-    tokens = tuple(str(t) for t in tokens)
+    tokens = tuple(json_array(tokens, "string", "checkpoint vocab_tokens"))
+    if tokens[: len(RESERVED)] != RESERVED:
+        raise DataValidationError(f"checkpoint vocab_tokens must start with {list(RESERVED)}")
+    if len(set(tokens)) != len(tokens):
+        raise DataValidationError("checkpoint vocab_tokens holds a token more than once")
     return Vocabulary(tokens=tokens, index={t: i for i, t in enumerate(tokens)})
 
 
@@ -528,7 +543,27 @@ def run_experiment_matrix(
 
 
 def load_for_inference(checkpoint_path: Path) -> tuple[ModelParams, Vocabulary, int]:
-    """Checkpoint, the vocabulary stored alongside it and its decode length."""
+    """Checkpoint, the vocabulary stored alongside it and its decode length.
+
+    The vocabulary must have one token per row of the output layer, and
+    ``train_config`` must be a JSON object whose ``max_len`` is an integer
+    >= 1; anything else is a DataValidationError.
+    """
     params, extra = load_checkpoint(checkpoint_path)
-    max_len = int(extra.get("train_config", {}).get("max_len", 16))
-    return params, vocab_from_checkpoint_extra(extra), max_len
+    if type(extra) is not dict:
+        raise DataValidationError("checkpoint extra must be a JSON object")
+    vocab = vocab_from_checkpoint_extra(extra)
+    if vocab.size != params.config.vocab_size:
+        raise DataValidationError(
+            f"checkpoint vocabulary has {vocab.size} tokens, its model "
+            f"{params.config.vocab_size}"
+        )
+    config = extra.get("train_config")
+    if type(config) is not dict:
+        raise DataValidationError("checkpoint train_config must be a JSON object")
+    max_len = config.get("max_len")
+    if type(max_len) is not int or max_len < 1:
+        raise DataValidationError(
+            f"checkpoint train_config.max_len must be an integer >= 1, got {max_len!r}"
+        )
+    return params, vocab, max_len

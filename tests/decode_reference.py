@@ -3,6 +3,8 @@
 One image and one batch-1 LSTM step at a time. ``groundcap.model.
 greedy_decode`` must pick the same tokens, image for image, and
 ``sequence_logprob`` is the per-example reference for ``batch_forward``.
+``mean_pool`` is the per-image mean row that the batched decoder takes for
+a whole chunk from one masked reduction.
 ``decode_tokens`` turns token ids back into a caption string.
 """
 
@@ -17,7 +19,14 @@ from groundcap import kernels, numeric
 from groundcap.autodiff import Tensor
 from groundcap.data import BOS_ID, EOS_ID, Vocabulary
 from groundcap.errors import DomainError
-from groundcap.model import ModelParams, mean_pool, project_features
+from groundcap.model import ModelParams, project_features
+
+
+def mean_pool(z: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2 or z.shape[0] < 1:
+        raise DomainError("mean_pool needs at least one vector")
+    return z.mean(axis=0)
 
 
 def lstm_step(

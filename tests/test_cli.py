@@ -7,8 +7,9 @@ import shutil
 import numpy as np
 import pytest
 
+from groundcap import cli
 from groundcap.cli import build_train_config, main, read_config_file
-from groundcap.data import load_dataset, read_jsonl
+from groundcap.data import RESERVED, load_dataset, read_jsonl
 from groundcap.model import ModelConfig, ModelParams, save_checkpoint
 
 TINY_FLAGS = [
@@ -241,15 +242,55 @@ def _copy_first_record_over_second(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _edit_first(edit):
+    return lambda path: _edit_first_record(path, edit)
+
+
+def _append_malformed_line(path):
+    path.write_text(path.read_text() + "{not json\n")
+
+
+# name: (the split that the training case breaks, an edit of a split file)
+SPLIT_BREAKAGES = {
+    "malformed_split_line": ("val", _append_malformed_line),
+    "label_outside_class_table": ("train", _edit_first(_set_first_label)),
+    "non_finite_feature": ("test", _edit_first(_set_first_feature_infinite)),
+    "feature_overflowing_float64": ("val", _overflow_first_feature),
+    "caption_lone_surrogate": ("train", _edit_first(_set_first_caption_lone_surrogate)),
+    "infinite_box_coordinate": ("val", _edit_first(_set_first_box_infinite)),
+    "mixed_feature_width": ("test", _edit_first(_cut_first_feature_row)),
+    "duplicate_image_id": ("test", _copy_first_record_over_second),
+    "label_float": ("train", _edit_first(_set_first("labels", 3.7))),
+    "label_bool": ("train", _edit_first(_set_first("labels", True))),
+    "label_string": ("train", _edit_first(_set_first("labels", "1"))),
+    "label_beyond_int64": ("train", _edit_first(_set_first("labels", 2**63))),
+    "caption_null": ("train", _edit_first(_set_first("captions", None))),
+    "caption_number": ("train", _edit_first(_set_first("captions", 5))),
+    "box_coordinate_string": ("train", _edit_first(_set_first("boxes", "0.5", row=0))),
+    "feature_string": ("train", _edit_first(_set_first("features", "0.5", row=0))),
+    # numpy would read true among floats as 1.0
+    "feature_bool": ("train", _edit_first(_set_first("features", True, row=0))),
+}
+
+
+def _broken_copy(data_dir, tmp_path, break_data):
+    broken = tmp_path / "broken"
+    shutil.copytree(data_dir, broken)
+    break_data(broken)
+    return broken
+
+
 def _train_on_broken_copy(break_data):
     def argv(data_dir, tmp_path):
-        broken = tmp_path / "broken"
-        shutil.copytree(data_dir, broken)
-        break_data(broken)
+        broken = _broken_copy(data_dir, tmp_path, break_data)
         out = tmp_path / "run"
         return ["train", "--data", str(broken), "--out", str(out), *TINY_FLAGS, "--use-cluster-loss"]
 
     return argv
+
+
+def _break_split(split, edit):
+    return lambda d: edit(d / f"{split}.jsonl")
 
 
 def _missing_checkpoint(data_dir, tmp_path):
@@ -266,6 +307,35 @@ def _nan_checkpoint(data_dir, tmp_path):
     return ["evaluate", "--checkpoint", str(path), "--data", str(data_dir)]
 
 
+CHECKPOINT_TOKENS = [*RESERVED, "a", "dog", "cat"]
+
+
+def _write_checkpoint(path, **extra):
+    """An untrained checkpoint for the ``data_dir`` fixture's 12-wide
+    features; ``extra`` replaces entries of its metadata."""
+    config = ModelConfig(vocab_size=len(CHECKPOINT_TOKENS), feature_size=12, hidden_size=4)
+    params = ModelParams.init(config, np.random.default_rng(0))
+    metadata = {"vocab_tokens": CHECKPOINT_TOKENS, "train_config": {"max_len": 4}}
+    save_checkpoint(params, path, extra={**metadata, **extra})
+    return path
+
+
+def _evaluate_with_metadata(**extra):
+    def argv(data_dir, tmp_path):
+        path = _write_checkpoint(tmp_path / "checkpoint.json", **extra)
+        return ["evaluate", "--checkpoint", str(path), "--data", str(data_dir)]
+
+    return argv
+
+
+def _checkpoint_extra_not_object(data_dir, tmp_path):
+    path = _write_checkpoint(tmp_path / "checkpoint.json")
+    payload = json.loads(path.read_text())
+    payload["extra"] = [payload["extra"]]
+    path.write_text(json.dumps(payload))
+    return ["evaluate", "--checkpoint", str(path), "--data", str(data_dir)]
+
+
 def _assign_labels(targets, detections, classes, tmp_path):
     return [
         "assign-labels", "--targets", str(targets), "--detections", str(detections),
@@ -279,63 +349,30 @@ def _write(path, text):
 
 
 BROKEN_INPUTS = {
-    "malformed_split_line": _train_on_broken_copy(
-        lambda d: (d / "val.jsonl").write_text((d / "val.jsonl").read_text() + "{not json\n")
-    ),
+    **{
+        name: _train_on_broken_copy(_break_split(split, edit))
+        for name, (split, edit) in SPLIT_BREAKAGES.items()
+    },
     "malformed_class_table": _train_on_broken_copy(
         lambda d: (d / "classes.json").write_text('{"0": "dog",\n')
     ),
-    "label_outside_class_table": _train_on_broken_copy(
-        lambda d: _edit_first_record(d / "train.jsonl", _set_first_label)
-    ),
-    "non_finite_feature": _train_on_broken_copy(
-        lambda d: _edit_first_record(d / "test.jsonl", _set_first_feature_infinite)
-    ),
-    "feature_overflowing_float64": _train_on_broken_copy(
-        lambda d: _overflow_first_feature(d / "val.jsonl")
-    ),
-    "caption_lone_surrogate": _train_on_broken_copy(
-        lambda d: _edit_first_record(d / "train.jsonl", _set_first_caption_lone_surrogate)
-    ),
-    "infinite_box_coordinate": _train_on_broken_copy(
-        lambda d: _edit_first_record(d / "val.jsonl", _set_first_box_infinite)
-    ),
-    "mixed_feature_width": _train_on_broken_copy(
-        lambda d: _edit_first_record(d / "test.jsonl", _cut_first_feature_row)
-    ),
-    "duplicate_image_id": _train_on_broken_copy(
-        lambda d: _copy_first_record_over_second(d / "test.jsonl")
-    ),
-    "label_float": _train_on_broken_copy(
-        lambda d: _edit_first_record(d / "train.jsonl", _set_first("labels", 3.7))
-    ),
-    "label_bool": _train_on_broken_copy(
-        lambda d: _edit_first_record(d / "train.jsonl", _set_first("labels", True))
-    ),
-    "label_string": _train_on_broken_copy(
-        lambda d: _edit_first_record(d / "train.jsonl", _set_first("labels", "1"))
-    ),
-    "label_beyond_int64": _train_on_broken_copy(
-        lambda d: _edit_first_record(d / "train.jsonl", _set_first("labels", 2**63))
-    ),
-    "caption_null": _train_on_broken_copy(
-        lambda d: _edit_first_record(d / "train.jsonl", _set_first("captions", None))
-    ),
-    "caption_number": _train_on_broken_copy(
-        lambda d: _edit_first_record(d / "train.jsonl", _set_first("captions", 5))
-    ),
-    "box_coordinate_string": _train_on_broken_copy(
-        lambda d: _edit_first_record(d / "train.jsonl", _set_first("boxes", "0.5", row=0))
-    ),
-    "feature_string": _train_on_broken_copy(
-        lambda d: _edit_first_record(d / "train.jsonl", _set_first("features", "0.5", row=0))
-    ),
-    # numpy would read true among floats as 1.0
-    "feature_bool": _train_on_broken_copy(
-        lambda d: _edit_first_record(d / "train.jsonl", _set_first("features", True, row=0))
-    ),
     "missing_checkpoint": _missing_checkpoint,
     "nan_in_checkpoint": _nan_checkpoint,
+    # 4 of the model's 6 tokens: decoding would emit ids the vocabulary lacks
+    "vocab_shorter_than_model": _evaluate_with_metadata(vocab_tokens=CHECKPOINT_TOKENS[:4]),
+    "vocab_longer_than_model": _evaluate_with_metadata(vocab_tokens=[*CHECKPOINT_TOKENS, "bus"]),
+    "vocab_token_twice": _evaluate_with_metadata(vocab_tokens=[*RESERVED, "a", "dog", "a"]),
+    "vocab_reserved_not_first": _evaluate_with_metadata(
+        vocab_tokens=["a", *RESERVED, "dog", "cat"]
+    ),
+    "vocab_token_not_string": _evaluate_with_metadata(vocab_tokens=[*RESERVED, "a", 5, "cat"]),
+    "train_config_not_object": _evaluate_with_metadata(train_config=[4]),
+    "train_config_null": _evaluate_with_metadata(train_config=None),
+    "max_len_missing": _evaluate_with_metadata(train_config={"hidden_size": 4}),
+    "max_len_string": _evaluate_with_metadata(train_config={"max_len": "abc"}),
+    "max_len_float": _evaluate_with_metadata(train_config={"max_len": 4.0}),
+    "max_len_zero": _evaluate_with_metadata(train_config={"max_len": 0}),
+    "checkpoint_extra_not_object": _checkpoint_extra_not_object,
     "malformed_detections_line": lambda d, t: _assign_labels(
         d / "test.jsonl", _write(t / "dets.jsonl", "{not json\n"), d / "classes.json", t
     ),
@@ -357,6 +394,108 @@ def test_unreadable_input_exit_code_3(case, data_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert any(line.startswith("data validation error: ") for line in err.splitlines()), err
+
+
+def _first_id(path):
+    return json.loads(path.read_text().splitlines()[0])["id"]
+
+
+def _set_first_box_degenerate(record):
+    record["boxes"][0][2] = record["boxes"][0][0]  # x_max == x_min
+
+
+class TestScopedLoad:
+    """``evaluate`` and ``analyze`` read their split in full and the other two
+    splits' lines as JSON records with an image id, unique across all three."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        return _write_checkpoint(tmp_path_factory.mktemp("checkpoint") / "checkpoint.json")
+
+    def evaluate(self, checkpoint, data, split="test"):
+        return main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(data),
+                     "--split", split])
+
+    def test_unbroken_data_exits_0(self, checkpoint, data_dir):
+        assert self.evaluate(checkpoint, data_dir) == 0
+
+    @pytest.mark.parametrize("case", sorted(SPLIT_BREAKAGES))
+    def test_breakage_in_scored_split_exit_code_3(self, case, checkpoint, data_dir, tmp_path,
+                                                 capsys):
+        broken = _broken_copy(data_dir, tmp_path, _break_split("test", SPLIT_BREAKAGES[case][1]))
+        code = self.evaluate(checkpoint, broken)
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data validation error: ")
+
+    UNSCORED_BREAKAGES = {
+        "malformed_json": (_append_malformed_line, 3),
+        "record_not_an_object": (lambda p: p.write_text(p.read_text() + "[1, 2]\n"), 3),
+        "id_missing": (_edit_first(lambda record: record.pop("id")), 3),
+        "id_float": (_edit_first(lambda record: record.update(id=7.5)), 3),
+        "id_null": (_edit_first(lambda record: record.update(id=None)), 3),
+        "id_twice_in_split": (_copy_first_record_over_second, 3),
+        # the records of unscored splits are not converted: these read as documented
+        "label_outside_class_table": (_edit_first(_set_first_label), 0),
+        "label_float": (_edit_first(_set_first("labels", 3.7)), 0),
+        "degenerate_box": (_edit_first(_set_first_box_degenerate), 0),
+        "feature_string": (_edit_first(_set_first("features", "0.5", row=0)), 0),
+    }
+
+    @pytest.mark.parametrize("unscored", ["train", "val"])
+    @pytest.mark.parametrize("case", sorted(UNSCORED_BREAKAGES))
+    def test_breakage_in_unscored_split(self, case, unscored, checkpoint, data_dir, tmp_path,
+                                        capsys):
+        edit, expected = self.UNSCORED_BREAKAGES[case]
+        broken = _broken_copy(data_dir, tmp_path, _break_split(unscored, edit))
+        assert self.evaluate(checkpoint, broken) == expected
+        if expected == 3:
+            assert capsys.readouterr().err.startswith("data validation error: ")
+        # scoring the broken split reads it in full, which rejects every breakage
+        assert self.evaluate(checkpoint, broken, split=unscored) == 3
+
+    @pytest.mark.parametrize("unscored", ["train", "val"])
+    def test_id_of_a_scored_image_in_unscored_split_exit_code_3(
+        self, unscored, checkpoint, data_dir, tmp_path, capsys
+    ):
+        test_id = _first_id(data_dir / "test.jsonl")
+        broken = _broken_copy(data_dir, tmp_path, _break_split(
+            unscored, _edit_first(lambda record: record.update(id=test_id))))
+        assert self.evaluate(checkpoint, broken) == 3
+        assert f"image id {test_id} appears twice" in capsys.readouterr().err
+
+    def test_id_shared_by_the_unscored_splits_exit_code_3(self, checkpoint, data_dir, tmp_path):
+        train_id = _first_id(data_dir / "train.jsonl")
+        broken = _broken_copy(data_dir, tmp_path, _break_split(
+            "val", _edit_first(lambda record: record.update(id=train_id))))
+        assert self.evaluate(checkpoint, broken) == 3
+
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_output_equals_that_of_a_full_load(self, split, data_dir, tmp_path, monkeypatch,
+                                               capsys):
+        run = tmp_path / "run"
+        flags = [*TINY_FLAGS, "--hidden-size", "16", "--learning-rate", "2e-2", "--max-epochs", "3"]
+        assert main(["train", "--data", str(data_dir), "--out", str(run), *flags]) == 0
+        capsys.readouterr()
+
+        def outputs(tag):
+            common = ["--checkpoint", str(run / "checkpoint_best.json"), "--data", str(data_dir),
+                      "--split", split]
+            files = [tmp_path / f"{tag}.{name}" for name in ("metrics", "report", "vectors")]
+            assert main(["evaluate", *common, "--out", str(files[0])]) == 0
+            assert main(["analyze", *common, "--neighbor-k", "1", "--out", str(files[1]),
+                         "--vectors", str(files[2])]) == 0
+            return capsys.readouterr().out, [f.read_bytes() for f in files]
+
+        scoped = outputs("scoped")
+        splits = []
+
+        def full_load(data_dir, split=None):
+            splits.append(split)
+            return load_dataset(data_dir)
+
+        monkeypatch.setattr(cli, "load_dataset", full_load)
+        assert outputs("full") == scoped
+        assert splits == [split, split]
 
 
 class TestMatrixCommand:

@@ -256,6 +256,38 @@ class TestDatasetIO:
         with pytest.raises(DataValidationError):
             data.load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("split", data.SPLITS)
+    def test_scoped_load_reads_one_split(self, split, tmp_path):
+        ds = generate_synthetic_dataset(
+            SyntheticSpec(num_classes=3, images=20, feature_size=6), seed=4
+        )
+        data.save_dataset(ds, tmp_path)
+        full = data.load_dataset(tmp_path)
+        scoped = data.load_dataset(tmp_path, split=split)
+        assert scoped.class_table == full.class_table
+        for name in data.SPLITS:
+            got = scoped.splits[name]
+            want = full.splits[name] if name == split else []
+            assert [ex.image_id for ex in got] == [ex.image_id for ex in want]
+            for a, b in zip(got, want):
+                assert a.features.tobytes() == b.features.tobytes()
+                assert a.boxes.tobytes() == b.boxes.tobytes()
+                assert a.labels.tobytes() == b.labels.tobytes()
+                assert a.captions == b.captions
+
+    @pytest.mark.parametrize("literal", ["18446744073709551617", "7.0", "true", "null"])
+    def test_scoped_load_checks_the_ids_of_the_other_splits(self, literal, tmp_path):
+        for name in data.SPLITS:
+            (tmp_path / f"{name}.jsonl").write_text(RECORD_WITH_ID.replace("ID", f'"{name}"'))
+        (tmp_path / "val.jsonl").write_text(RECORD_WITH_ID.replace("ID", literal))
+        (tmp_path / "classes.json").write_text('{"0": "a", "1": "UNK"}')
+        with pytest.raises(DataValidationError, match="not a JSON string or a 64-bit integer"):
+            data.load_dataset(tmp_path, split="test")
+
+    def test_unknown_split_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown split"):
+            data.load_dataset(tmp_path, split="dev")
+
     def test_malformed_record(self):
         with pytest.raises(DataValidationError):
             data.record_to_example({"id": "x"})

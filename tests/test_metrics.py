@@ -329,3 +329,22 @@ class TestPythonArithmeticHelpers:
         assert [v.hex() for v in metrics._idf(differ, 0.0).tolist()] == [
             (0.0 - math.log(d)).hex() for d in differ.tolist()
         ]
+
+
+class TestMeanOverOrders:
+    def test_np_mean_of_four_adds_left_to_right(self):
+        """``_cider`` takes each image's mean over the 4 orders as
+        ``(((c0 + c1) + c2) + c3) / 4.0``, where the dict scorers called
+        ``np.mean`` per image. The two agree only while numpy adds 4 values
+        left to right from 0.0; this checks it on rows where every other
+        order tried rounds differently."""
+        rng = np.random.default_rng(0)
+        rows = rng.random((200_000, 4)) * 10.0 ** rng.integers(-8, 8, size=(200_000, 4))
+        c0, c1, c2, c3 = rows.T
+        left = ((c0 + c1) + c2) + c3
+        others = [(c0 + c1) + (c2 + c3), ((c3 + c2) + c1) + c0, c0 + ((c1 + c2) + c3)]
+        differ = np.logical_and.reduce([left != other for other in others])
+        assert differ.sum() > 1000
+        assert [float(np.mean(row)).hex() for row in rows[differ]] == [
+            v.hex() for v in (left[differ] / 4.0).tolist()
+        ]

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import decode_reference
 import loop_reference
@@ -23,11 +24,12 @@ from decode_reference import (
     attend,
     decode_step,
     lstm_step,
+    mean_pool,
     select_greedy_token,
     sequence_logprob,
 )
 from groundcap import autodiff as ad
-from groundcap import kernels, numeric
+from groundcap import kernels, model, numeric
 from groundcap.data import BOS_ID, EOS_ID, SyntheticSpec, generate_synthetic_dataset
 from groundcap.errors import DataValidationError, DomainError, ShapeError
 from groundcap.model import (
@@ -38,7 +40,6 @@ from groundcap.model import (
     batch_forward,
     greedy_decode,
     load_checkpoint,
-    mean_pool,
     project_features,
     save_checkpoint,
 )
@@ -415,6 +416,53 @@ class TestBatchedGreedyDecode:
     def test_max_len_below_one_is_domain_error(self, max_len):
         with pytest.raises(DomainError):
             greedy_decode([np.ones((2, 4))], toy_params(), max_len)
+
+
+# object values of mixed magnitudes, signed zeros among them
+_OBJECT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e3, 1e3),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-1e300, 1e300),
+)
+
+
+class TestPaddedObjects:
+    """A chunk's padded block and masked mean rows against the per-image
+    ``mean_pool`` oracle, by bytes."""
+
+    @staticmethod
+    def assert_matches_mean_pool(zs):
+        counts = np.array([len(z) for z in zs])
+        z_pad, valid, z_bar = model._padded_objects(zs, counts)
+        assert z_bar.tobytes() == np.stack([mean_pool(z) for z in zs]).tobytes()
+        assert valid.sum(axis=1).tolist() == counts.tolist()
+        for row, z in enumerate(zs):
+            assert z_pad[row, : len(z)].tobytes() == z.tobytes()
+            assert valid[row, : len(z)].all() and not z_pad[row, len(z):].any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), counts=st.lists(st.integers(1, 36), min_size=1, max_size=8),
+           d=st.integers(1, 4))
+    def test_mean_rows_equal_mean_pool(self, data, counts, d):
+        zs = [data.draw(hnp.arrays(np.float64, (k, d), elements=_OBJECT_VALUES)) for k in counts]
+        self.assert_matches_mean_pool(zs)
+
+    @pytest.mark.parametrize("counts", [[1], [1] * 7, [36], [36, 1, 2], [1, 36]])
+    def test_one_and_thirty_six_objects(self, rng, counts):
+        scales = 10.0 ** rng.integers(-300, 300, size=(sum(counts), 1))
+        rows = np.split(rng.normal(size=(sum(counts), 3)) * scales, np.cumsum(counts)[:-1])
+        self.assert_matches_mean_pool(rows)
+
+    def test_negative_zeros(self):
+        # a mean of -0.0 rows is +0.0, as the reduction starts from +0.0
+        self.assert_matches_mean_pool([np.full((2, 3), -0.0), np.array([[-0.0, 1.0, -0.0]])])
+        _, _, z_bar = model._padded_objects([np.full((1, 2), -0.0)], np.array([1]))
+        assert not np.signbit(z_bar).any()
+
+    def test_order_of_addition(self):
+        # (1e16 + 1) - 1e16 is 0 left to right, 1 in another order
+        self.assert_matches_mean_pool([np.array([[1e16], [1.0], [-1e16], [1.0]]), np.ones((1, 1))])
 
 
 class TestPermutationInvariance:

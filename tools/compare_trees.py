@@ -1,0 +1,164 @@
+"""Compare what two source trees of groundcap write, byte for byte.
+
+    python tools/compare_trees.py BASE CHANGE [--matrix] [--work DIR]
+
+BASE and CHANGE are checkouts of the repository (for example a parent
+commit extracted with ``git archive`` and the working tree). Each tree runs
+in a process of its own that imports that tree's ``src/groundcap`` and its
+unchanged ``perfbench/workload.py`` (for the benchmark's data, fixture
+checkpoint and training flags). Each process writes:
+
+* ``evaluate`` and ``analyze`` of the fixture checkpoint on the
+  ``eval-checkpoint`` data of seeds 1-5: stdout, ``--out`` and ``--vectors``;
+* every file of the ``train-grounded`` runs of seed 1, one per dataset;
+* with ``--matrix``, every file of the acceptance test's 12-run matrix
+  (``tests/test_acceptance.py``'s data, config and seeds, ``neighbor_k=3``).
+
+``convergence.csv`` is compared without its ``wall_ms`` column, the one
+field that is meant to differ between runs. The script prints the SHA-256
+of every output of both trees, then the files that differ or exist on one
+side only, and exits 1 if there is any. The matrix takes several minutes
+per tree; the two trees run side by side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import hashlib
+import io
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+EVAL_SEEDS = (1, 2, 3, 4, 5)
+TRAIN_SEED = 1
+
+
+def _run_cli(cli, argv: list[str], stdout_path: Path | None) -> None:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"groundcap {' '.join(argv)} exited {code}")
+    if stdout_path is not None:
+        stdout_path.write_text(out.getvalue())
+
+
+def _drop_wall_ms(run_root: Path) -> None:
+    for path in run_root.rglob("convergence.csv"):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        if rows[0][-1] != "wall_ms":
+            raise SystemExit(f"{path}: the last column is {rows[0][-1]!r}, not wall_ms")
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(row[:-1] for row in rows)
+
+
+def emit(tree: Path, results: Path, inputs: Path, matrix: bool) -> None:
+    """Write one tree's outputs under ``results`` and the data and checkpoints
+    they are made from under ``inputs``."""
+    sys.path.insert(0, str(tree / "perfbench"))
+    import workload  # pins BLAS to 1 thread and imports the tree's groundcap
+
+    from groundcap import cli, training
+    from groundcap.data import generate_synthetic_dataset, save_dataset
+
+    for seed in EVAL_SEEDS:
+        work = inputs / f"eval_seed{seed}"
+        out = results / f"eval_seed{seed}"
+        out.mkdir(parents=True)
+        dataset = workload.eval_dataset(seed)
+        save_dataset(dataset, work / "data")
+        checkpoint = workload.stage_fixture(work, dataset.class_table, workload.Checks())
+        common = ["--checkpoint", str(checkpoint), "--data", str(work / "data"), "--split", "test"]
+        _run_cli(cli, ["evaluate", *common, "--out", str(out / "evaluate.json")],
+                 out / "evaluate.stdout")
+        _run_cli(cli, ["analyze", *common, "--out", str(out / "analyze.json"),
+                       "--vectors", str(out / "vectors.jsonl")], out / "analyze.stdout")
+
+    grounded = workload.TRAIN_WORKLOADS["train-grounded"]
+    for k in range(workload.TRAIN_DATASETS):
+        data_dir = inputs / f"train_data{k}"
+        dataset = generate_synthetic_dataset(grounded["spec"], seed=workload.TRAIN_DATASETS * TRAIN_SEED + k)
+        save_dataset(dataset, data_dir)
+        run_dir = results / f"train_seed{TRAIN_SEED}_data{k}"
+        _run_cli(cli, ["train", "--data", str(data_dir), "--out", str(run_dir),
+                       *grounded["flags"], "--seed", str(TRAIN_SEED)], None)
+
+    if matrix:
+        sys.path.insert(0, str(tree / "tests"))
+        import test_acceptance as acceptance
+
+        dataset = generate_synthetic_dataset(acceptance.BENCH_SPEC, seed=acceptance.BENCH_DATA_SEED)
+        training.run_experiment_matrix(
+            acceptance.BENCH_CONFIG, dataset, acceptance.BENCH_TRAIN_SEEDS,
+            results / "matrix", neighbor_k=3,
+        )
+    _drop_wall_ms(results)
+
+
+def digests(root: Path) -> dict[str, str]:
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def compare(base: Path, change: Path, work: Path, matrix: bool) -> int:
+    procs = []
+    for side, tree in (("base", base), ("change", change)):
+        cmd = [sys.executable, str(Path(__file__).resolve()), "--emit", str(tree.resolve()),
+               str(work / side)]
+        if matrix:
+            cmd.append("--matrix")
+        procs.append(subprocess.Popen(cmd))
+    if any(proc.wait() != 0 for proc in procs):
+        print("a tree failed to write its outputs", file=sys.stderr)
+        return 2
+    left = digests(work / "base" / "results")
+    right = digests(work / "change" / "results")
+    differ = []
+    for name in sorted(left.keys() | right.keys()):
+        a, b = left.get(name, "-"), right.get(name, "-")
+        print(f"{a[:16]}  {b[:16]}  {'same   ' if a == b else 'DIFFERS'}  {name}")
+        if a != b:
+            differ.append(name)
+    print(f"{len(left.keys() | right.keys())} files, {len(differ)} differ")
+    for name in differ:
+        print(f"differs: {name}")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path, nargs="?")
+    parser.add_argument("change", type=Path, nargs="?")
+    parser.add_argument("--matrix", action="store_true", help="also run the 12-run matrix")
+    parser.add_argument("--work", type=Path, help="keep every output here (default: a "
+                                                  "temporary directory, removed afterwards)")
+    parser.add_argument("--emit", nargs=2, type=Path, metavar=("TREE", "OUT"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.emit:
+        tree, out = args.emit
+        emit(tree, out / "results", out / "inputs", args.matrix)
+        return 0
+    if args.base is None or args.change is None:
+        parser.error("BASE and CHANGE are required")
+    if args.work is not None:
+        args.work.mkdir(parents=True, exist_ok=False)
+        return compare(args.base, args.change, args.work, args.matrix)
+    work = Path(tempfile.mkdtemp(prefix="compare_trees_"))
+    try:
+        return compare(args.base, args.change, work, args.matrix)
+    finally:
+        shutil.rmtree(work)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
