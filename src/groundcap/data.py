@@ -284,10 +284,9 @@ def write_atomic(path: Path, text: str) -> None:
 
 
 def write_jsonl(examples: list[ImageExample], path: Path) -> None:
-    with open(path, "w") as fh:
-        for ex in examples:
-            fh.write(json.dumps(example_to_record(ex), sort_keys=True))
-            fh.write("\n")
+    write_atomic(
+        path, "".join(json.dumps(example_to_record(ex), sort_keys=True) + "\n" for ex in examples)
+    )
 
 
 def _read_records(path: Path):
@@ -323,7 +322,7 @@ def save_dataset(dataset: Dataset, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, examples in dataset.splits.items():
         write_jsonl(examples, out_dir / f"{name}.jsonl")
-    (out_dir / "classes.json").write_text(dataset.class_table.to_json() + "\n")
+    write_atomic(out_dir / "classes.json", dataset.class_table.to_json() + "\n")
 
 
 def load_class_table(path: Path) -> ClassTable:

@@ -13,10 +13,17 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-import orjson
 
 from . import kernels
-from .data import DataValidationError, box_array, image_id_of, json_array, read_jsonl, write_jsonl
+from .data import (
+    DataValidationError,
+    _read_records,
+    box_array,
+    image_id_of,
+    json_array,
+    read_jsonl,
+    write_jsonl,
+)
 from .errors import ConfigError
 
 NO_DETECTIONS = (np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
@@ -41,27 +48,23 @@ def assign_labels(
 
 
 def _load_detections(path: Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Image id -> (boxes (m, 4), labels (m,)) of its detection record."""
+    """Image id -> (boxes (m, 4), labels (m,)) of its detection record; an
+    id may have one record only."""
     per_image: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    try:
-        with open(path, "rb") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = orjson.loads(line)
-                    image_id = image_id_of(rec)
-                    where = f"image {image_id} detections"
-                    labels = np.asarray(
-                        json_array(rec["labels"], "integer", f"{where}: labels"), dtype=np.int64
-                    )
-                    boxes = json_array(rec["boxes"], "number", f"{where}: boxes", rows=True)
-                    per_image[image_id] = box_array(boxes, len(labels), where), labels
-                except (KeyError, TypeError, ValueError, OverflowError) as err:
-                    raise DataValidationError(f"malformed detection record: {err}") from err
-    except OSError as err:
-        raise DataValidationError(f"cannot read {path}: {err}") from err
+    for rec in _read_records(path):
+        try:
+            image_id = image_id_of(rec)
+            where = f"image {image_id} detections"
+            labels = np.asarray(
+                json_array(rec["labels"], "integer", f"{where}: labels"), dtype=np.int64
+            )
+            boxes = json_array(rec["boxes"], "number", f"{where}: boxes", rows=True)
+            detections = box_array(boxes, len(labels), where), labels
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
+            raise DataValidationError(f"malformed detection record: {err}") from err
+        if image_id in per_image:
+            raise DataValidationError(f"{path}: image id {image_id} appears twice")
+        per_image[image_id] = detections
     return per_image
 
 

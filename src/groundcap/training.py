@@ -1,17 +1,21 @@
 """Training loop, evaluation and the four-variant experiment matrix.
 
-One optimizer step: teacher-forced forward over a batch of
-(image, caption) pairs, cross-entropy plus the enabled grounding losses
-on one tape, backward, global-norm gradient clipping, Adam update. The
-learning rate decays by a fixed factor every ``lr_decay_every`` steps.
-After each epoch the validation split is greedy-decoded and scored with
-CIDEr; the best-scoring parameters are checkpointed and training stops
-once the score has not improved for ``patience`` epochs.
+A run's state is one ``TrainState``: what it trains on, and what each
+step hands to the next. One optimizer step (``_train_step``):
+teacher-forced forward over a batch of (image, caption) pairs,
+cross-entropy plus the enabled grounding losses on one tape, backward,
+global-norm gradient clipping, Adam update. The learning rate decays by a
+fixed factor every ``lr_decay_every`` steps. One epoch (``_run_epoch``):
+a shuffle, a step per batch, then the validation split is greedy-decoded
+and scored with CIDEr; the best-scoring parameters are checkpointed.
+``train`` runs epochs until ``max_epochs``, or until the score has not
+improved for ``patience`` epochs.
 
-Everything is deterministic given the config seed: parameter init,
-dropout, the two loss samplers and the per-epoch shuffle each own an rng
-stream derived from it. The wall_ms column of the convergence log is the
-one intentionally non-reproducible field.
+Everything is deterministic given the config seed: parameter init and the
+per-epoch shuffle draw from rng streams derived from it, and so do
+dropout and the two loss samplers, whose streams are fields of the
+``TrainState``. The wall_ms column of the convergence log is the one
+intentionally non-reproducible field.
 
 Validation (``split_cider``) and ``evaluate`` both decode through
 ``analysis.decode_corpus``. The matrix decodes each run's test split once,
@@ -169,18 +173,6 @@ def write_convergence_csv(rows: list[LogRow], path: Path) -> None:
     write_atomic(path, "".join(line + "\n" for line in lines))
 
 
-@dataclass
-class TrainResult:
-    params: ModelParams  # best-validation parameters
-    vocab: Vocabulary
-    config: TrainConfig
-    best_val_cider: float
-    best_epoch: int
-    epochs_run: int
-    total_steps: int
-    rows: list[LogRow] = field(repr=False)
-
-
 class Adam:
     """Adam with bias correction; the learning rate is supplied per step."""
 
@@ -223,21 +215,6 @@ def learning_rate_at(config: TrainConfig, completed_steps: int) -> float:
     return config.learning_rate * config.lr_decay ** (completed_steps // config.lr_decay_every)
 
 
-@dataclass
-class _Streams:
-    dropout: np.random.Generator
-    triplets: np.random.Generator
-    pairs: np.random.Generator
-
-    @classmethod
-    def for_seed(cls, seed: int) -> "_Streams":
-        return cls(
-            dropout=np.random.default_rng([seed, 1]),
-            triplets=np.random.default_rng([seed, 2]),
-            pairs=np.random.default_rng([seed, 3]),
-        )
-
-
 def _feature_size(examples: list[ImageExample]) -> int:
     sizes = {ex.features.shape[1] for ex in examples}
     if len(sizes) != 1:
@@ -257,20 +234,40 @@ def _training_pairs(
     return pairs
 
 
-def _train_step(
-    params: ModelParams,
-    optimizer: Adam,
-    train_examples: list[ImageExample],
-    batch: list[tuple[int, list[int]]],
-    config: TrainConfig,
-    class_tokens: dict[int, list[int]] | None,
-    unk_id: int,
-    streams: _Streams,
-    completed_steps: int,
-) -> tuple[float, float, float, float, float]:
-    lr = learning_rate_at(config, completed_steps)
+@dataclass
+class TrainState:
+    """One training run: what it trains on, and what each step and epoch
+    hands to the next. ``train`` returns it; ``params`` are the last step's
+    parameters and ``best_params`` those of the best validation epoch."""
+
+    config: TrainConfig
+    vocab: Vocabulary
+    train_examples: list[ImageExample] = field(repr=False)
+    pairs: list[tuple[int, list[int]]] = field(repr=False)  # (image index, encoded caption)
+    class_tokens: dict[int, list[int]] | None = field(repr=False)
+    unk_id: int
+    params: ModelParams = field(repr=False)
+    optimizer: Adam = field(repr=False)
+    # one stream per consumer, so toggling a loss never moves another's draws
+    dropout_rng: np.random.Generator = field(repr=False)
+    triplet_rng: np.random.Generator = field(repr=False)
+    pair_rng: np.random.Generator = field(repr=False)
+    best_params: ModelParams = field(repr=False)
+    best_val_cider: float = -np.inf
+    best_epoch: int = 0
+    stale_epochs: int = 0  # epochs since the last improvement
+    total_steps: int = 0
+    epochs_run: int = 0
+    rows: list[LogRow] = field(default_factory=list, repr=False)
+    started: float = field(default_factory=time.monotonic, repr=False)
+
+
+def _train_step(state: TrainState, batch: list[tuple[int, list[int]]]) -> None:
+    """One optimizer step on ``batch``; appends its row to ``state.rows``."""
+    config = state.config
+    lr = learning_rate_at(config, state.total_steps)
     tape = GradientTape()
-    p = params.tensors(tape)
+    p = state.params.tensors(tape)
 
     position: dict[int, int] = {}
     feats: list[np.ndarray] = []
@@ -280,48 +277,89 @@ def _train_step(
     for img_idx, seq in batch:
         if img_idx not in position:
             position[img_idx] = len(feats)
-            feats.append(train_examples[img_idx].features)
-            labels.append(train_examples[img_idx].labels)
+            feats.append(state.train_examples[img_idx].features)
+            labels.append(state.train_examples[img_idx].labels)
         image_of_example.append(position[img_idx])
         tokens.append(seq)
 
     out = batch_forward(
         p,
-        params.config,
+        state.params.config,
         feats,
         labels,
         image_of_example,
         tokens,
-        dropout_plan=DropoutPlan(rate=config.dropout, rng=streams.dropout),
+        dropout_plan=DropoutPlan(rate=config.dropout, rng=state.dropout_rng),
     )
     l_xe = batch_cross_entropy(out.per_example_logprob)
     l_c = None
     l_p = None
     if config.grounding_enabled:
-        pool = build_projection_pool(out.projected_flat, out.flat_labels, unk_id)
+        pool = build_projection_pool(out.projected_flat, out.flat_labels, state.unk_id)
         if config.use_cluster_loss:
-            triplets = sample_triplets(pool, config.sample_size, streams.triplets)
+            triplets = sample_triplets(pool, config.sample_size, state.triplet_rng)
             l_c = cluster_loss(pool, triplets, config.margin)
         if config.use_perceptual_loss:
-            pairs = sample_pairs(pool, config.sample_size, streams.pairs)
-            l_p = perceptual_loss(pool, pairs, p["embedding"], class_tokens)
+            pairs = sample_pairs(pool, config.sample_size, state.pair_rng)
+            l_p = perceptual_loss(pool, pairs, p["embedding"], state.class_tokens)
     total = total_loss(l_xe, l_c, l_p, config.cluster_weight, config.perceptual_weight)
     if not np.isfinite(total.data):
-        raise NumericalError(f"non-finite loss at step {completed_steps + 1}")
+        raise NumericalError(f"non-finite loss at step {state.total_steps + 1}")
 
     grads = ad.backward(tape, total)
     clip_global_norm(grads, config.grad_clip_norm)
-    optimizer.step(params.arrays, grads, lr)
-    return (
-        float(l_xe.data),
-        float(l_c.data) if l_c is not None else 0.0,
-        float(l_p.data) if l_p is not None else 0.0,
-        float(total.data),
-        lr,
+    state.optimizer.step(state.params.arrays, grads, lr)
+    state.total_steps += 1
+    state.rows.append(
+        LogRow(
+            epoch=state.epochs_run,
+            step=state.total_steps,
+            l_xe=float(l_xe.data),
+            l_c=float(l_c.data) if l_c is not None else 0.0,
+            l_p=float(l_p.data) if l_p is not None else 0.0,
+            total=float(total.data),
+            lr=lr,
+            val_cider=None,
+            wall_ms=int((time.monotonic() - state.started) * 1000),
+        )
     )
 
 
-def train(config: TrainConfig, dataset: Dataset, run_dir: Path | None = None) -> TrainResult:
+def _run_epoch(state: TrainState, val: list[ImageExample], run_dir: Path | None) -> None:
+    """One shuffle of the training pairs and a step per batch, then the
+    validation CIDEr: logged, flushed to the run directory, and checkpointed
+    when it beats the best so far."""
+    config = state.config
+    state.epochs_run += 1
+    epoch = state.epochs_run
+    order = np.random.default_rng([config.seed, 4, epoch]).permutation(len(state.pairs))
+    for start in range(0, len(order), config.batch_size):
+        _train_step(state, [state.pairs[i] for i in order[start : start + config.batch_size]])
+    val_cider = split_cider(state.params, val, state.vocab, config.max_len)
+    state.rows[-1].val_cider = val_cider
+    # Every epoch, so that a run killed later still leaves its log.
+    if run_dir is not None:
+        write_convergence_csv(state.rows, run_dir / "convergence.csv")
+    log.info(
+        "epoch %d: step %d, l_xe %.4f, val CIDEr %.2f",
+        epoch, state.total_steps, state.rows[-1].l_xe, val_cider,
+    )
+    if val_cider > state.best_val_cider:
+        state.best_val_cider = val_cider
+        state.best_params = state.params.copy()
+        state.best_epoch = epoch
+        state.stale_epochs = 0
+        if run_dir is not None:
+            save_checkpoint(
+                state.best_params,
+                run_dir / "checkpoint_best.json",
+                extra=_checkpoint_extra(config, state.vocab, epoch, val_cider),
+            )
+    else:
+        state.stale_epochs += 1
+
+
+def train(config: TrainConfig, dataset: Dataset, run_dir: Path | None = None) -> TrainState:
     """Optimize on the train split with early stopping on validation CIDEr.
 
     Training first tells glibc to keep the process's heap (``heap.keep_heap``),
@@ -360,86 +398,33 @@ def train(config: TrainConfig, dataset: Dataset, run_dir: Path | None = None) ->
         att_size=config.att_size,
     )
     params = ModelParams.init(model_config, np.random.default_rng([config.seed, 0]))
-    optimizer = Adam(
-        {k: v.shape for k, v in params.arrays.items()},
-        config.adam_beta1,
-        config.adam_beta2,
-        config.adam_eps,
-    )
-    streams = _Streams.for_seed(config.seed)
-    pairs = _training_pairs(dataset.train, vocab, config.max_len)
-
-    rows: list[LogRow] = []
-    best_cider = -np.inf
-    best_params = params.copy()
-    best_epoch = 0
-    epochs_without_improvement = 0
-    steps = 0
-    started = time.monotonic()
-    epoch = 0
-
-    def flush_log():
-        if run_dir is not None:
-            write_convergence_csv(rows, run_dir / "convergence.csv")
-
-    try:
-        for epoch in range(1, config.max_epochs + 1):
-            order = np.random.default_rng([config.seed, 4, epoch]).permutation(len(pairs))
-            for start in range(0, len(pairs), config.batch_size):
-                batch = [pairs[i] for i in order[start : start + config.batch_size]]
-                l_xe, l_c, l_p, total, lr = _train_step(
-                    params, optimizer, dataset.train, batch, config,
-                    class_tokens, unk_id, streams, steps,
-                )
-                steps += 1
-                rows.append(
-                    LogRow(
-                        epoch=epoch,
-                        step=steps,
-                        l_xe=l_xe,
-                        l_c=l_c,
-                        l_p=l_p,
-                        total=total,
-                        lr=lr,
-                        val_cider=None,
-                        wall_ms=int((time.monotonic() - started) * 1000),
-                    )
-                )
-            val_cider = split_cider(params, dataset.val, vocab, config.max_len)
-            rows[-1].val_cider = val_cider
-            # Every epoch, so that a run killed later still leaves its log.
-            flush_log()
-            log.info(
-                "epoch %d: step %d, l_xe %.4f, val CIDEr %.2f", epoch, steps, l_xe, val_cider
-            )
-            if val_cider > best_cider:
-                best_cider = val_cider
-                best_params = params.copy()
-                best_epoch = epoch
-                epochs_without_improvement = 0
-                if run_dir is not None:
-                    save_checkpoint(
-                        best_params,
-                        run_dir / "checkpoint_best.json",
-                        extra=_checkpoint_extra(config, vocab, epoch, val_cider),
-                    )
-            else:
-                epochs_without_improvement += 1
-                if epochs_without_improvement >= config.patience:
-                    break
-    except NumericalError:
-        flush_log()
-        raise
-    return TrainResult(
-        params=best_params,
-        vocab=vocab,
+    state = TrainState(
         config=config,
-        best_val_cider=float(best_cider),
-        best_epoch=best_epoch,
-        epochs_run=epoch,
-        total_steps=steps,
-        rows=rows,
+        vocab=vocab,
+        train_examples=dataset.train,
+        pairs=_training_pairs(dataset.train, vocab, config.max_len),
+        class_tokens=class_tokens,
+        unk_id=unk_id,
+        params=params,
+        optimizer=Adam(
+            {k: v.shape for k, v in params.arrays.items()},
+            config.adam_beta1,
+            config.adam_beta2,
+            config.adam_eps,
+        ),
+        dropout_rng=np.random.default_rng([config.seed, 1]),
+        triplet_rng=np.random.default_rng([config.seed, 2]),
+        pair_rng=np.random.default_rng([config.seed, 3]),
+        best_params=params.copy(),
     )
+    try:
+        while state.epochs_run < config.max_epochs and state.stale_epochs < config.patience:
+            _run_epoch(state, dataset.val, run_dir)
+    except NumericalError:
+        if run_dir is not None:
+            write_convergence_csv(state.rows, run_dir / "convergence.csv")
+        raise
+    return state
 
 
 def _checkpoint_extra(config: TrainConfig, vocab: Vocabulary, epoch: int, val_cider: float) -> dict:
@@ -502,9 +487,9 @@ def run_experiment_matrix(
             )
             run_dir = out_dir / f"{name.replace('+', '_')}_seed{seed}"
             result = train(config, dataset, run_dir=run_dir)
-            table = evaluate(result.params, dataset.test, result.vocab, config.max_len)
+            table = evaluate(result.best_params, dataset.test, result.vocab, config.max_len)
             report, exports = analyze(
-                result.params,
+                result.best_params,
                 dataset.test,
                 dataset.class_table,
                 result.vocab,

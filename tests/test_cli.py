@@ -92,6 +92,40 @@ class TestAssignLabels:
         assert "data validation error" in capsys.readouterr().err
 
 
+    def assign(self, tmp_path, detection_lines):
+        targets = tmp_path / "targets.jsonl"
+        targets.write_text(json.dumps({
+            "id": "img0", "features": [[0.1, 0.2]], "boxes": [[0.0, 0.0, 0.5, 0.5]],
+            "labels": [0], "captions": ["a dog"],
+        }) + "\n")
+        detections = tmp_path / "dets.jsonl"
+        detections.write_text("".join(line + "\n" for line in detection_lines))
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps({"0": "dog", "1": "cat", "2": "UNK"}))
+        out = tmp_path / "out.jsonl"
+        code = main([
+            "assign-labels", "--targets", str(targets), "--detections", str(detections),
+            "--classes", str(classes), "--out", str(out),
+        ])
+        assert not out.exists()
+        return code, detections
+
+    def test_repeated_detection_id_exit_code_3(self, tmp_path, capsys):
+        records = [{"id": "img0", "boxes": [[0.0, 0.0, 0.5, 0.5]], "labels": [label]}
+                   for label in (0, 1)]
+        code, detections = self.assign(tmp_path, [json.dumps(r) for r in records])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{detections}: image id img0 appears twice" in err, err
+
+    def test_detections_line_not_json_exit_code_3(self, tmp_path, capsys):
+        record = {"id": "img0", "boxes": [], "labels": []}
+        code, detections = self.assign(tmp_path, [json.dumps(record), "{not json"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{detections}:2: malformed JSON" in err, err
+
+
 class TestTrainEvaluateAnalyze:
     @pytest.fixture(scope="class")
     def run_dir(self, data_dir, tmp_path_factory):

@@ -252,6 +252,24 @@ class TestDatasetIO:
             np.testing.assert_array_equal(a.labels, b.labels)
             assert a.captions == b.captions
 
+    def test_failed_save_leaves_the_previous_files(self, tmp_path, monkeypatch):
+        spec = SyntheticSpec(num_classes=3, images=10, feature_size=4)
+        data.save_dataset(generate_synthetic_dataset(spec, seed=4), tmp_path)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        real = data.example_to_record
+        calls = []
+
+        def fails_on_the_second_image(ex):
+            calls.append(ex.image_id)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real(ex)
+
+        monkeypatch.setattr(data, "example_to_record", fails_on_the_second_image)
+        with pytest.raises(OSError, match="disk full"):
+            data.save_dataset(generate_synthetic_dataset(spec, seed=5), tmp_path)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_load_dataset_missing_file(self, tmp_path):
         with pytest.raises(DataValidationError):
             data.load_dataset(tmp_path)

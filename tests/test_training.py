@@ -157,7 +157,7 @@ class TestTrainLoop:
         assert checkpoints[0] == checkpoints[1]
 
         # evaluate and split_cider on a split match the per-image path
-        params, vocab = batched.params, batched.vocab
+        params, vocab = batched.best_params, batched.vocab
         split = decode_dataset.test
 
         def outputs():
@@ -202,6 +202,38 @@ class TestTrainLoop:
                 per_epoch[r.epoch] = per_epoch.get(r.epoch, 0) + 1
         assert set(per_epoch.values()) == {1}
         assert set(per_epoch) == set(range(1, result.epochs_run + 1))
+        # patience 10 never runs out in 3 epochs: the loop stops at max_epochs
+        assert result.epochs_run == 3
+        assert len(result.rows) == result.total_steps
+
+    @pytest.mark.parametrize("sampler, alone", [
+        ("sample_triplets", "use_cluster_loss"),
+        ("sample_pairs", "use_perceptual_loss"),
+    ])
+    def test_toggling_the_other_loss_leaves_a_samplers_draws(
+        self, sampler, alone, tiny_dataset, monkeypatch
+    ):
+        real = getattr(training, sampler)
+
+        def draws(**losses):
+            got = []
+
+            def recorded(*args):
+                got.append(real(*args))
+                return got[-1]
+
+            monkeypatch.setattr(training, sampler, recorded)
+            result = train(replace(TINY, seed=5, **losses), tiny_dataset)
+            assert len(got) == result.total_steps
+            return got
+
+        only = draws(**{alone: True})
+        both = draws(use_cluster_loss=True, use_perceptual_loss=True)
+        assert len(only) == len(both) and any(len(step[0]) for step in only)
+        for one, other in zip(only, both):
+            assert len(one) == len(other)
+            for a, b in zip(one, other):
+                np.testing.assert_array_equal(a, b)
 
     def test_grounding_with_all_unk_labels_is_config_error(self, tiny_dataset):
         import copy
@@ -374,14 +406,14 @@ class TestEvaluate:
             return scripted
 
         monkeypatch.setattr(analysis, "greedy_decode", scripted_decode)
-        table = evaluate(result.params, tiny_dataset.test, vocab, cfg.max_len)
+        table = evaluate(result.best_params, tiny_dataset.test, vocab, cfg.max_len)
         assert table["BLEU-1"] == pytest.approx(100.0, abs=1e-6)
         assert calls == [len(tiny_dataset.test)]  # one call for the whole split
 
     def test_repeated_evaluation_identical(self, tiny_dataset):
         result = train(replace(TINY, max_epochs=1), tiny_dataset)
-        a = evaluate(result.params, tiny_dataset.test, result.vocab)
-        b = evaluate(result.params, tiny_dataset.test, result.vocab)
+        a = evaluate(result.best_params, tiny_dataset.test, result.vocab)
+        b = evaluate(result.best_params, tiny_dataset.test, result.vocab)
         assert a == b
 
     def test_missing_references_is_validation_error(self, tiny_dataset):
@@ -391,7 +423,7 @@ class TestEvaluate:
         ds = copy.deepcopy(tiny_dataset)
         ds.test[0].captions = ["!!!"]
         with pytest.raises(DataValidationError):
-            evaluate(result.params, ds.test, result.vocab)
+            evaluate(result.best_params, ds.test, result.vocab)
 
 
 class TestCheckpointRoundtrip:
@@ -402,7 +434,7 @@ class TestCheckpointRoundtrip:
         assert vocab.tokens == result.vocab.tokens
         assert max_len == cfg.max_len
         assert params.config.hidden_size == cfg.hidden_size
-        for name, arr in result.params.arrays.items():
+        for name, arr in result.best_params.arrays.items():
             np.testing.assert_array_equal(params.arrays[name], arr)
 
     def test_vocab_required(self):

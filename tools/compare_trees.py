@@ -8,15 +8,23 @@ in a process of its own that imports that tree's ``src/groundcap`` and its
 unchanged ``perfbench/workload.py`` (for the benchmark's data, fixture
 checkpoint and training flags). Each process writes:
 
+* under ``inputs/``, the dataset directories that ``save_dataset`` writes
+  (the ``eval-checkpoint`` data of seeds 1-5 and the ``train-grounded`` data
+  of seed 1), the staged fixture checkpoint and the detections file below;
 * ``evaluate`` and ``analyze`` of the fixture checkpoint on the
-  ``eval-checkpoint`` data of seeds 1-5: stdout, ``--out`` and ``--vectors``;
-* every file of the ``train-grounded`` runs of seed 1, one per dataset;
+  ``eval-checkpoint`` data: stdout, ``--out`` and ``--vectors``;
+* ``assign-labels`` on the test split of seed 1's ``eval-checkpoint`` data,
+  with a detections file made of every other box of that split and its
+  label: stdout and ``--out``;
+* every file and the stdout of the ``train-grounded`` runs of seed 1, one
+  per dataset;
 * with ``--matrix``, every file of the acceptance test's 12-run matrix
   (``tests/test_acceptance.py``'s data, config and seeds, ``neighbor_k=3``).
 
 ``convergence.csv`` is compared without its ``wall_ms`` column, the one
-field that is meant to differ between runs. The script prints the SHA-256
-of every output of both trees, then the files that differ or exist on one
+field that is meant to differ between runs, and stdout with the tree's
+own output directory printed as ``OUT``. The script prints the SHA-256 of
+every output of both trees, then the files that differ or exist on one
 side only, and exits 1 if there is any. The matrix takes several minutes
 per tree; the two trees run side by side.
 """
@@ -28,6 +36,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import shutil
 import subprocess
 import sys
@@ -38,14 +47,14 @@ EVAL_SEEDS = (1, 2, 3, 4, 5)
 TRAIN_SEED = 1
 
 
-def _run_cli(cli, argv: list[str], stdout_path: Path | None) -> None:
+def _run_cli(cli, argv: list[str], stdout_path: Path, root: Path) -> None:
+    """Run one command and write its stdout, with ``root`` printed as OUT."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     if code != 0:
         raise SystemExit(f"groundcap {' '.join(argv)} exited {code}")
-    if stdout_path is not None:
-        stdout_path.write_text(out.getvalue())
+    stdout_path.write_text(out.getvalue().replace(str(root), "OUT"))
 
 
 def _drop_wall_ms(run_root: Path) -> None:
@@ -58,9 +67,10 @@ def _drop_wall_ms(run_root: Path) -> None:
             csv.writer(fh, lineterminator="\n").writerows(row[:-1] for row in rows)
 
 
-def emit(tree: Path, results: Path, inputs: Path, matrix: bool) -> None:
-    """Write one tree's outputs under ``results`` and the data and checkpoints
-    they are made from under ``inputs``."""
+def emit(root: Path, tree: Path, matrix: bool) -> None:
+    """Write one tree's outputs under ``root/results`` and the data and
+    checkpoints they are made from under ``root/inputs``."""
+    results, inputs = root / "results", root / "inputs"
     sys.path.insert(0, str(tree / "perfbench"))
     import workload  # pins BLAS to 1 thread and imports the tree's groundcap
 
@@ -76,9 +86,20 @@ def emit(tree: Path, results: Path, inputs: Path, matrix: bool) -> None:
         checkpoint = workload.stage_fixture(work, dataset.class_table, workload.Checks())
         common = ["--checkpoint", str(checkpoint), "--data", str(work / "data"), "--split", "test"]
         _run_cli(cli, ["evaluate", *common, "--out", str(out / "evaluate.json")],
-                 out / "evaluate.stdout")
+                 out / "evaluate.stdout", root)
         _run_cli(cli, ["analyze", *common, "--out", str(out / "analyze.json"),
-                       "--vectors", str(out / "vectors.jsonl")], out / "analyze.stdout")
+                       "--vectors", str(out / "vectors.jsonl")], out / "analyze.stdout", root)
+        if seed == EVAL_SEEDS[0]:
+            detections = work / "detections.jsonl"
+            detections.write_text("".join(
+                json.dumps({"id": ex.image_id, "boxes": ex.boxes[::2].tolist(),
+                            "labels": ex.labels[::2].tolist()}) + "\n"
+                for ex in dataset.test
+            ))
+            _run_cli(cli, ["assign-labels", "--targets", str(work / "data" / "test.jsonl"),
+                           "--detections", str(detections),
+                           "--classes", str(work / "data" / "classes.json"),
+                           "--out", str(out / "labeled.jsonl")], out / "assign_labels.stdout", root)
 
     grounded = workload.TRAIN_WORKLOADS["train-grounded"]
     for k in range(workload.TRAIN_DATASETS):
@@ -87,7 +108,8 @@ def emit(tree: Path, results: Path, inputs: Path, matrix: bool) -> None:
         save_dataset(dataset, data_dir)
         run_dir = results / f"train_seed{TRAIN_SEED}_data{k}"
         _run_cli(cli, ["train", "--data", str(data_dir), "--out", str(run_dir),
-                       *grounded["flags"], "--seed", str(TRAIN_SEED)], None)
+                       *grounded["flags"], "--seed", str(TRAIN_SEED)],
+                 results / f"{run_dir.name}.stdout", root)
 
     if matrix:
         sys.path.insert(0, str(tree / "tests"))
@@ -120,8 +142,8 @@ def compare(base: Path, change: Path, work: Path, matrix: bool) -> int:
     if any(proc.wait() != 0 for proc in procs):
         print("a tree failed to write its outputs", file=sys.stderr)
         return 2
-    left = digests(work / "base" / "results")
-    right = digests(work / "change" / "results")
+    left = digests(work / "base")
+    right = digests(work / "change")
     differ = []
     for name in sorted(left.keys() | right.keys()):
         a, b = left.get(name, "-"), right.get(name, "-")
@@ -146,7 +168,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.emit:
         tree, out = args.emit
-        emit(tree, out / "results", out / "inputs", args.matrix)
+        emit(out, tree, args.matrix)
         return 0
     if args.base is None or args.change is None:
         parser.error("BASE and CHANGE are required")
