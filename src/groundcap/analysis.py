@@ -21,8 +21,13 @@ Metrics, all reported on the 0..100 table scale:
   -1/(C-1) and would freeze the score around 55 for balanced classes no
   matter what training does.
 
-Word vectors come from ``losses.label_embedding_matrix`` and cosines from
-``kernels.pair_cosines_forward``, for homogeneity one matrix per class.
+``analyze`` computes each thing once: the class ids and each object space's
+(C, d) centroid matrix in one ``class_centroids`` call per space, the word
+vectors from ``losses.label_embedding_matrix``, and one (C, C) cosine
+matrix (``kernels.pair_cosines_forward``) of the word vectors and of each
+space's centroids. Overlap, correlation and separation read those matrices;
+homogeneity takes one matrix per class of the centered vectors. That is
+3 + 2C kernel calls when every class has at least two vectors.
 
 Raw centroid and embedding vectors are exported to JSON lines so the
 spaces can be visualized externally.
@@ -53,78 +58,52 @@ from .model import ModelParams, greedy_decode, project_features
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class AlignedSpaces:
-    """Word-space and object-space vectors indexed by one class list."""
-
-    class_ids: list[int]
-    word_vectors: np.ndarray  # (C, d_word)
-    object_vectors: np.ndarray  # (C, d_obj)
-
-    def __post_init__(self):
-        if len(self.class_ids) != len(self.word_vectors) or len(self.class_ids) != len(
-            self.object_vectors
-        ):
-            raise DataValidationError("aligned spaces must share one class list")
-
-
-def class_centroids(vectors: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray]:
-    """Arithmetic mean of the vectors of each class."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    out = {int(c): vectors[labels == c].mean(axis=0) for c in np.unique(labels)}
-    if not out:
-        raise DomainError("no labeled vectors to build centroids from")
-    return out
-
-
-def _cosine_neighbors(matrix: np.ndarray, k: int) -> list[set[int]]:
-    sims = kernels.pair_cosines_forward(matrix)
-    np.fill_diagonal(sims, -np.inf)
-    return [set(np.argsort(-row, kind="stable")[:k]) for row in sims]
-
-
-def mean_neighbor_overlap(spaces: AlignedSpaces, k: int = 3) -> float:
-    """Average share of common k-nearest classes between the two spaces."""
-    n = len(spaces.class_ids)
-    if k < 1 or k >= n:
-        raise DomainError(f"neighbor count k={k} must satisfy 1 <= k < {n} classes")
-    word_nn = _cosine_neighbors(spaces.word_vectors, k)
-    obj_nn = _cosine_neighbors(spaces.object_vectors, k)
-    return float(np.mean([len(w & o) / k for w, o in zip(word_nn, obj_nn)]))
-
-
-def similarity_correlation(spaces: AlignedSpaces) -> float:
-    """Pearson correlation of the two spaces' pairwise cosine lists."""
-    n = len(spaces.class_ids)
-    if n < 3:
-        raise DomainError(f"similarity correlation needs >= 3 classes, got {n}")
-    pairs = np.triu_indices(n, 1)
-    obj_sims = kernels.pair_cosines_forward(spaces.object_vectors)[pairs]
-    word_sims = kernels.pair_cosines_forward(spaces.word_vectors)[pairs]
-    return numeric.pearson(obj_sims, word_sims)
-
-
-def cluster_separation(vectors: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """(separation, homogeneity) on the 0..100 scale.
-
-    Homogeneity uses globally mean-centered vectors; separation uses raw
-    class centroids (see the module docstring for why). Classes with
-    fewer than two vectors contribute nothing to homogeneity (skipped
-    with a warning). All vectors identical - or any centered vector or
-    centroid of zero norm - is degenerate.
-    """
+def class_centroids(vectors: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted class ids (C,) and the arithmetic mean of each class's vectors (C, d)."""
     vectors = np.asarray(vectors, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     classes = np.unique(labels)
-    if len(classes) < 2:
-        raise DomainError(f"cluster separation needs >= 2 classes, got {len(classes)}")
+    if not len(classes):
+        raise DomainError("no labeled vectors to build centroids from")
+    return classes, np.stack([vectors[labels == c].mean(axis=0) for c in classes])
+
+
+def _check_neighbor_k(k: int, n: int) -> None:
+    if k < 1 or k >= n:
+        raise DomainError(f"neighbor count k={k} must satisfy 1 <= k < {n} classes")
+
+
+def mean_neighbor_overlap(word_cos: np.ndarray, object_cos: np.ndarray, k: int = 3) -> float:
+    """Average share of common k-nearest classes between two spaces, from
+    their (C, C) cosine matrices."""
+    _check_neighbor_k(k, len(word_cos))
+    self_pairs = np.eye(len(word_cos), dtype=bool)
+    word_nn, obj_nn = (
+        np.argsort(np.where(self_pairs, np.inf, -cos), axis=1, kind="stable")[:, :k]
+        for cos in (word_cos, object_cos)
+    )
+    return float(np.mean([len(set(w) & set(o)) / k for w, o in zip(word_nn, obj_nn)]))
+
+
+def similarity_correlation(word_cos: np.ndarray, object_cos: np.ndarray) -> float:
+    """Pearson correlation of two spaces' cosine matrices over the unordered
+    class pairs."""
+    n = len(word_cos)
+    if n < 3:
+        raise DomainError(f"similarity correlation needs >= 3 classes, got {n}")
+    pairs = np.triu_indices(n, 1)
+    return numeric.pearson(object_cos[pairs], word_cos[pairs])
+
+
+def cluster_homogeneity(vectors: np.ndarray, labels: np.ndarray, classes: np.ndarray) -> float:
+    """Mean within-class pairwise cosine of the globally mean-centered vectors,
+    clamped at 0, on the 0..100 scale. Classes of one vector are skipped with
+    a warning; a centered vector of zero norm (all inputs equal) is degenerate."""
     centered = vectors - vectors.mean(axis=0)
     if (np.linalg.norm(centered, axis=1) == 0.0).any():
         raise DegenerateStatisticsError(
             "zero-norm vector after global centering (identical inputs?)"
         )
-
     within = []
     for c in classes:
         rows = centered[labels == c]
@@ -135,22 +114,17 @@ def cluster_separation(vectors: np.ndarray, labels: np.ndarray) -> tuple[float, 
         within.append((kernels.pair_cosines_forward(rows).sum() - m) / (m * (m - 1)))
     if not within:
         raise DomainError("no class has >= 2 vectors; homogeneity undefined")
-    intra = 100.0 * max(0.0, float(np.mean(within)))
-
-    centroids = [vectors[labels == c].mean(axis=0) for c in classes]
-    return centroid_separation_score(centroids), intra
+    return 100.0 * max(0.0, float(np.mean(within)))
 
 
-def centroid_separation_score(centroids: list[np.ndarray]) -> float:
-    """100 x mean over unordered centroid pairs of (1 - cosine)/2.
+def cluster_separation(centroid_cos: np.ndarray) -> float:
+    """100 x mean over unordered centroid pairs of (1 - cosine)/2, from the
+    (C, C) cosine matrix of the raw class centroids (C >= 2).
 
     Endpoints: 0 for aligned centroids, 50 for mutually orthogonal ones,
     100 for antiparallel pairs.
     """
-    if len(centroids) < 2:
-        raise DomainError("separation needs >= 2 centroids")
-    cos = kernels.pair_cosines_forward(np.stack(centroids))
-    pair_vals = (1.0 - cos[np.triu_indices(len(centroids), 1)]) / 2.0
+    pair_vals = (1.0 - centroid_cos[np.triu_indices(len(centroid_cos), 1)]) / 2.0
     return 100.0 * float(np.mean(pair_vals))
 
 
@@ -185,9 +159,7 @@ class ClassVectors:
     centroid_projected: np.ndarray
 
 
-def collect_objects(
-    examples: list[ImageExample], unk_id: int
-) -> tuple[np.ndarray, np.ndarray]:
+def collect_objects(examples: list[ImageExample], unk_id: int) -> tuple[np.ndarray, np.ndarray]:
     """All non-UNK object vectors of a split with their labels."""
     labels = np.concatenate([ex.labels for ex in examples] or [np.zeros(0, dtype=np.int64)])
     keep = labels != unk_id
@@ -246,52 +218,42 @@ def analyze(
     """Table-shaped structure report plus exportable per-class vectors.
 
     ``cider`` (the split's ``split_cider``) goes into the report as given.
+    Checks run in this order: 2 classes; the original space's homogeneity
+    and nonzero centroids, then the projected one's; k; nonzero word
+    vectors; the correlation's 3 classes and variance.
     """
     vectors, labels = collect_objects(examples, class_table.unk_id)
     projected = project_features(vectors, params.arrays["input_proj"])
-    orig_centroids = class_centroids(vectors, labels)
-    proj_centroids = class_centroids(projected, labels)
-    class_ids = sorted(orig_centroids)
-
+    classes, orig_centroids = class_centroids(vectors, labels)
+    _, proj_centroids = class_centroids(projected, labels)
     tokens = class_table.label_token_ids(vocab)
-    embedding = Tensor(params.arrays["embedding"])
-    word_vectors = label_embedding_matrix(embedding, class_ids, tokens)[0].data
-    spaces_orig = AlignedSpaces(
-        class_ids=class_ids,
-        word_vectors=word_vectors,
-        object_vectors=np.stack([orig_centroids[c] for c in class_ids]),
-    )
-    spaces_proj = AlignedSpaces(
-        class_ids=class_ids,
-        word_vectors=word_vectors,
-        object_vectors=np.stack([proj_centroids[c] for c in class_ids]),
-    )
-    inter_orig, intra_orig = cluster_separation(vectors, labels)
-    inter_proj, intra_proj = cluster_separation(projected, labels)
+    word_vectors = label_embedding_matrix(Tensor(params.arrays["embedding"]), classes, tokens)[0].data
+    if len(classes) < 2:
+        raise DomainError(f"cluster separation needs >= 2 classes, got {len(classes)}")
+    spaces = {"original": (vectors, orig_centroids), "projected": (projected, proj_centroids)}
+    intra, centroid_cos = {}, {}
+    for space, (space_vectors, centroids) in spaces.items():
+        intra[space] = cluster_homogeneity(space_vectors, labels, classes)
+        centroid_cos[space] = kernels.pair_cosines_forward(centroids)
+    _check_neighbor_k(neighbor_k, len(classes))
+    word_cos = kernels.pair_cosines_forward(word_vectors)
+    overlap, correlation = {}, {}
+    for space, cos in centroid_cos.items():  # an overlap cannot fail once k is checked
+        overlap[space] = 100.0 * mean_neighbor_overlap(word_cos, cos, neighbor_k)
+        correlation[space] = 100.0 * similarity_correlation(word_cos, cos)
 
     report = AnalysisReport(
         cider=cider,
-        neighbor_overlap={
-            "original": 100.0 * mean_neighbor_overlap(spaces_orig, neighbor_k),
-            "projected": 100.0 * mean_neighbor_overlap(spaces_proj, neighbor_k),
-        },
-        similarity_correlation={
-            "original": 100.0 * similarity_correlation(spaces_orig),
-            "projected": 100.0 * similarity_correlation(spaces_proj),
-        },
-        inter_cluster={"original": inter_orig, "projected": inter_proj},
-        intra_cluster={"original": intra_orig, "projected": intra_proj},
+        neighbor_overlap=overlap,
+        similarity_correlation=correlation,
+        inter_cluster={space: cluster_separation(cos) for space, cos in centroid_cos.items()},
+        intra_cluster=intra,
         neighbor_k=neighbor_k,
-        num_classes=len(class_ids),
+        num_classes=len(classes),
     )
     exports = [
-        ClassVectors(
-            label=class_table.label(c),
-            word_vector=word_vectors[i],
-            centroid_original=orig_centroids[c],
-            centroid_projected=proj_centroids[c],
-        )
-        for i, c in enumerate(class_ids)
+        ClassVectors(class_table.label(c), *rows)
+        for c, *rows in zip(classes.tolist(), word_vectors, orig_centroids, proj_centroids)
     ]
     return report, exports
 

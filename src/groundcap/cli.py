@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .analysis import analyze, split_cider, write_vector_export
 from .data import (
+    SPLITS,
     SyntheticSpec,
     generate_synthetic_dataset,
     load_class_table,
@@ -167,13 +168,13 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a checkpoint on a split")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--out", type=Path, help="write the metric row JSON here")
 
     p = sub.add_parser("analyze", help="structure analysis of a checkpoint")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--neighbor-k", type=int, default=3)
     p.add_argument("--out", type=Path, help="write the report JSON here")
     p.add_argument("--vectors", type=Path, help="write raw vectors JSONL here")
@@ -210,7 +211,7 @@ def _cmd_generate_data(args) -> int:
 
 def _cmd_assign_labels(args) -> int:
     table = load_class_table(args.classes)
-    count = label_dataset_file(args.targets, args.detections, args.out, table.unk_id)
+    count = label_dataset_file(args.targets, args.detections, args.out, table)
     print(f"labeled {count} images -> {args.out}")
     return 0
 

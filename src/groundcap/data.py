@@ -198,10 +198,18 @@ class ClassTable:
 
     @classmethod
     def from_json(cls, text: str) -> "ClassTable":
+        """Keys are class ids written as ``to_json`` writes them ("3", not
+        "03" or " 3"), and values are JSON strings."""
         try:
-            names = {int(k): str(v) for k, v in orjson.loads(text).items()}
+            items = list(orjson.loads(text).items())
+            names = {int(k): v for k, v in items}
         except (AttributeError, ValueError) as err:
             raise DataValidationError(f"malformed class table: {err}") from err
+        for key, name in items:
+            if key != str(int(key)):
+                raise DataValidationError(f"malformed class table: key {key!r} is not canonical")
+            if not isinstance(name, str):
+                raise DataValidationError(f"malformed class table: label {name!r} is not a string")
         return cls(names=names)
 
 

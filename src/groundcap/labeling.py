@@ -16,6 +16,7 @@ import numpy as np
 
 from . import kernels
 from .data import (
+    ClassTable,
     DataValidationError,
     _read_records,
     box_array,
@@ -24,7 +25,6 @@ from .data import (
     read_jsonl,
     write_jsonl,
 )
-from .errors import ConfigError
 
 NO_DETECTIONS = (np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
 
@@ -47,9 +47,9 @@ def assign_labels(
     return np.where(overlap, det_labels[best], unk_id)
 
 
-def _load_detections(path: Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+def _load_detections(path: Path, table: ClassTable) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Image id -> (boxes (m, 4), labels (m,)) of its detection record; an
-    id may have one record only."""
+    id may have one record only, and its labels are classes of ``table``."""
     per_image: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for rec in _read_records(path):
         try:
@@ -64,23 +64,27 @@ def _load_detections(path: Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
             raise DataValidationError(f"malformed detection record: {err}") from err
         if image_id in per_image:
             raise DataValidationError(f"{path}: image id {image_id} appears twice")
+        unknown = [c for c in labels.tolist() if c not in table.names]
+        if unknown:
+            raise DataValidationError(f"{path}: {where}: label {unknown[0]} not in the class table")
         per_image[image_id] = detections
     return per_image
 
 
 def label_dataset_file(
-    targets_path: Path, detections_path: Path, out_path: Path, unk_id: int
+    targets_path: Path, detections_path: Path, out_path: Path, table: ClassTable
 ) -> int:
     """Fill the labels of every record in a JSONL feature file.
 
     Detector records are matched to targets by image id; images without
-    one get UNK throughout. Returns the number of images written.
+    one get the table's UNK class throughout. Returns the number of images
+    written.
     """
-    if unk_id < 0:
-        raise ConfigError(f"unk_id must be non-negative, got {unk_id}")
-    detections = _load_detections(Path(detections_path))
+    detections = _load_detections(Path(detections_path), table)
     examples = read_jsonl(Path(targets_path))
     for ex in examples:
-        ex.labels = assign_labels(ex.boxes, *detections.get(ex.image_id, NO_DETECTIONS), unk_id)
+        ex.labels = assign_labels(
+            ex.boxes, *detections.get(ex.image_id, NO_DETECTIONS), table.unk_id
+        )
     write_jsonl(examples, Path(out_path))
     return len(examples)

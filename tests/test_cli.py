@@ -118,6 +118,13 @@ class TestAssignLabels:
         err = capsys.readouterr().err
         assert f"{detections}: image id img0 appears twice" in err, err
 
+    def test_detection_label_outside_class_table_exit_code_3(self, tmp_path, capsys):
+        record = {"id": "img0", "boxes": [[0.0, 0.0, 0.5, 0.5]], "labels": [7]}
+        code, detections = self.assign(tmp_path, [json.dumps(record)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{detections}: image img0 detections: label 7 not in the class table" in err, err
+
     def test_detections_line_not_json_exit_code_3(self, tmp_path, capsys):
         record = {"id": "img0", "boxes": [], "labels": []}
         code, detections = self.assign(tmp_path, [json.dumps(record), "{not json"])
@@ -382,6 +389,18 @@ def _write(path, text):
     return path
 
 
+def _assign_with_class_table(edit):
+    """``assign-labels`` on the test split, with no detections and the data's
+    class table passed through ``edit`` (a function of its JSON object)."""
+
+    def argv(d, t):
+        names = edit(json.loads((d / "classes.json").read_text()))
+        table = _write(t / "classes.json", json.dumps(names))
+        return _assign_labels(d / "test.jsonl", _write(t / "dets.jsonl", ""), table, t)
+
+    return argv
+
+
 BROKEN_INPUTS = {
     **{
         name: _train_on_broken_copy(_break_split(split, edit))
@@ -419,6 +438,15 @@ BROKEN_INPUTS = {
     "missing_class_table_file": lambda d, t: _assign_labels(
         d / "test.jsonl", _write(t / "dets.jsonl", ""), t / "missing.json", t
     ),
+    # "01" and "1" would both read as class 1, one silently dropping the other
+    "class_table_key_zero_padded": _assign_with_class_table(
+        lambda names: {"1": "dog", "01": "cat", "2": "UNK"}
+    ),
+    "class_table_key_with_space": _assign_with_class_table(
+        lambda names: {(" 1" if k == "1" else k): v for k, v in names.items()}
+    ),
+    "class_table_label_null": _assign_with_class_table(lambda names: {**names, "1": None}),
+    "class_table_label_number": _assign_with_class_table(lambda names: {**names, "1": 5}),
 }
 
 

@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from groundcap.data import read_jsonl
+from groundcap.data import ClassTable, read_jsonl
 from groundcap.errors import DataValidationError
 from groundcap.labeling import assign_labels, iou, label_dataset_file
 
 UNK = 99
+TABLE = ClassTable({0: "dog", 3: "cat", 4: "cow", UNK: "UNK"})
 
 
 def box(x0, y0, x1, y1):
@@ -122,7 +123,7 @@ class TestLabelDatasetFile:
             + "\n"
         )
         out = tmp_path / "out.jsonl"
-        n = label_dataset_file(targets, dets, out, unk_id=UNK)
+        n = label_dataset_file(targets, dets, out, TABLE)
         assert n == 1
         labeled = read_jsonl(out)[0]
         assert labeled.labels.tolist() == [3, UNK]
@@ -140,7 +141,7 @@ class TestLabelDatasetFile:
         dets = tmp_path / "dets.jsonl"
         dets.write_text("")
         out = tmp_path / "out.jsonl"
-        label_dataset_file(targets, dets, out, unk_id=UNK)
+        label_dataset_file(targets, dets, out, TABLE)
         assert read_jsonl(out)[0].labels.tolist() == [UNK]
 
     def test_detection_id_beyond_64_bits_is_rejected(self, tmp_path):
@@ -150,7 +151,7 @@ class TestLabelDatasetFile:
         dets = tmp_path / "dets.jsonl"
         dets.write_text('{"id": 18446744073709551617, "boxes": [], "labels": []}\n')
         with pytest.raises(DataValidationError, match="64-bit integer"):
-            label_dataset_file(targets, dets, tmp_path / "out.jsonl", unk_id=UNK)
+            label_dataset_file(targets, dets, tmp_path / "out.jsonl", TABLE)
 
     def _label(self, tmp_path, detection_record):
         targets = tmp_path / "targets.jsonl"
@@ -161,7 +162,7 @@ class TestLabelDatasetFile:
         dets = tmp_path / "dets.jsonl"
         dets.write_text(json.dumps({"id": "img0", **detection_record}) + "\n")
         out = tmp_path / "out.jsonl"
-        label_dataset_file(targets, dets, out, unk_id=UNK)
+        label_dataset_file(targets, dets, out, TABLE)
         return read_jsonl(out)[0].labels.tolist()
 
     def test_empty_detection_record_gives_unk(self, tmp_path):

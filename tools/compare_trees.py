@@ -11,8 +11,9 @@ checkpoint and training flags). Each process writes:
 * under ``inputs/``, the dataset directories that ``save_dataset`` writes
   (the ``eval-checkpoint`` data of seeds 1-5 and the ``train-grounded`` data
   of seed 1), the staged fixture checkpoint and the detections file below;
-* ``evaluate`` and ``analyze`` of the fixture checkpoint on the
-  ``eval-checkpoint`` data: stdout, ``--out`` and ``--vectors``;
+* ``evaluate`` and ``analyze`` of the fixture checkpoint on the test split
+  of the ``eval-checkpoint`` data, and ``analyze --split val --neighbor-k 1``
+  on its validation split: stdout, ``--out`` and ``--vectors``;
 * ``assign-labels`` on the test split of seed 1's ``eval-checkpoint`` data,
   with a detections file made of every other box of that split and its
   label: stdout and ``--out``;
@@ -84,11 +85,14 @@ def emit(root: Path, tree: Path, matrix: bool) -> None:
         dataset = workload.eval_dataset(seed)
         save_dataset(dataset, work / "data")
         checkpoint = workload.stage_fixture(work, dataset.class_table, workload.Checks())
-        common = ["--checkpoint", str(checkpoint), "--data", str(work / "data"), "--split", "test"]
-        _run_cli(cli, ["evaluate", *common, "--out", str(out / "evaluate.json")],
+        common = ["--checkpoint", str(checkpoint), "--data", str(work / "data")]
+        _run_cli(cli, ["evaluate", *common, "--split", "test", "--out", str(out / "evaluate.json")],
                  out / "evaluate.stdout", root)
-        _run_cli(cli, ["analyze", *common, "--out", str(out / "analyze.json"),
-                       "--vectors", str(out / "vectors.jsonl")], out / "analyze.stdout", root)
+        for split, k, name in (("test", 3, "analyze"), ("val", 1, "analyze_val_k1")):
+            _run_cli(cli, ["analyze", *common, "--split", split, "--neighbor-k", str(k),
+                           "--out", str(out / f"{name}.json"),
+                           "--vectors", str(out / f"{name}_vectors.jsonl")],
+                     out / f"{name}.stdout", root)
         if seed == EVAL_SEEDS[0]:
             detections = work / "detections.jsonl"
             detections.write_text("".join(
