@@ -199,12 +199,19 @@ class ClassTable:
     @classmethod
     def from_json(cls, text: str) -> "ClassTable":
         """Keys are class ids written as ``to_json`` writes them ("3", not
-        "03" or " 3"), and values are JSON strings."""
+        "03" or " 3"), each once, and values are JSON strings."""
         try:
             items = list(orjson.loads(text).items())
             names = {int(k): v for k, v in items}
         except (AttributeError, ValueError) as err:
             raise DataValidationError(f"malformed class table: {err}") from err
+        # orjson keeps the last of two equal keys; the json module lists them all.
+        keys = [key for key, _ in json.loads(text, object_pairs_hook=list)]
+        if len(keys) != len(items):
+            repeated = next(key for key in keys if keys.count(key) > 1)
+            raise DataValidationError(
+                f"malformed class table: key {repeated!r} appears more than once"
+            )
         for key, name in items:
             if key != str(int(key)):
                 raise DataValidationError(f"malformed class table: key {key!r} is not canonical")
@@ -279,13 +286,16 @@ def record_to_example(rec: dict) -> ImageExample:
         raise DataValidationError(f"malformed dataset record: {err}") from err
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a ``.partial`` sibling and a rename,
+def write_atomic(path: Path, data: str | bytes) -> None:
+    """Write ``data`` to ``path`` through a ``.partial`` sibling and a rename,
     so a failed or interrupted write leaves any previous file intact."""
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
     try:
-        partial.write_text(text)
+        if isinstance(data, bytes):
+            partial.write_bytes(data)
+        else:
+            partial.write_text(data)
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)

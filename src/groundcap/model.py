@@ -39,7 +39,7 @@ from . import autodiff as ad
 from . import heap, kernels, numeric
 from .autodiff import Tensor
 from .data import BOS_ID, EOS_ID, write_atomic
-from .errors import DataValidationError, DomainError, ShapeError
+from .errors import DataValidationError, DomainError, NumericalError, ShapeError
 
 INIT_SCALE = 0.08
 FORGET_BIAS = 1.0
@@ -118,10 +118,50 @@ class ModelParams:
         return {name: tape.parameter(name, arr) for name, arr in self.arrays.items()}
 
 
+def _float_array_json(arr: np.ndarray) -> bytes:
+    """``json.dumps(arr.ravel().tolist())`` of a float array, as bytes.
+
+    orjson prints the same shortest round-trip digits as ``float.__repr__``
+    and differs only in layout: it writes no space after ``,``, and where
+    Python uses the exponent form (nonzero magnitudes below 1e-4 or from
+    1e16 up) it writes ``0.00001``, ``1e-6`` or ``1e16`` for Python's
+    ``1e-05``, ``1e-06`` and ``1e+16``. Those few values get ``repr``
+    spliced over their orjson token, whose bounds are the commas around it.
+    """
+    flat = arr.ravel()
+    body = orjson.dumps(flat.tolist())
+    magnitude = np.abs(flat)
+    exponent = np.flatnonzero((flat != 0) & ((magnitude < 1e-4) | (magnitude >= 1e16)))
+    if exponent.size:
+        commas = np.flatnonzero(np.frombuffer(body, np.uint8) == ord(","))
+        starts = np.concatenate(([1], commas + 1))[exponent]
+        ends = np.concatenate((commas, [len(body) - 1]))[exponent]
+        pieces = [body[: starts[0]]]
+        for value, end, next_start in zip(
+            flat[exponent].tolist(), ends.tolist(), [*starts[1:].tolist(), len(body)]
+        ):
+            pieces += (repr(value).encode(), body[end:next_start])
+        body = b"".join(pieces)
+    return body.replace(b",", b", ")
+
+
 def save_checkpoint(params: ModelParams, path: Path, extra: dict | None = None) -> None:
     """Write the checkpoint JSON atomically: a kill or a failed write leaves
-    any previous checkpoint at ``path`` intact."""
-    payload = {
+    any previous checkpoint at ``path`` intact.
+
+    The bytes are those of ``json.dumps(payload, sort_keys=True)`` for the
+    payload ``{"format_version", "model", "params", "extra"}``, where
+    ``params`` maps each array's name to ``{"data": flat list, "shape"}``.
+    ``json.dumps`` writes everything but the arrays; each array is encoded
+    by ``_float_array_json``, one at a time. A parameter with a NaN or
+    infinite entry raises ``NumericalError`` before anything is written:
+    JSON has no such number, and every reader would reject the file.
+    """
+    arrays = sorted(params.arrays.items())
+    for name, arr in arrays:
+        if not np.isfinite(arr).all():
+            raise NumericalError(f"parameter {name} has non-finite entries; {path} not written")
+    head = {
         "format_version": CHECKPOINT_VERSION,
         "model": {
             "vocab_size": params.config.vocab_size,
@@ -129,14 +169,20 @@ def save_checkpoint(params: ModelParams, path: Path, extra: dict | None = None) 
             "hidden_size": params.config.hidden_size,
             "att_size": params.config.att_size,
         },
-        "params": {
-            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in sorted(params.arrays.items())
-        },
     }
     if extra:
-        payload["extra"] = extra
-    write_atomic(path, json.dumps(payload, sort_keys=True))
+        head["extra"] = extra
+    # "params" sorts after every other top-level key, and "data" before "shape".
+    pieces = [json.dumps(head, sort_keys=True)[:-1].encode(), b', "params": {']
+    for i, (name, arr) in enumerate(arrays):
+        pieces += (
+            b", " if i else b"",
+            f'{json.dumps(name)}: {{"data": '.encode(),
+            _float_array_json(arr),
+            f', "shape": {json.dumps(list(arr.shape))}}}'.encode(),
+        )
+    pieces.append(b"}}")
+    write_atomic(path, b"".join(pieces))
 
 
 def load_checkpoint(path: Path) -> tuple[ModelParams, dict]:

@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+import checkpoint_reference
 from groundcap import cli
 from groundcap.cli import build_train_config, main, read_config_file
 from groundcap.data import RESERVED, load_dataset, read_jsonl
@@ -342,8 +343,9 @@ def _nan_checkpoint(data_dir, tmp_path):
     path = tmp_path / "nan.json"
     params = ModelParams.init(ModelConfig(vocab_size=5, feature_size=12, hidden_size=4),
                               np.random.default_rng(0))
-    params.arrays["out.b"][0] = float("nan")  # json.dumps writes the literal NaN
-    save_checkpoint(params, path)
+    params.arrays["out.b"][0] = float("nan")
+    # save_checkpoint refuses this; the json.dumps writer it replaced wrote the literal NaN
+    checkpoint_reference.save_checkpoint(params, path)
     assert b"NaN" in path.read_bytes()
     return ["evaluate", "--checkpoint", str(path), "--data", str(data_dir)]
 
@@ -401,6 +403,30 @@ def _assign_with_class_table(edit):
     return argv
 
 
+def _repeat_first_class_key(classes_json):
+    """The class table with its first key also bound to another label before
+    it. orjson keeps the last of two equal keys, so without a check for
+    repeated keys this table would read as the original one."""
+    text = classes_json.read_text()
+    first = next(iter(json.loads(text)))
+    _write(classes_json, "{" + json.dumps(first) + ': "zebra", ' + text.lstrip()[1:])
+
+
+def _evaluate_on_broken_copy(break_data):
+    def argv(data_dir, tmp_path):
+        broken = _broken_copy(data_dir, tmp_path, break_data)
+        checkpoint = _write_checkpoint(tmp_path / "checkpoint.json")
+        return ["evaluate", "--checkpoint", str(checkpoint), "--data", str(broken)]
+
+    return argv
+
+
+def _assign_with_repeated_class_key(d, t):
+    table = _write(t / "classes.json", (d / "classes.json").read_text())
+    _repeat_first_class_key(table)
+    return _assign_labels(d / "test.jsonl", _write(t / "dets.jsonl", ""), table, t)
+
+
 BROKEN_INPUTS = {
     **{
         name: _train_on_broken_copy(_break_split(split, edit))
@@ -445,6 +471,13 @@ BROKEN_INPUTS = {
     "class_table_key_with_space": _assign_with_class_table(
         lambda names: {(" 1" if k == "1" else k): v for k, v in names.items()}
     ),
+    "class_table_key_repeated_train": _train_on_broken_copy(
+        lambda d: _repeat_first_class_key(d / "classes.json")
+    ),
+    "class_table_key_repeated_evaluate": _evaluate_on_broken_copy(
+        lambda d: _repeat_first_class_key(d / "classes.json")
+    ),
+    "class_table_key_repeated_assign_labels": _assign_with_repeated_class_key,
     "class_table_label_null": _assign_with_class_table(lambda names: {**names, "1": None}),
     "class_table_label_number": _assign_with_class_table(lambda names: {**names, "1": 5}),
 }
@@ -456,6 +489,13 @@ def test_unreadable_input_exit_code_3(case, data_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert any(line.startswith("data validation error: ") for line in err.splitlines()), err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "assign_labels"])
+def test_repeated_class_key_is_named(command, data_dir, tmp_path, capsys):
+    first = next(iter(json.loads((data_dir / "classes.json").read_text())))
+    assert main(BROKEN_INPUTS[f"class_table_key_repeated_{command}"](data_dir, tmp_path)) == 3
+    assert f"key {first!r} appears more than once" in capsys.readouterr().err
 
 
 def _first_id(path):

@@ -130,6 +130,16 @@ class TestClassTable:
         assert again.names == table.names
         assert again.unk_id == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"0": "dog", "0": "cat", "1": "UNK"}',
+        '{"0": "dog", "1": "UNK", "0": "dog"}',
+        # the same key, once escaped
+        '{"\\u0030": "dog", "0": "cat", "1": "UNK"}',
+    ])
+    def test_repeated_key_rejected_by_name(self, text):
+        with pytest.raises(DataValidationError, match="key '0' appears more than once"):
+            ClassTable.from_json(text)
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(DataValidationError):
             ClassTable({0: "dog", 1: "dog", 2: "UNK"})

@@ -6,7 +6,9 @@ batched ``greedy_decode`` and ``batch_forward``; its tests stay here.
 """
 
 import gzip
+import hashlib
 import json
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import checkpoint_reference
 import decode_reference
 import loop_reference
 import tape_reference
@@ -31,7 +34,7 @@ from decode_reference import (
 from groundcap import autodiff as ad
 from groundcap import kernels, model, numeric
 from groundcap.data import BOS_ID, EOS_ID, SyntheticSpec, generate_synthetic_dataset
-from groundcap.errors import DataValidationError, DomainError, ShapeError
+from groundcap.errors import DataValidationError, DomainError, NumericalError, ShapeError
 from groundcap.model import (
     DECODE_CHUNK,
     DropoutPlan,
@@ -685,6 +688,24 @@ class TestFusedTeacherForcedOp:
 FIXTURE_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "fixture" / "checkpoint_best.json.gz"
 
 
+def _neighbours(x):
+    return [float(np.nextafter(x, 0.0)), x, float(np.nextafter(x, np.inf))]
+
+
+# Shortest-digit floats of every form that repr writes: magnitudes from 1e-320
+# to 1e300 of both signs, subnormals, signed zeros, integral floats and the
+# values on both sides of 1e-4 and 1e16, where repr switches to exponent form.
+CHECKPOINT_FLOATS = st.one_of(
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]),
+              st.floats(-320, 300)),
+    st.integers(-(2**62), 2**62).map(float),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     *[sign * v for sign in (1.0, -1.0) for x in (1e-4, 1e16)
+                       for v in _neighbours(x)]]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 class TestCheckpoint:
     def test_fixture_loads_to_the_arrays_json_reads(self, tmp_path):
         path = tmp_path / "checkpoint_best.json"
@@ -742,13 +763,23 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(toy_params(seed=20), path)
         before = path.read_bytes()
-        write_text = Path.write_text
+        # Files are written as text (Path.write_text) or, like checkpoints, as
+        # bytes (Path.write_bytes): tear both writers.
+        writers = {"write_text": Path.write_text, "write_bytes": Path.write_bytes}
 
-        def torn_write(self, data, *args, **kwargs):
-            write_text(self, data[: len(data) // 2], *args, **kwargs)
-            raise OSError("disk full")
+        def tear(names=None):
+            """A write to a file named in ``names`` (to any file when None)
+            writes half its data and raises."""
+            for attr, write in writers.items():
+                def torn_write(self, data, *args, write=write, **kwargs):
+                    if names is not None and self.name not in names:
+                        return write(self, data, *args, **kwargs)
+                    write(self, data[: len(data) // 2], *args, **kwargs)
+                    raise OSError("disk full")
 
-        monkeypatch.setattr(Path, "write_text", torn_write)
+                monkeypatch.setattr(Path, attr, torn_write)
+
+        tear()
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(toy_params(seed=21), path)
         monkeypatch.undo()
@@ -757,7 +788,7 @@ class TestCheckpoint:
 
         # Every file of a matrix run: a rerun tears the write of one of them,
         # which must keep its previous bytes and leave no partial file. A file
-        # written around Path.write_text raises nothing and fails here too.
+        # written around both writers raises nothing and fails here too.
         dataset = generate_synthetic_dataset(
             SyntheticSpec(num_classes=3, spread=0.2, images=30, feature_size=12,
                           objects_min=2, objects_max=3),
@@ -777,13 +808,7 @@ class TestCheckpoint:
             # baseline is the first variant the matrix trains
             path = out / name if name.startswith("matrix_") else out / "baseline_seed5" / name
             before = path.read_bytes()
-
-            def torn_named(self, data, *args, **kwargs):
-                if self.name in (name, name + ".partial"):
-                    torn_write(self, data, *args, **kwargs)
-                return write_text(self, data, *args, **kwargs)
-
-            monkeypatch.setattr(Path, "write_text", torn_named)
+            tear({name, name + ".partial"})
             with pytest.raises(OSError, match="disk full"):
                 run_experiment_matrix(
                     replace(config, hidden_size=6), dataset, seeds=[5], out_dir=out,
@@ -792,6 +817,68 @@ class TestCheckpoint:
             monkeypatch.undo()
             assert path.read_bytes() == before, name
             assert not list(out.rglob("*.partial")), name
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_raises_before_writing(self, tmp_path, bad):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(toy_params(seed=22), path)
+        before = path.read_bytes()
+        params = toy_params(seed=23)
+        params.arrays["lstm2.wh"][1, 2] = bad
+        with pytest.raises(NumericalError, match="parameter lstm2.wh has non-finite entries"):
+            save_checkpoint(params, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+    def test_fixture_saves_to_its_own_bytes(self, tmp_path):
+        raw = gzip.decompress(FIXTURE_CHECKPOINT.read_bytes())
+        recorded = json.loads((FIXTURE_CHECKPOINT.parent / "fixture.json").read_text())
+        assert hashlib.sha256(raw).hexdigest() == recorded["checkpoint_sha256"]
+        path = tmp_path / "checkpoint_best.json"
+        path.write_bytes(raw)
+        params, extra = load_checkpoint(path)
+        save_checkpoint(params, tmp_path / "again.json", extra=extra)
+        assert (tmp_path / "again.json").read_bytes() == raw
+
+    @staticmethod
+    def assert_bytes_of_reference(arrays, extra=None):
+        """``save_checkpoint`` writes what ``checkpoint_reference`` writes."""
+        params = ModelParams(config=ModelConfig(vocab_size=5, feature_size=3, hidden_size=2),
+                             arrays=arrays)
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp) / "new.json", Path(tmp) / "old.json"
+            save_checkpoint(params, new, extra=extra)
+            checkpoint_reference.save_checkpoint(params, old, extra=extra)
+            assert new.read_bytes() == old.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays=st.dictionaries(
+            st.sampled_from(sorted(model.param_shapes(ModelConfig(5, 3, 2)))),
+            hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                                    max_side=4), elements=CHECKPOINT_FLOATS),
+            min_size=1, max_size=3,
+        ),
+        extra=st.sampled_from([None, {"epoch": 2, "val_cider": 1e-05}]),
+    )
+    def test_bytes_equal_json_dumps(self, arrays, extra):
+        self.assert_bytes_of_reference(arrays, extra)
+
+    def test_magnitude_sweep_equals_json_dumps(self):
+        sweep = 10.0 ** np.linspace(-320, 300, 6201)
+        edges = np.array([5e-324, 2.0**60, 1e22, np.finfo(np.float64).max,
+                          *[np.nextafter(x, to) for x in (1e-4, 1e16) for to in (0.0, x, np.inf)]])
+        values = np.concatenate([sweep, edges, np.round(sweep[sweep < 1e18]), [0.0]])
+        values = np.concatenate([values, -values])
+        self.assert_bytes_of_reference({"a": values, "b": values.reshape(2, -1, 1)})
+
+    def test_array_of_exponent_forms_only(self):
+        rng = np.random.default_rng(31)
+        magnitude = np.concatenate([10.0 ** rng.uniform(-320, -4.0001, 5000),
+                                    10.0 ** rng.uniform(16.0001, 300, 5000)])
+        values = rng.choice([-1.0, 1.0], magnitude.size) * rng.permutation(magnitude)
+        assert all("e" in repr(x) for x in values.tolist())
+        assert model._float_array_json(values) == json.dumps(values.tolist()).encode()
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
