@@ -68,15 +68,18 @@ def class_centroids(vectors: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray
     return classes, np.stack([vectors[labels == c].mean(axis=0) for c in classes])
 
 
-def _check_neighbor_k(k: int, n: int) -> None:
+DEFAULT_NEIGHBOR_K = 3
+
+
+def check_neighbor_k(k: int, n: int) -> None:
     if k < 1 or k >= n:
         raise DomainError(f"neighbor count k={k} must satisfy 1 <= k < {n} classes")
 
 
-def mean_neighbor_overlap(word_cos: np.ndarray, object_cos: np.ndarray, k: int = 3) -> float:
+def mean_neighbor_overlap(word_cos: np.ndarray, object_cos: np.ndarray, k: int) -> float:
     """Average share of common k-nearest classes between two spaces, from
     their (C, C) cosine matrices."""
-    _check_neighbor_k(k, len(word_cos))
+    check_neighbor_k(k, len(word_cos))
     self_pairs = np.eye(len(word_cos), dtype=bool)
     word_nn, obj_nn = (
         np.argsort(np.where(self_pairs, np.inf, -cos), axis=1, kind="stable")[:, :k]
@@ -213,7 +216,7 @@ def analyze(
     class_table: ClassTable,
     vocab: Vocabulary,
     cider: float,
-    neighbor_k: int = 3,
+    neighbor_k: int = DEFAULT_NEIGHBOR_K,
 ) -> tuple[AnalysisReport, list[ClassVectors]]:
     """Table-shaped structure report plus exportable per-class vectors.
 
@@ -235,7 +238,7 @@ def analyze(
     for space, (space_vectors, centroids) in spaces.items():
         intra[space] = cluster_homogeneity(space_vectors, labels, classes)
         centroid_cos[space] = kernels.pair_cosines_forward(centroids)
-    _check_neighbor_k(neighbor_k, len(classes))
+    check_neighbor_k(neighbor_k, len(classes))
     word_cos = kernels.pair_cosines_forward(word_vectors)
     overlap, correlation = {}, {}
     for space, cos in centroid_cos.items():  # an overlap cannot fail once k is checked

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: generate-data, assign-labels, train, evaluate, analyze,
-matrix. Training-related flags mirror TrainConfig fields; ``--config``
-reads a flat key=value file whose entries are overridden by explicit
-flags. Every run writes its config snapshot, logs and checkpoints into
-the run directory.
+matrix. Every TrainConfig field is a ``train``/``matrix`` flag
+(``--hidden-size``) and a key of the flat key=value ``--config`` file
+(``hidden_size``); explicit flags override the file. ``generate-data``
+takes its defaults from SyntheticSpec. Every run writes its config
+snapshot, logs and checkpoints into the run directory.
 
 Exit codes: 0 success, 2 configuration error, 3 data validation error,
 4 numerical failure (a NaN loss aborts training; the last good checkpoint
@@ -20,8 +21,9 @@ import logging
 import sys
 from pathlib import Path
 
-from .analysis import analyze, split_cider, write_vector_export
+from .analysis import DEFAULT_NEIGHBOR_K, analyze, split_cider, write_vector_export
 from .data import (
+    GEOMETRIES,
     SPLITS,
     SyntheticSpec,
     generate_synthetic_dataset,
@@ -32,15 +34,7 @@ from .data import (
 )
 from .errors import ConfigError, DataValidationError, GroundcapError, NumericalError
 from .labeling import label_dataset_file
-from .training import (
-    TrainConfig,
-    evaluate,
-    load_for_inference,
-    run_experiment_matrix,
-    train,
-)
-
-log = logging.getLogger(__name__)
+from .training import TrainConfig, evaluate, load_for_inference, run_experiment_matrix, train
 
 _BOOL_TRUE = ("1", "true", "yes", "on")
 _BOOL_FALSE = ("0", "false", "no", "off")
@@ -55,8 +49,16 @@ def _parse_bool(value: str) -> bool:
     raise ConfigError(f"expected a boolean, got {value!r}")
 
 
+def int_or_none(value: str) -> int | None:
+    return None if value.strip().lower() == "none" else int(value)
+
+
+# TrainConfig field annotation -> parser of a flag or config value
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "int | None": int_or_none}
+
+
 def read_config_file(path: Path) -> dict[str, str]:
-    """Flat key=value lines; blank lines and #-comments are ignored."""
+    """Flat key=value lines, each key once; blank lines and #-comments are ignored."""
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -68,70 +70,44 @@ def read_config_file(path: Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} appears more than once")
+        values[key] = value
     return values
+
+
+def _given(args: argparse.Namespace, cls) -> dict:
+    """The fields of dataclass ``cls`` set by a flag (a flag not given is absent)."""
+    names = (f.name for f in dataclasses.fields(cls))
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def build_train_config(args: argparse.Namespace) -> TrainConfig:
     """Defaults < config file < explicit command-line flags."""
-    config = TrainConfig()
+    types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+    values = {}
     if args.config is not None:
-        file_values = read_config_file(args.config)
-        fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
-        updates = {}
-        for key, raw in file_values.items():
-            if key not in fields:
+        for key, raw in read_config_file(args.config).items():
+            if key not in types:
                 raise ConfigError(f"unknown config key {key!r}")
-            ftype = fields[key].type
             try:
-                if ftype == "bool":
-                    updates[key] = _parse_bool(raw)
-                elif ftype == "int":
-                    updates[key] = int(raw)
-                elif ftype == "float":
-                    updates[key] = float(raw)
-                elif ftype == "int | None":
-                    updates[key] = None if raw.lower() == "none" else int(raw)
-                else:
-                    updates[key] = raw
+                values[key] = _PARSERS[types[key]](raw)
             except ValueError as err:
                 raise ConfigError(f"config key {key}: {err}") from err
-        config = dataclasses.replace(config, **updates)
-    flag_overrides = {
-        name: getattr(args, name)
-        for name in (f.name for f in dataclasses.fields(TrainConfig))
-        if getattr(args, name, None) is not None
-    }
-    return dataclasses.replace(config, **flag_overrides)
+    return TrainConfig(**{**values, **_given(args, TrainConfig)})
 
 
 def _add_train_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per TrainConfig field: ``--hidden-size`` sets ``hidden_size``."""
     parser.add_argument("--config", type=Path, help="flat key=value config file")
     grp = parser.add_argument_group("training configuration")
-    grp.add_argument("--hidden-size", dest="hidden_size", type=int)
-    grp.add_argument("--att-size", dest="att_size", type=int)
-    grp.add_argument("--min-count", dest="min_count", type=int)
-    grp.add_argument("--max-len", dest="max_len", type=int)
-    grp.add_argument("--batch-size", dest="batch_size", type=int)
-    grp.add_argument("--learning-rate", dest="learning_rate", type=float)
-    grp.add_argument("--lr-decay", dest="lr_decay", type=float)
-    grp.add_argument("--lr-decay-every", dest="lr_decay_every", type=int)
-    grp.add_argument("--grad-clip-norm", dest="grad_clip_norm", type=float)
-    grp.add_argument("--dropout", dest="dropout", type=float)
-    grp.add_argument("--patience", dest="patience", type=int)
-    grp.add_argument("--max-epochs", dest="max_epochs", type=int)
-    grp.add_argument(
-        "--use-cluster-loss", dest="use_cluster_loss", action="store_const", const=True
-    )
-    grp.add_argument(
-        "--use-perceptual-loss", dest="use_perceptual_loss", action="store_const", const=True
-    )
-    grp.add_argument("--margin", dest="margin", type=float)
-    grp.add_argument("--cluster-weight", dest="cluster_weight", type=float)
-    grp.add_argument("--perceptual-weight", dest="perceptual_weight", type=float)
-    grp.add_argument("--sample-size", dest="sample_size", type=int)
-    grp.add_argument("--seed", dest="seed", type=int)
+    for f in dataclasses.fields(TrainConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            grp.add_argument(flag, action="store_const", const=True, default=argparse.SUPPRESS)
+        else:
+            grp.add_argument(flag, type=_PARSERS[f.type], default=argparse.SUPPRESS)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -142,16 +118,17 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate-data", help="write a synthetic dataset directory")
+    p = sub.add_parser("generate-data", help="write a synthetic dataset directory",
+                       argument_default=argparse.SUPPRESS)  # SyntheticSpec holds the defaults
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--images", type=int, default=500)
-    p.add_argument("--spread", type=float, default=0.3)
-    p.add_argument("--objects-min", type=int, default=2)
-    p.add_argument("--objects-max", type=int, default=6)
-    p.add_argument("--feature-size", type=int, default=32)
-    p.add_argument("--geometry", choices=("matched", "scrambled"), default="matched")
-    p.add_argument("--captions-per-image", type=int, default=2)
+    p.add_argument("--classes", dest="num_classes", type=int)
+    p.add_argument("--images", type=int)
+    p.add_argument("--spread", type=float)
+    p.add_argument("--objects-min", type=int)
+    p.add_argument("--objects-max", type=int)
+    p.add_argument("--feature-size", type=int)
+    p.add_argument("--geometry", choices=GEOMETRIES)
+    p.add_argument("--captions-per-image", type=int)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("assign-labels", help="fill labels via IoU against detections")
@@ -175,7 +152,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--split", choices=SPLITS, default="test")
-    p.add_argument("--neighbor-k", type=int, default=3)
+    p.add_argument("--neighbor-k", type=int, default=DEFAULT_NEIGHBOR_K)
     p.add_argument("--out", type=Path, help="write the report JSON here")
     p.add_argument("--vectors", type=Path, help="write raw vectors JSONL here")
 
@@ -183,23 +160,14 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--seeds", default="1,2,3", help="comma-separated seeds")
-    p.add_argument("--neighbor-k", type=int, default=3)
+    p.add_argument("--neighbor-k", type=int, default=DEFAULT_NEIGHBOR_K)
     _add_train_config_flags(p)
 
     return parser
 
 
 def _cmd_generate_data(args) -> int:
-    spec = SyntheticSpec(
-        num_classes=args.classes,
-        spread=args.spread,
-        images=args.images,
-        objects_min=args.objects_min,
-        objects_max=args.objects_max,
-        feature_size=args.feature_size,
-        geometry=args.geometry,
-        captions_per_image=args.captions_per_image,
-    )
+    spec = SyntheticSpec(**_given(args, SyntheticSpec))
     dataset = generate_synthetic_dataset(spec, seed=args.seed)
     save_dataset(dataset, args.out)
     print(

@@ -335,6 +335,15 @@ def _read_ids(path: Path) -> list[str]:
         raise DataValidationError(f"{path}: malformed dataset record: {err}") from err
 
 
+def add_unique_ids(path: Path, ids: list[str], seen: set[str]) -> None:
+    """Add the image ids read from ``path`` to ``seen``; an id already there
+    is a DataValidationError."""
+    for image_id in ids:
+        if image_id in seen:
+            raise DataValidationError(f"{path}: image id {image_id} appears twice")
+        seen.add(image_id)
+
+
 def save_dataset(dataset: Dataset, out_dir: Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -392,10 +401,7 @@ def load_dataset(data_dir: Path, split: str | None = None) -> Dataset:
             if ex.features.shape[1] != width:
                 raise DataValidationError(f"{path}: image {ex.image_id} has feature width "
                                           f"{ex.features.shape[1]}, not {width}")
-        for image_id in ids:
-            if image_id in seen:
-                raise DataValidationError(f"{path}: image id {image_id} appears twice")
-            seen.add(image_id)
+        add_unique_ids(path, ids, seen)
     return Dataset(class_table=table, **splits)
 
 
@@ -418,6 +424,7 @@ SINGLE_TEMPLATE = "a photo of a {a}"
 
 SAME_GROUP_COSINE = 0.5
 _GROUP_SIZE = 4
+GEOMETRIES = ("matched", "scrambled")
 
 
 @dataclass(frozen=True)
@@ -428,7 +435,7 @@ class SyntheticSpec:
     objects_min: int = 2
     objects_max: int = 6
     feature_size: int = 32
-    geometry: str = "matched"  # or "scrambled"
+    geometry: str = "matched"  # one of GEOMETRIES
     captions_per_image: int = 2
     # share of images whose caption reverses the label order: ambiguity no
     # model can resolve, which caps validation CIDEr at the score of always
@@ -452,8 +459,8 @@ class SyntheticSpec:
             )
         if self.spread < 0:
             raise ConfigError(f"spread must be >= 0, got {self.spread}")
-        if self.geometry not in ("matched", "scrambled"):
-            raise ConfigError(f"geometry must be matched or scrambled, got {self.geometry!r}")
+        if self.geometry not in GEOMETRIES:
+            raise ConfigError(f"geometry must be {' or '.join(GEOMETRIES)}, got {self.geometry!r}")
         if self.feature_size < self.num_classes + self._num_groups():
             raise ConfigError(
                 f"feature_size {self.feature_size} too small for "

@@ -19,6 +19,7 @@ from .data import (
     ClassTable,
     DataValidationError,
     _read_records,
+    add_unique_ids,
     box_array,
     image_id_of,
     json_array,
@@ -77,11 +78,12 @@ def label_dataset_file(
     """Fill the labels of every record in a JSONL feature file.
 
     Detector records are matched to targets by image id; images without
-    one get the table's UNK class throughout. Returns the number of images
-    written.
+    one get the table's UNK class throughout. A target id may appear once.
+    Returns the number of images written.
     """
     detections = _load_detections(Path(detections_path), table)
     examples = read_jsonl(Path(targets_path))
+    add_unique_ids(targets_path, [ex.image_id for ex in examples], set())
     for ex in examples:
         ex.labels = assign_labels(
             ex.boxes, *detections.get(ex.image_id, NO_DETECTIONS), table.unk_id

@@ -38,7 +38,15 @@ import numpy as np
 
 from . import autodiff as ad
 from . import heap
-from .analysis import analyze, decode_corpus, split_cider, write_vector_export
+from .analysis import (
+    DEFAULT_NEIGHBOR_K,
+    analyze,
+    check_neighbor_k,
+    collect_objects,
+    decode_corpus,
+    split_cider,
+    write_vector_export,
+)
 from .autodiff import GradientTape
 from .data import (
     RESERVED,
@@ -142,6 +150,10 @@ class TrainConfig:
             raise ConfigError(f"sample_size must be >= 1, got {self.sample_size}")
         if self.cluster_weight < 0 or self.perceptual_weight < 0:
             raise ConfigError("loss weights must be >= 0")
+        if self.att_size is not None and self.att_size < 1:
+            raise ConfigError(f"att_size must be none or >= 1, got {self.att_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def grounding_enabled(self) -> bool:
@@ -465,13 +477,20 @@ def run_experiment_matrix(
     dataset: Dataset,
     seeds: list[int],
     out_dir: Path,
-    neighbor_k: int = 3,
+    neighbor_k: int = DEFAULT_NEIGHBOR_K,
 ) -> dict:
     """Train baseline, +cluster, +perceptual and +both for every seed.
 
     Writes per-run directories plus combined metric and structure reports,
-    and returns the combined bundle.
+    and returns the combined bundle. A bad config, a repeated seed or a
+    ``neighbor_k`` that ``analyze`` would reject fails before any write.
     """
+    for seed in seeds:
+        replace(base_config, seed=seed).validate()
+        if seeds.count(seed) > 1:
+            raise ConfigError(f"seed {seed} appears more than once")
+    _, labels = collect_objects(dataset.test, dataset.class_table.unk_id)
+    check_neighbor_k(neighbor_k, len(np.unique(labels)))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metric_rows = []

@@ -1,5 +1,6 @@
 """CLI wiring: subcommands, config files, exit codes."""
 
+import dataclasses
 import json
 import re
 import shutil
@@ -9,9 +10,17 @@ import pytest
 
 import checkpoint_reference
 from groundcap import cli
-from groundcap.cli import build_train_config, main, read_config_file
-from groundcap.data import RESERVED, load_dataset, read_jsonl
+from groundcap.cli import build_train_config, main, make_parser, read_config_file
+from groundcap.data import (
+    RESERVED,
+    SyntheticSpec,
+    generate_synthetic_dataset,
+    load_dataset,
+    read_jsonl,
+    save_dataset,
+)
 from groundcap.model import ModelConfig, ModelParams, save_checkpoint
+from groundcap.training import TrainConfig
 
 TINY_FLAGS = [
     "--hidden-size", "8",
@@ -45,6 +54,15 @@ class TestGenerateData:
         code = main(["generate-data", "--out", str(tmp_path / "x"), "--classes", "2"])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_defaults_are_those_of_synthetic_spec(self, tmp_path):
+        assert main(["generate-data", "--out", str(tmp_path / "cli")]) == 0
+        save_dataset(generate_synthetic_dataset(SyntheticSpec(), 0), tmp_path / "library")
+
+        def files(d):
+            return {path.name: path.read_bytes() for path in sorted(d.iterdir())}
+
+        assert files(tmp_path / "cli") == files(tmp_path / "library")
 
 
 class TestAssignLabels:
@@ -491,6 +509,63 @@ def test_unreadable_input_exit_code_3(case, data_dir, tmp_path, capsys):
     assert any(line.startswith("data validation error: ") for line in err.splitlines()), err
 
 
+def _train(*flags):
+    return lambda d, t: ["train", "--data", str(d), "--out", str(t / "run"), *TINY_FLAGS, *flags]
+
+
+def _matrix(*flags):
+    return lambda d, t: ["matrix", "--data", str(d), "--out", str(t / "run"), *TINY_FLAGS, *flags]
+
+
+def _train_with_config(text):
+    return lambda d, t: _train("--config", str(_write(t / "run.cfg", text)))(d, t)
+
+
+def _assign_with_repeated_target(d, t):
+    first = (d / "test.jsonl").read_text().splitlines(keepends=True)[0]
+    return [
+        "assign-labels", "--targets", str(_write(t / "targets.jsonl", first + first)),
+        "--detections", str(_write(t / "dets.jsonl", "")), "--classes", str(d / "classes.json"),
+        "--out", str(t / "run"),
+    ]
+
+
+# name: (argv of a command that must fail before it writes to t / "run",
+#        its exit code, a line of its error message)
+NAMED_FAILURES = {
+    "att_size_zero": (_train("--att-size", "0"), 2, "att_size must be none or >= 1, got 0"),
+    "att_size_negative": (_train("--att-size", "-3"), 2, "att_size must be none or >= 1, got -3"),
+    "seed_negative": (_train("--seed", "-1"), 2, "seed must be >= 0, got -1"),
+    "config_key_repeated": (
+        _train_with_config("batch_size=4\nbatch_size=16\n"), 2,
+        "run.cfg:2: key 'batch_size' appears more than once",
+    ),
+    "matrix_seed_negative": (_matrix("--seeds", "1,-1"), 2, "seed must be >= 0, got -1"),
+    "matrix_seed_repeated": (_matrix("--seeds", "1,1"), 2, "seed 1 appears more than once"),
+    # the data_dir fixture's test split labels all 3 classes
+    "matrix_neighbor_k_zero": (
+        _matrix("--seeds", "1", "--neighbor-k", "0"), 1,
+        "neighbor count k=0 must satisfy 1 <= k < 3 classes",
+    ),
+    "matrix_neighbor_k_all_classes": (
+        _matrix("--seeds", "1", "--neighbor-k", "3"), 1,
+        "neighbor count k=3 must satisfy 1 <= k < 3 classes",
+    ),
+    "assign_labels_target_id_repeated": (
+        _assign_with_repeated_target, 3, "targets.jsonl: image id {first_test_id} appears twice"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_FAILURES))
+def test_failure_is_named_before_writing(case, data_dir, tmp_path, capsys):
+    argv, code, message = NAMED_FAILURES[case]
+    assert main(argv(data_dir, tmp_path)) == code
+    err = capsys.readouterr().err
+    assert message.format(first_test_id=_first_id(data_dir / "test.jsonl")) in err, err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate", "assign_labels"])
 def test_repeated_class_key_is_named(command, data_dir, tmp_path, capsys):
     first = next(iter(json.loads((data_dir / "classes.json").read_text())))
@@ -619,7 +694,38 @@ class TestMatrixCommand:
         assert code == 2
 
 
+TRAIN_FIELDS = dataclasses.fields(TrainConfig)
+
+
+def _non_default(field):
+    """A value of TrainConfig ``field`` other than its default, as text."""
+    if field.type == "bool":
+        return "true"
+    if field.type == "int | None":
+        return "7"
+    return repr(field.default + 1 if field.type == "int" else field.default / 2)
+
+
+def _parse_train(*flags):
+    return build_train_config(make_parser().parse_args(["train", "--data", "d", "--out", "o",
+                                                        *flags]))
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize("field", TRAIN_FIELDS, ids=[f.name for f in TRAIN_FIELDS])
+    def test_flag_and_config_key_give_the_same_config(self, field, tmp_path):
+        raw = _non_default(field)
+        flag = ["--" + field.name.replace("_", "-")] + ([] if field.type == "bool" else [raw])
+        cfg = _write(tmp_path / "run.cfg", f"{field.name}={raw}\n")
+        from_flag, from_file = _parse_train(*flag), _parse_train("--config", str(cfg))
+        assert from_flag == from_file
+        assert getattr(from_flag, field.name) != field.default
+
+    def test_att_size_none_flag_overrides_config_file(self, tmp_path):
+        cfg = _write(tmp_path / "run.cfg", "att_size=5\n")
+        assert _parse_train("--config", str(cfg)).att_size == 5
+        assert _parse_train("--config", str(cfg), "--att-size", "none").att_size is None
+
     def test_key_value_parsing(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

@@ -20,7 +20,11 @@ checkpoint and training flags). Each process writes:
   with a detections file made of every other box of that split and its
   label: stdout and ``--out``;
 * every file and the stdout of the ``train-grounded`` runs of seed 1, one
-  per dataset;
+  per dataset, and of the run on the first dataset again with every option
+  in a ``--config`` file instead of flags;
+* ``generate-data`` with no optional flags, and with the flags of the
+  acceptance data spec (``perfbench/workload.py``'s ``ACCEPTANCE_SPEC``)
+  and the acceptance test's data seed: every file and stdout;
 * with ``--matrix``, every file of the acceptance test's 12-run matrix
   (``tests/test_acceptance.py``'s data, config and seeds, ``neighbor_k=3``).
 
@@ -48,6 +52,7 @@ from pathlib import Path
 
 EVAL_SEEDS = (1, 2, 3, 4, 5)
 TRAIN_SEED = 1
+ACCEPTANCE_DATA_SEED = 2024  # tests/test_acceptance.py BENCH_DATA_SEED
 
 
 def _run_cli(cli, argv: list[str], stdout_path: Path, root: Path) -> None:
@@ -58,6 +63,30 @@ def _run_cli(cli, argv: list[str], stdout_path: Path, root: Path) -> None:
     if code != 0:
         raise SystemExit(f"groundcap {' '.join(argv)} exited {code}")
     stdout_path.write_text(out.getvalue().replace(str(root), "OUT"))
+
+
+def _generate_flags(spec) -> list[str]:
+    """The ``generate-data`` flags of a SyntheticSpec, which has no flag for
+    ``caption_order_noise`` and so must keep its default."""
+    if spec.caption_order_noise != type(spec)().caption_order_noise:
+        raise SystemExit("generate-data cannot set caption_order_noise")
+    flags = []
+    for name, value in vars(spec).items():
+        if name != "caption_order_noise":
+            flags += ["--classes" if name == "num_classes" else "--" + name.replace("_", "-"),
+                      str(value)]
+    return flags
+
+
+def _config_text(flags: list[str]) -> str:
+    """The ``--config`` file of training flags: ``--use-cluster-loss`` becomes
+    ``use_cluster_loss=true``, ``--batch-size 100`` ``batch_size=100``."""
+    lines = []
+    for i, flag in enumerate(flags):
+        if flag.startswith("--"):
+            given = i + 1 < len(flags) and not flags[i + 1].startswith("--")
+            lines.append(f"{flag[2:].replace('-', '_')}={flags[i + 1] if given else 'true'}\n")
+    return "".join(lines)
 
 
 def _drop_wall_ms(run_root: Path) -> None:
@@ -119,6 +148,19 @@ def emit(root: Path, tree: Path, matrix: bool) -> None:
         _run_cli(cli, ["train", "--data", str(data_dir), "--out", str(run_dir),
                        *grounded["flags"], "--seed", str(TRAIN_SEED)],
                  results / f"{run_dir.name}.stdout", root)
+    config = inputs / "train_grounded.cfg"
+    config.write_text(_config_text([*grounded["flags"], "--seed", str(TRAIN_SEED)]))
+    run_dir = results / f"train_seed{TRAIN_SEED}_data0_config"
+    _run_cli(cli, ["train", "--data", str(inputs / "train_data0"), "--out", str(run_dir),
+                   "--config", str(config)], results / f"{run_dir.name}.stdout", root)
+
+    for name, flags in (
+        ("generate_default", []),
+        ("generate_acceptance", [*_generate_flags(workload.ACCEPTANCE_SPEC),
+                                 "--seed", str(ACCEPTANCE_DATA_SEED)]),
+    ):
+        _run_cli(cli, ["generate-data", "--out", str(results / name), *flags],
+                 results / f"{name}.stdout", root)
 
     if matrix:
         sys.path.insert(0, str(tree / "tests"))
