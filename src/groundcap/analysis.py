@@ -47,10 +47,10 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from . import kernels, numeric
+from . import kernels
 from .autodiff import Tensor
 from .data import ClassTable, ImageExample, Vocabulary, normalize, write_atomic
-from .errors import DataValidationError, DegenerateStatisticsError, DomainError
+from .errors import ConfigError, DataValidationError, DegenerateStatisticsError, DomainError
 from .losses import label_embedding_matrix
 from .metrics import EvaluationCorpus, cider
 from .model import ModelParams, greedy_decode, project_features
@@ -95,7 +95,7 @@ def similarity_correlation(word_cos: np.ndarray, object_cos: np.ndarray) -> floa
     if n < 3:
         raise DomainError(f"similarity correlation needs >= 3 classes, got {n}")
     pairs = np.triu_indices(n, 1)
-    return numeric.pearson(object_cos[pairs], word_cos[pairs])
+    return kernels.pearson(object_cos[pairs], word_cos[pairs])
 
 
 def cluster_homogeneity(vectors: np.ndarray, labels: np.ndarray, classes: np.ndarray) -> float:
@@ -171,6 +171,33 @@ def collect_objects(examples: list[ImageExample], unk_id: int) -> tuple[np.ndarr
     return np.concatenate([ex.features for ex in examples])[keep], labels[keep]
 
 
+def _check_scorable(examples: list[ImageExample]) -> None:
+    if len(examples) < 2:
+        raise DataValidationError(
+            f"scoring a split needs at least 2 images for CIDEr, got {len(examples)}"
+        )
+
+
+def _check_separable(n_classes: int) -> None:
+    if n_classes < 2:
+        raise DomainError(f"cluster separation needs >= 2 classes, got {n_classes}")
+
+
+def check_neighbor_k_option(k: int, examples: list[ImageExample], unk_id: int) -> None:
+    """``check_neighbor_k`` against the labelled classes of a split, for a
+    command to run before it decodes or trains. The split's own faults that
+    ``split_cider`` and ``analyze`` would raise first still come first; a bad
+    k is then the option's fault, a ConfigError, where ``analyze`` itself
+    raises DomainError."""
+    _check_scorable(examples)
+    n_classes = len(np.unique(collect_objects(examples, unk_id)[1]))
+    _check_separable(n_classes)
+    try:
+        check_neighbor_k(k, n_classes)
+    except DomainError as err:
+        raise ConfigError(str(err)) from err
+
+
 def decode_corpus(
     params: ModelParams,
     examples: list[ImageExample],
@@ -180,10 +207,7 @@ def decode_corpus(
     """Greedy-decode a split in one batched call, paired with its normalized
     references image by image. Every caller scores the corpus with CIDEr,
     so a split of fewer than 2 images is a DataValidationError."""
-    if len(examples) < 2:
-        raise DataValidationError(
-            f"scoring a split needs at least 2 images for CIDEr, got {len(examples)}"
-        )
+    _check_scorable(examples)
     references = []
     for ex in examples:
         refs = [r for r in (normalize(c) for c in ex.captions) if r]
@@ -231,8 +255,7 @@ def analyze(
     _, proj_centroids = class_centroids(projected, labels)
     tokens = class_table.label_token_ids(vocab)
     word_vectors = label_embedding_matrix(Tensor(params.arrays["embedding"]), classes, tokens)[0].data
-    if len(classes) < 2:
-        raise DomainError(f"cluster separation needs >= 2 classes, got {len(classes)}")
+    _check_separable(len(classes))
     spaces = {"original": (vectors, orig_centroids), "projected": (projected, proj_centroids)}
     intra, centroid_cos = {}, {}
     for space, (space_vectors, centroids) in spaces.items():

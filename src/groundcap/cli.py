@@ -21,7 +21,13 @@ import logging
 import sys
 from pathlib import Path
 
-from .analysis import DEFAULT_NEIGHBOR_K, analyze, split_cider, write_vector_export
+from .analysis import (
+    DEFAULT_NEIGHBOR_K,
+    analyze,
+    check_neighbor_k_option,
+    split_cider,
+    write_vector_export,
+)
 from .data import (
     GEOMETRIES,
     SPLITS,
@@ -224,6 +230,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_analyze(args) -> int:
     params, vocab, max_len, dataset = _load_checkpoint_and_data(args)
     examples = dataset.splits[args.split]
+    check_neighbor_k_option(args.neighbor_k, examples, dataset.class_table.unk_id)
     report, exports = analyze(
         params,
         examples,

@@ -307,7 +307,7 @@ def write_jsonl(examples: list[ImageExample], path: Path) -> None:
     )
 
 
-def _read_records(path: Path):
+def read_records(path: Path):
     """The JSON record of each non-blank line of a JSON-lines file."""
     try:
         with open(path, "rb") as fh:
@@ -324,13 +324,13 @@ def _read_records(path: Path):
 
 
 def read_jsonl(path: Path) -> list[ImageExample]:
-    return [record_to_example(record) for record in _read_records(path)]
+    return [record_to_example(record) for record in read_records(path)]
 
 
 def _read_ids(path: Path) -> list[str]:
     """The image id of each record of a JSON-lines file; the rest is not checked."""
     try:
-        return [image_id_of(record) for record in _read_records(path)]
+        return [image_id_of(record) for record in read_records(path)]
     except (KeyError, TypeError) as err:
         raise DataValidationError(f"{path}: malformed dataset record: {err}") from err
 

@@ -1,4 +1,5 @@
-"""Hot numeric kernels: LSTM gates, the cosine matrix and IoU in numpy, and LCS.
+"""Every plain-array kernel: softmax, log-softmax, sigmoid, Pearson, LSTM
+gates, masked attention, the cosine matrix, row scatters and IoU in numpy, and LCS.
 
 Callers reach every kernel through the module attribute
 (``kernels.lstm_gates_forward(...)``), so a wrapper patched onto the module
@@ -16,11 +17,57 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
-from .numeric import sigmoid
+from .errors import DegenerateStatisticsError, DomainError, ShapeError
 
 # There is no compiled kernel path; perfbench/workload.py records this flag.
 USE_NUMBA = False
+
+
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable softmax (max-subtracted) along ``axis``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        raise DomainError("softmax of an empty vector is undefined")
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        raise DomainError("log_softmax of an empty vector is undefined")
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function; exp only sees -|x|, so it never overflows.
+
+    With e = exp(-|x|) it is max(e, 1)/(1+e) = 1/(1+e) for x >= 0 and
+    max(e, 0)/(1+e) = e/(1+e) otherwise: the bits of the two-branch form,
+    without selecting between branches. A NaN keeps its sign bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(np.minimum(x, -x))
+    return np.maximum(e, x >= 0.0) / (1.0 + e)
+
+
+def pearson(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Sample Pearson correlation coefficient of two equally long lists."""
+    xs = np.asarray(xs, dtype=np.float64).ravel()
+    ys = np.asarray(ys, dtype=np.float64).ravel()
+    if xs.shape != ys.shape:
+        raise ShapeError(f"pearson needs equal lengths, got {xs.shape} and {ys.shape}")
+    if xs.size < 2:
+        raise DegenerateStatisticsError("pearson needs at least 2 points")
+    xc = xs - xs.mean()
+    yc = ys - ys.mean()
+    sx = np.linalg.norm(xc)
+    sy = np.linalg.norm(yc)
+    if sx == 0.0 or sy == 0.0:
+        raise DegenerateStatisticsError("pearson is undefined under zero variance")
+    return float(np.dot(xc, yc) / (sx * sy))
 
 
 def lstm_gates_forward(pre, c_prev):
@@ -59,6 +106,28 @@ def lstm_gates_backward(dh, dc, i, f, o, g, tc, c_prev):
     dpre[:, 3 * d:] = dct * i * (1.0 - g * g)
     dc_prev = dct * f
     return dpre, dc_prev
+
+
+def attention_forward(hh, zz, z, valid, wav, u):
+    """Context vectors and weights of attention over the rows of ``z`` where
+    ``valid``, scored by ``wav`` . tanh(hh + zz); the tanh goes into ``u``."""
+    np.tanh(np.add(hh[:, None, :], zz, out=u), out=u)
+    e = np.where(valid, u @ wav, -np.inf)
+    e = e - e.max(axis=1, keepdims=True)
+    ex = np.exp(e)
+    alpha = ex / ex.sum(axis=1, keepdims=True)
+    return np.einsum("bk,bkd->bd", alpha, z), alpha
+
+
+def attention_backward(g, z, u, alpha, wav, dpre):
+    """Score gradients from d(context) ``g``; those of the tanh inputs go into
+    ``dpre``, in place, so that no large temporary is freed and faulted in again."""
+    dalpha = np.einsum("bd,bkd->bk", g, z)
+    de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+    np.subtract(1.0, np.multiply(u, u, out=dpre), out=dpre)
+    dpre *= de[:, :, None]
+    dpre *= wav
+    return de
 
 
 def _unit_rows(vecs):

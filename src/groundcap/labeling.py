@@ -18,12 +18,12 @@ from . import kernels
 from .data import (
     ClassTable,
     DataValidationError,
-    _read_records,
     add_unique_ids,
     box_array,
     image_id_of,
     json_array,
     read_jsonl,
+    read_records,
     write_jsonl,
 )
 
@@ -52,7 +52,7 @@ def _load_detections(path: Path, table: ClassTable) -> dict[str, tuple[np.ndarra
     """Image id -> (boxes (m, 4), labels (m,)) of its detection record; an
     id may have one record only, and its labels are classes of ``table``."""
     per_image: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for rec in _read_records(path):
+    for rec in read_records(path):
         try:
             image_id = image_id_of(rec)
             where = f"image {image_id} detections"

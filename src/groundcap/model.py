@@ -13,7 +13,7 @@ Training feeds the ground-truth previous token at every step (teacher
 forcing) and applies inverted dropout to x_t, h1 and h2 before their
 consumers; the dropped h2 feeds both the output projection and the next
 step's LSTM1 input. The teacher-forced pass is one tape node over all
-steps (``autodiff.teacher_forced_logprob``); its dropout masks are drawn up
+steps (``teacher_forced_logprob``); its dropout masks are drawn up
 front in one call, x, h1, h2 for each step in turn, as a step-by-step pass
 would draw them.
 
@@ -36,7 +36,7 @@ import numpy as np
 import orjson
 
 from . import autodiff as ad
-from . import heap, kernels, numeric
+from . import heap, kernels
 from .autodiff import Tensor
 from .data import BOS_ID, EOS_ID, write_atomic
 from .errors import DataValidationError, DomainError, NumericalError, ShapeError
@@ -232,6 +232,17 @@ def project_features(features: np.ndarray, w_in: np.ndarray) -> np.ndarray:
     return features @ w_in.T
 
 
+def _decoder_blocks(a: dict[str, np.ndarray], d: int) -> tuple[np.ndarray, ...]:
+    """(w_x, w_zbar, w_rec, w_h, w_z, w2): views of LSTM1's x and mean(z)
+    input columns and of attention's h1 and z columns, and the recurrent
+    matrices acting on [h2, h1] and [ct, h1, h2]. Training and greedy
+    decoding both take their GEMM operands from here."""
+    wx1, proj = a["lstm1.wx"], a["att.proj"]
+    w_rec = np.concatenate([wx1[:, 2 * d :], a["lstm1.wh"]], axis=1)
+    w2 = np.concatenate([a["lstm2.wx"], a["lstm2.wh"]], axis=1)
+    return wx1[:, :d], wx1[:, d : 2 * d], w_rec, proj[:, :d], proj[:, d:], w2
+
+
 # Images per greedy-decode pass. Larger chunks decode no faster and hold
 # more padded state in memory.
 DECODE_CHUNK = 100
@@ -281,12 +292,10 @@ def _greedy_decode_chunk(
     batch = len(zs)
     d = params.config.hidden_size
     z_pad, valid, z_bar = _padded_objects(zs, counts)
-    wx1, w_h, w_z = a["lstm1.wx"], a["att.proj"][:, :d], a["att.proj"][:, d:]
-    w_rec = np.concatenate([wx1[:, 2 * d :], a["lstm1.wh"]], axis=1)  # acts on [h2, h1]
-    w2 = np.concatenate([a["lstm2.wx"], a["lstm2.wh"]], axis=1)  # acts on [ct, h1, h2]
+    w_x, w_zbar, w_rec, w_h, w_z, w2 = _decoder_blocks(a, d)
     # loop invariants, filtered with the state as rows leave
     zz = z_pad @ w_z.T
-    pre_z = z_bar @ wx1[:, d : 2 * d].T + a["lstm1.b"]
+    pre_z = z_bar @ w_zbar.T + a["lstm1.b"]
     u = np.empty(zz.shape)
 
     h1, c1, h2, c2 = (np.zeros((batch, d)) for _ in range(4))
@@ -295,14 +304,14 @@ def _greedy_decode_chunk(
     tokens = np.zeros((batch, max_len), dtype=np.int64)
     lengths = np.full(batch, max_len)
     for t in range(max_len):
-        pre1 = a["embedding"].T[y] @ wx1[:, :d].T
+        pre1 = a["embedding"].T[y] @ w_x.T
         pre1 += pre_z
         pre1 += np.concatenate([h2, h1], axis=1) @ w_rec.T
         h1, c1, *_ = kernels.lstm_gates_forward(pre1, c1)
-        ct, _ = ad._attention(h1 @ w_h.T, zz, z_pad, valid, a["att.score"], u[: active.size])
+        ct, _ = kernels.attention_forward(h1 @ w_h.T, zz, z_pad, valid, a["att.score"], u[: active.size])
         pre2 = np.concatenate([ct, h1, h2], axis=1) @ w2.T + a["lstm2.b"]
         h2, c2, *_ = kernels.lstm_gates_forward(pre2, c2)
-        probs = numeric.softmax(h2 @ a["out.w"].T + a["out.b"], axis=1)
+        probs = kernels.softmax(h2 @ a["out.w"].T + a["out.b"], axis=1)
         y = probs.argmax(axis=1)  # first maximum: ties go to the lowest id
         going = y != EOS_ID
         lengths[active[~going]] = t
@@ -335,9 +344,112 @@ class DropoutPlan:
 
 NO_DROPOUT = DropoutPlan(rate=0.0, rng=None)
 
-# The decoder's parameters in the order of ad.teacher_forced_logprob's weights.
-DECODER_PARAMS = ("embedding", "lstm1.wx", "lstm1.wh", "lstm1.b", "att.proj", "att.score",
-                  "lstm2.wx", "lstm2.wh", "lstm2.b", "out.w", "out.b")
+# teacher_forced_logprob's parameters, in the order of its node's parents after z
+_DECODER_PARAMS = ("embedding", "lstm1.wx", "lstm1.wh", "lstm1.b", "att.proj", "att.score",
+                   "lstm2.wx", "lstm2.wh", "lstm2.b", "out.w", "out.b")
+
+
+def teacher_forced_logprob(
+    z_flat: Tensor,
+    p: dict[str, Tensor],
+    rows: np.ndarray,
+    valid: np.ndarray,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    t_mask: np.ndarray,
+    drop: np.ndarray,
+) -> Tensor:
+    """Mean log-probability of each target sequence under the decoder with
+    the parameters ``p``, teacher-forced, as one node. Example b attends over
+    ``z_flat[rows[b, k]]`` where ``valid[b, k]``; ``inputs``, ``targets``,
+    ``t_mask`` are (B, T) and ``drop`` the (T, 3, B, d) dropout masks of x,
+    h1 and h2. Following Appleyard et al. (arXiv 1604.01946), the attention
+    projection of z, the input GEMMs of LSTM1, the output layer and every
+    weight gradient run once over all steps, not once per step.
+    """
+    a = {name: p[name].data for name in _DECODER_PARAMS}
+    emb, wav, w_out = a["embedding"], a["att.score"], a["out.w"]
+    n, steps = inputs.shape
+    d, att = a["lstm1.wh"].shape[1], wav.shape[0]
+    w_x, w_zbar, w_rec, w_h, w_z, w2 = _decoder_blocks(a, d)
+    z = np.where(valid[:, :, None], z_flat.data[rows], 0.0)
+    inv_count = 1.0 / valid.sum(axis=1)
+    z_bar = z.sum(axis=1) * inv_count[:, None]
+    zz = z @ w_z.T
+    x = emb.T[inputs.T] * drop[:, 0]  # (T, B, d)
+    pre_in = (x.reshape(-1, d) @ w_x.T).reshape(steps, n, 4 * d)
+    pre_in += z_bar @ w_zbar.T + a["lstm1.b"]
+
+    # per-step inputs of the recurrent GEMMs, kept for the weight gradients
+    rec = np.zeros((steps, n, 2 * d))
+    in2 = np.zeros((steps, n, 3 * d))
+    h2_fed = np.empty((steps, n, d))
+    us = np.empty((steps,) + zz.shape)
+    alphas = np.empty((steps,) + valid.shape)
+    cells1, cells2 = np.zeros((2, steps + 1, n, d))  # row t: the cell state entering step t
+    gates1, gates2 = [], []
+    for t in range(steps):
+        if t:  # the recurrent inputs, from step t - 1
+            rec[t] = np.concatenate([h2_fed[t - 1], h1], axis=1)
+            in2[t, :, 2 * d :] = h2
+            pre_in[t] += rec[t] @ w_rec.T
+        h1, cells1[t + 1], *cache = kernels.lstm_gates_forward(pre_in[t], cells1[t])
+        gates1.append(cache)
+        in2[t, :, d : 2 * d] = h1 * drop[t, 1]
+        in2[t, :, :d], alphas[t] = kernels.attention_forward(
+            in2[t, :, d : 2 * d] @ w_h.T, zz, z, valid, wav, us[t]
+        )
+        h2, cells2[t + 1], *cache = kernels.lstm_gates_forward(in2[t] @ w2.T + a["lstm2.b"], cells2[t])
+        gates2.append(cache)
+        h2_fed[t] = h2 * drop[t, 2]
+
+    logp = kernels.log_softmax(h2_fed.reshape(-1, d) @ w_out.T + a["out.b"], axis=1)
+    picks = (np.arange(steps * n), targets.T.ravel())
+    inv_len = 1.0 / t_mask.sum(axis=1)
+    out = (logp[picks].reshape(steps, n) * t_mask.T).sum(axis=0) * inv_len
+
+    def bwd(g):
+        dlp = ((g * inv_len) * t_mask.T).ravel()
+        dlogits = np.exp(logp) * -dlp[:, None]
+        dlogits[picks] += dlp
+        dh2_out = (dlogits @ w_out).reshape(steps, n, d)
+        dpre1, dpre2 = np.empty((2, steps, n, 4 * d))
+        dct = np.empty((steps, n, d))
+        dhh = np.empty((steps, n, att))
+        des = np.empty(alphas.shape)
+        dpre, datt = np.zeros((2,) + zz.shape)  # d(tanh input): one step, summed over steps
+        dh2_fed = dh1_rec = dh2_rec = dc1 = dc2 = np.zeros((n, d))
+        for t in reversed(range(steps)):
+            dh2 = (dh2_out[t] + dh2_fed) * drop[t, 2] + dh2_rec
+            dpre2[t], dc2 = kernels.lstm_gates_backward(dh2, dc2, *gates2[t], cells2[t])
+            dct[t], dh1_fed, dh2_rec = np.split(dpre2[t] @ w2, 3, axis=1)
+            des[t] = kernels.attention_backward(dct[t], z, us[t], alphas[t], wav, dpre)
+            datt += dpre
+            dhh[t] = dpre.sum(axis=1)
+            dh1 = (dh1_fed + dhh[t] @ w_h) * drop[t, 1] + dh1_rec
+            dpre1[t], dc1 = kernels.lstm_gates_backward(dh1, dc1, *gates1[t], cells1[t])
+            dh2_fed, dh1_rec = np.split(dpre1[t] @ w_rec, 2, axis=1)
+
+        flat1, flat2 = dpre1.reshape(-1, 4 * d), dpre2.reshape(-1, 4 * d)
+        sum1 = dpre1.sum(axis=0)
+        dw_rec = flat1.T @ rec.reshape(-1, 2 * d)
+        dwx1 = np.concatenate([flat1.T @ x.reshape(-1, d), sum1.T @ z_bar, dw_rec[:, :d]], axis=1)
+        dw2 = flat2.T @ in2.reshape(-1, 3 * d)
+        dx = (flat1 @ w_x) * drop[:, 0].reshape(-1, d)
+        demb = np.ascontiguousarray(kernels.scatter_rows(inputs.T.ravel(), dx, emb.shape[1]).T)
+        dw_h = dhh.reshape(-1, att).T @ in2[:, :, d : 2 * d].reshape(-1, d)
+        dw_z = datt.reshape(-1, att).T @ z.reshape(-1, d)
+        dz = alphas.transpose(1, 2, 0) @ dct.transpose(1, 0, 2) + datt @ w_z
+        dz += ((sum1 @ w_zbar) * inv_count[:, None])[:, None, :]
+        dz_flat = kernels.scatter_rows(rows[valid], dz[valid], len(z_flat.data))
+        return (
+            dz_flat, demb, dwx1, dw_rec[:, d:], sum1.sum(axis=0),
+            np.concatenate([dw_h, dw_z], axis=1), des.ravel() @ us.reshape(-1, att),
+            dw2[:, : 2 * d], dw2[:, 2 * d :], flat2.sum(axis=0),
+            dlogits.T @ h2_fed.reshape(-1, d), dlogits.sum(axis=0),
+        )
+
+    return ad.node(out, (z_flat, *(p[name] for name in _DECODER_PARAMS)), bwd)
 
 
 @dataclass
@@ -388,9 +500,7 @@ def batch_forward(
     inputs[:, 1:] = targets[:, :-1]
 
     drop = dropout_plan.masks((t_mask.shape[1], 3, batch, cfg.hidden_size))
-    per_example = ad.teacher_forced_logprob(
-        z_flat, [p[name] for name in DECODER_PARAMS], rows, valid, inputs, targets, t_mask, drop
-    )
+    per_example = teacher_forced_logprob(z_flat, p, rows, valid, inputs, targets, t_mask, drop)
     return BatchForward(
         per_example_logprob=per_example,
         projected_flat=z_flat,

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +42,7 @@ from . import heap
 from .analysis import (
     DEFAULT_NEIGHBOR_K,
     analyze,
-    check_neighbor_k,
-    collect_objects,
+    check_neighbor_k_option,
     decode_corpus,
     split_cider,
     write_vector_export,
@@ -123,6 +123,9 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):  # the comparisons below let NaN and infinities through
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         positive = {
             "hidden_size": self.hidden_size,
             "min_count": self.min_count,
@@ -483,14 +486,14 @@ def run_experiment_matrix(
 
     Writes per-run directories plus combined metric and structure reports,
     and returns the combined bundle. A bad config, a repeated seed or a
-    ``neighbor_k`` that ``analyze`` would reject fails before any write.
+    ``neighbor_k`` that ``analyze`` would reject is a ConfigError before any
+    write.
     """
     for seed in seeds:
         replace(base_config, seed=seed).validate()
         if seeds.count(seed) > 1:
             raise ConfigError(f"seed {seed} appears more than once")
-    _, labels = collect_objects(dataset.test, dataset.class_table.unk_id)
-    check_neighbor_k(neighbor_k, len(np.unique(labels)))
+    check_neighbor_k_option(neighbor_k, dataset.test, dataset.class_table.unk_id)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metric_rows = []

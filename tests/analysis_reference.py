@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from groundcap import kernels, numeric
+from groundcap import kernels
 from groundcap.analysis import AnalysisReport, ClassVectors, collect_objects
 from groundcap.autodiff import Tensor
 from groundcap.data import ClassTable, ImageExample, Vocabulary
@@ -76,7 +76,7 @@ def similarity_correlation(spaces: AlignedSpaces) -> float:
     pairs = np.triu_indices(n, 1)
     obj_sims = kernels.pair_cosines_forward(spaces.object_vectors)[pairs]
     word_sims = kernels.pair_cosines_forward(spaces.word_vectors)[pairs]
-    return numeric.pearson(obj_sims, word_sims)
+    return kernels.pearson(obj_sims, word_sims)
 
 
 def cluster_separation(vectors: np.ndarray, labels: np.ndarray) -> tuple[float, float]:

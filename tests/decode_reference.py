@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from groundcap import autodiff as ad
-from groundcap import kernels, numeric
+from groundcap import kernels
 from groundcap.autodiff import Tensor
 from groundcap.data import BOS_ID, EOS_ID, Vocabulary
 from groundcap.errors import DomainError
@@ -89,7 +89,7 @@ def decode_step(
     ct = attend(h1, z, a["att.proj"], a["att.score"])
     in2 = np.concatenate([ct, h1])
     h2, c2 = lstm_step(in2, (state.h2, state.c2), a["lstm2.wx"], a["lstm2.wh"], a["lstm2.b"])
-    probs = numeric.softmax(a["out.w"] @ h2 + a["out.b"])
+    probs = kernels.softmax(a["out.w"] @ h2 + a["out.b"])
     return probs, DecoderState(h1, c1, h2, c2)
 
 
@@ -135,7 +135,7 @@ def sequence_logprob(
         in2 = np.concatenate([ct, h1d])
         h2, c2 = lstm_step(in2, (h2, c2), a["lstm2.wx"], a["lstm2.wh"], a["lstm2.b"])
         h2_fed = drop(h2)
-        lps[t] = numeric.log_softmax(a["out.w"] @ h2_fed + a["out.b"])[target]
+        lps[t] = kernels.log_softmax(a["out.w"] @ h2_fed + a["out.b"])[target]
         y_prev = target
     return lps
 

@@ -1,11 +1,11 @@
 """Loop versions of the grounding samplers, the pair-pick and row scatters,
-the masked-branch sigmoid and the numeric kernels.
+the masked-branch sigmoid and the array kernels.
 
-These are the definitions the vectorised code in ``groundcap.losses``,
-``groundcap.kernels`` and ``groundcap.numeric`` must reproduce: the
-samplers, the ``np.add.at`` scatters of the pair picks and of rows, and the
-sigmoid bit for bit (the same index arrays, gradient and sigmoid bits and
-generator state after each call), and the ``*_loop`` kernels, which
+These are the definitions the vectorised code in ``groundcap.losses`` and
+``groundcap.kernels`` must reproduce: the samplers, the ``np.add.at``
+scatters of the pair picks and of rows, and the sigmoid bit for bit (the
+same index arrays, gradient and sigmoid bits and generator state after
+each call), and the ``*_loop`` kernels, which
 accumulate one element at a time, within the tolerances in ``tests/test_kernels.py``
 (exactly, for the dynamic-programming LCS). The cosine-matrix loops
 differentiate each cell on its own, as the per-pair formula does, so they

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from groundcap import autodiff as ad
-from groundcap import numeric
-from groundcap.autodiff import Tensor, _make
+from groundcap import kernels
+from groundcap.autodiff import Tensor, node
 from groundcap.data import BOS_ID, EOS_ID
 from groundcap.errors import DomainError, ShapeError
 from groundcap.model import NO_DROPOUT, BatchForward, DropoutPlan, ModelConfig, ModelParams
@@ -37,16 +37,16 @@ def sum_(x: Tensor, axis: int | None = None) -> Tensor:
             return (np.broadcast_to(g, x.data.shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy(),)
 
-    return _make(x.data.sum(axis=axis), (x,), bwd)
+    return node(x.data.sum(axis=axis), (x,), bwd)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    y = numeric.log_softmax(x.data, axis=axis)
+    y = kernels.log_softmax(x.data, axis=axis)
 
     def bwd(g):
         return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
 
-    return _make(y, (x,), bwd)
+    return node(y, (x,), bwd)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -56,7 +56,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     def bwd(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
+    return node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -68,7 +68,7 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         gx[:, start:stop] = g
         return (gx,)
 
-    return _make(x.data[:, start:stop].copy(), (x,), bwd)
+    return node(x.data[:, start:stop].copy(), (x,), bwd)
 
 
 def embedding_cols(w: Tensor, ids: np.ndarray) -> Tensor:
@@ -84,7 +84,7 @@ def embedding_cols(w: Tensor, ids: np.ndarray) -> Tensor:
         np.add.at(gw.T, ids, g)
         return (gw,)
 
-    return _make(w.data[:, ids].T, (w,), bwd)
+    return node(w.data[:, ids].T, (w,), bwd)
 
 
 def gather_cols(x: Tensor, ids: np.ndarray) -> Tensor:
@@ -97,7 +97,7 @@ def gather_cols(x: Tensor, ids: np.ndarray) -> Tensor:
         gx[rows, ids] = g
         return (gx,)
 
-    return _make(x.data[rows, ids], (x,), bwd)
+    return node(x.data[rows, ids], (x,), bwd)
 
 
 def pad_rows(flat: Tensor, offsets: np.ndarray, counts: np.ndarray, width: int) -> Tensor:
@@ -118,7 +118,7 @@ def pad_rows(flat: Tensor, offsets: np.ndarray, counts: np.ndarray, width: int) 
             gf[offsets[b] : offsets[b] + counts[b]] += g[b, : counts[b]]
         return (gf,)
 
-    return _make(out, (flat,), bwd)
+    return node(out, (flat,), bwd)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -128,7 +128,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
     mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return _make(x.data * mask, (x,), lambda g: (g * mask,))
+    return node(x.data * mask, (x,), lambda g: (g * mask,))
 
 
 def _apply(plan: DropoutPlan, t: Tensor) -> Tensor:

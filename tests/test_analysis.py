@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import analysis_reference
 import loop_reference
-from groundcap import kernels, numeric
+from groundcap import kernels
 from groundcap.analysis import (
     AnalysisReport,
     analyze,
@@ -233,7 +233,7 @@ class TestSimilarityCorrelation:
         w = [loop_reference.cosine(words[i], words[j]) for i, j in pairs]
         o = [loop_reference.cosine(objects[i], objects[j]) for i, j in pairs]
         assert similarity_correlation(cos(words), cos(objects)) == pytest.approx(
-            numeric.pearson(o, w), abs=1e-12
+            kernels.pearson(o, w), abs=1e-12
         )
 
     def test_orthogonal_rotation_invariance(self, rng):

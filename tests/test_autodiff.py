@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import loop_reference
 import tape_reference as tr
 from groundcap import autodiff as ad
-from groundcap import numeric
+from groundcap import kernels
 from groundcap.errors import (
     ContractError,
     DegenerateStatisticsError,
@@ -32,28 +32,28 @@ FD_TOL = 1e-4
 
 class TestSoftmax:
     def test_symmetry(self):
-        np.testing.assert_allclose(numeric.softmax(np.array([0.0, 0.0])), [0.5, 0.5])
+        np.testing.assert_allclose(kernels.softmax(np.array([0.0, 0.0])), [0.5, 0.5])
 
     def test_large_inputs_do_not_overflow(self):
-        out = numeric.softmax(np.array([1000.0, 1000.0, 1000.0]))
+        out = kernels.softmax(np.array([1000.0, 1000.0, 1000.0]))
         np.testing.assert_allclose(out, np.full(3, 1 / 3), atol=1e-12)
         assert np.isfinite(out).all()
 
     def test_exp_log_identity(self):
-        out = numeric.softmax(np.log(np.array([1.0, 2.0, 3.0])))
+        out = kernels.softmax(np.log(np.array([1.0, 2.0, 3.0])))
         np.testing.assert_allclose(out, np.array([1, 2, 3]) / 6.0, atol=1e-12)
 
     def test_empty_is_domain_error(self):
         with pytest.raises(DomainError):
-            numeric.softmax(np.array([]))
+            kernels.softmax(np.array([]))
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_sums_to_one_and_shift_invariant(self, xs):
         x = np.array(xs)
-        out = numeric.softmax(x)
+        out = kernels.softmax(x)
         assert abs(out.sum() - 1.0) < 1e-12
-        shifted = numeric.softmax(x + 13.7)
+        shifted = kernels.softmax(x + 13.7)
         np.testing.assert_allclose(out, shifted, atol=1e-12)
 
 
@@ -91,22 +91,22 @@ class TestCosine:
 
 class TestPearson:
     def test_exact_linear(self):
-        assert numeric.pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0, abs=1e-12)
+        assert kernels.pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_anti_linear(self):
-        assert numeric.pearson([1, 2, 3], [6, 4, 2]) == pytest.approx(-1.0, abs=1e-12)
+        assert kernels.pearson([1, 2, 3], [6, 4, 2]) == pytest.approx(-1.0, abs=1e-12)
 
     def test_hand_computed_value(self):
         # centered x.y = 4, |x~|^2 = |y~|^2 = 5 -> 4/5
-        assert numeric.pearson([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8, abs=1e-12)
+        assert kernels.pearson([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8, abs=1e-12)
 
     def test_too_short_is_degenerate(self):
         with pytest.raises(DegenerateStatisticsError):
-            numeric.pearson([1.0], [2.0])
+            kernels.pearson([1.0], [2.0])
 
     def test_zero_variance_is_degenerate(self):
         with pytest.raises(DegenerateStatisticsError):
-            numeric.pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+            kernels.pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
     @given(
         st.floats(0.1, 50),
@@ -118,8 +118,8 @@ class TestPearson:
     def test_positive_affine_invariance(self, a, b, c, d):
         xs = np.array([0.3, -1.2, 2.5, 0.9, -0.4])
         ys = np.array([1.1, 0.2, -0.7, 1.9, 0.5])
-        base = numeric.pearson(xs, ys)
-        assert numeric.pearson(a * xs + b, c * ys + d) == pytest.approx(base, abs=1e-10)
+        base = kernels.pearson(xs, ys)
+        assert kernels.pearson(a * xs + b, c * ys + d) == pytest.approx(base, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ class TestTape:
         lp = tr.log_softmax(logits, axis=-1)
         loss = ad.neg(tr.sum_(ad.mul(lp, ad.Tensor(np.eye(5)[target]))))
         grads = ad.backward(tape, loss)
-        expected = numeric.softmax(logits_val) - np.eye(5)[target]
+        expected = kernels.softmax(logits_val) - np.eye(5)[target]
         np.testing.assert_allclose(grads["logits"], expected, atol=1e-12)
 
     def test_unused_parameter_gets_exact_zeros(self):
@@ -257,7 +257,7 @@ class TestPrimitiveGradients:
         w = rng.normal(size=(2, 5))
         _check(
             lambda t: tr.sum_(ad.mul(tr.log_softmax(t, axis=1), ad.Tensor(w))),
-            lambda a: float((numeric.log_softmax(a, axis=1) * w).sum()),
+            lambda a: float((kernels.log_softmax(a, axis=1) * w).sum()),
             [x],
             fd_grad,
             rel_err,
@@ -389,7 +389,7 @@ class TestPrimitiveGradients:
         v = rng.normal(size=5)
         _check(
             lambda a, b: ad.pearson_t(a, b),
-            lambda a, b: numeric.pearson(a, b),
+            lambda a, b: kernels.pearson(a, b),
             [u, v],
             fd_grad,
             rel_err,

@@ -521,6 +521,31 @@ def _train_with_config(text):
     return lambda d, t: _train("--config", str(_write(t / "run.cfg", text)))(d, t)
 
 
+def _analyze(*flags):
+    def argv(d, t):
+        checkpoint = _write_checkpoint(t / "checkpoint.json")
+        return ["analyze", "--checkpoint", str(checkpoint), "--data", str(d),
+                "--out", str(t / "run"), *flags]
+
+    return argv
+
+
+def _keep_one_test_image(data_dir):
+    path = data_dir / "test.jsonl"
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+
+
+def _label_test_objects_alike(data_dir):
+    path = data_dir / "test.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for record in records:
+        record["labels"] = [records[0]["labels"][0]] * len(record["labels"])
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(TrainConfig) if f.type == "float"]
+
+
 def _assign_with_repeated_target(d, t):
     first = (d / "test.jsonl").read_text().splitlines(keepends=True)[0]
     return [
@@ -544,13 +569,42 @@ NAMED_FAILURES = {
     "matrix_seed_repeated": (_matrix("--seeds", "1,1"), 2, "seed 1 appears more than once"),
     # the data_dir fixture's test split labels all 3 classes
     "matrix_neighbor_k_zero": (
-        _matrix("--seeds", "1", "--neighbor-k", "0"), 1,
+        _matrix("--seeds", "1", "--neighbor-k", "0"), 2,
         "neighbor count k=0 must satisfy 1 <= k < 3 classes",
     ),
     "matrix_neighbor_k_all_classes": (
-        _matrix("--seeds", "1", "--neighbor-k", "3"), 1,
+        _matrix("--seeds", "1", "--neighbor-k", "3"), 2,
         "neighbor count k=3 must satisfy 1 <= k < 3 classes",
     ),
+    "analyze_neighbor_k_all_classes": (
+        _analyze("--neighbor-k", "3"), 2, "neighbor count k=3 must satisfy 1 <= k < 3 classes",
+    ),
+    # a split that cannot be scored or separated is named as such, not as a bad k
+    "matrix_test_split_one_image": (
+        lambda d, t: _matrix("--seeds", "1")(_broken_copy(d, t, _keep_one_test_image), t), 3,
+        "scoring a split needs at least 2 images for CIDEr, got 1",
+    ),
+    **{
+        f"{command}_test_split_one_class": (
+            lambda d, t, argv=argv: argv(_broken_copy(d, t, _label_test_objects_alike), t), 1,
+            "cluster separation needs >= 2 classes, got 1",
+        )
+        for command, argv in (("matrix", _matrix("--seeds", "1")), ("analyze", _analyze()))
+    },
+    # every float field, as a flag and as a --config key
+    **{
+        f"{name}_nan_flag": (
+            _train("--" + name.replace("_", "-"), "nan"), 2, f"{name} must be finite, got nan",
+        )
+        for name in FLOAT_FIELDS
+    },
+    **{
+        f"{name}_inf_config_key": (
+            _train_with_config(f"{name}=-inf\n"), 2, f"{name} must be finite, got -inf",
+        )
+        for name in FLOAT_FIELDS
+    },
+    "margin_inf_matrix": (_matrix("--margin", "inf"), 2, "margin must be finite, got inf"),
     "assign_labels_target_id_repeated": (
         _assign_with_repeated_target, 3, "targets.jsonl: image id {first_test_id} appears twice"
     ),
@@ -558,7 +612,11 @@ NAMED_FAILURES = {
 
 
 @pytest.mark.parametrize("case", sorted(NAMED_FAILURES))
-def test_failure_is_named_before_writing(case, data_dir, tmp_path, capsys):
+def test_failure_is_named_before_writing(case, data_dir, tmp_path, capsys, monkeypatch):
+    def must_not_decode(*args, **kwargs):
+        raise AssertionError("decoded before the failure")
+
+    monkeypatch.setattr(cli, "split_cider", must_not_decode)
     argv, code, message = NAMED_FAILURES[case]
     assert main(argv(data_dir, tmp_path)) == code
     err = capsys.readouterr().err

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loop_reference
-from groundcap import kernels, numeric
+from groundcap import kernels
 from groundcap.errors import DomainError
 
 
@@ -95,21 +95,21 @@ def test_lstm_gates_forward_sigmoid_blocks_exact(rng, batch):
     _, _, i, f, o, _, _ = kernels.lstm_gates_forward(pre, c_prev)
     d = c_prev.shape[1]
     for k, gate in enumerate((i, f, o)):
-        assert np.array_equal(gate, numeric.sigmoid(pre[:, k * d:(k + 1) * d]))
+        assert np.array_equal(gate, kernels.sigmoid(pre[:, k * d:(k + 1) * d]))
 
 
 def test_sigmoid_matches_masked_branch_reference(rng):
     specials = [0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
     x = np.concatenate([rng.normal(scale=10.0, size=10**6), specials])
-    got = numeric.sigmoid(x)
+    got = kernels.sigmoid(x)
     want = loop_reference.sigmoid(x)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     # a strided gate block, a 0-d value and an empty array
     block = rng.normal(scale=4.0, size=(100, 256))[:, :192]
-    assert numeric.sigmoid(block).tobytes() == loop_reference.sigmoid(block).tobytes()
+    assert kernels.sigmoid(block).tobytes() == loop_reference.sigmoid(block).tobytes()
     for value in (np.float64(-3.5), np.zeros(0)):
-        got, want = numeric.sigmoid(value), loop_reference.sigmoid(value)
+        got, want = kernels.sigmoid(value), loop_reference.sigmoid(value)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

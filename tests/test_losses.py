@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import loop_reference
 from groundcap import autodiff as ad
-from groundcap import losses, numeric
+from groundcap import kernels, losses
 from groundcap.autodiff import Tensor
 from groundcap.errors import ConfigError, DomainError
 from groundcap.training import TrainConfig
@@ -253,7 +253,7 @@ class TestPerceptualLoss:
         out = perceptual_loss(pool, pairs, Tensor(w_e), tokens)
         sims_o = [loop_reference.cosine(obj[i], obj[j]) for i, j in zip(*pairs)]
         sims_t = [loop_reference.cosine(w_e[:, i], w_e[:, j]) for i, j in zip(*pairs)]
-        assert out.item() == pytest.approx(-numeric.pearson(sims_o, sims_t), abs=1e-12)
+        assert out.item() == pytest.approx(-kernels.pearson(sims_o, sims_t), abs=1e-12)
 
     def test_hand_pearson_value(self):
         # obj sims (0.9, 0.1, 0.5) vs text sims (0.8, 0.2, 0.5)
@@ -262,7 +262,7 @@ class TestPerceptualLoss:
         xc = obj_s - obj_s.mean()
         yc = txt_s - txt_s.mean()
         rho = float(xc @ yc / (np.linalg.norm(xc) * np.linalg.norm(yc)))
-        assert numeric.pearson(obj_s, txt_s) == pytest.approx(rho, abs=1e-12)
+        assert kernels.pearson(obj_s, txt_s) == pytest.approx(rho, abs=1e-12)
         # and the loss is its negation when fed those exact similarity lists
         x = Tensor(obj_s)
         y = Tensor(txt_s)

@@ -32,7 +32,7 @@ from decode_reference import (
     sequence_logprob,
 )
 from groundcap import autodiff as ad
-from groundcap import kernels, model, numeric
+from groundcap import kernels, model
 from groundcap.data import BOS_ID, EOS_ID, SyntheticSpec, generate_synthetic_dataset
 from groundcap.errors import DataValidationError, DomainError, NumericalError, ShapeError
 from groundcap.model import (
@@ -200,7 +200,7 @@ class TestDecodeStep:
             np.concatenate([ct, h1]), (state.h2, state.c2),
             a["lstm2.wx"], a["lstm2.wh"], a["lstm2.b"],
         )
-        ref = numeric.softmax(a["out.w"] @ h2 + a["out.b"])
+        ref = kernels.softmax(a["out.w"] @ h2 + a["out.b"])
         np.testing.assert_allclose(probs, ref, atol=1e-12)
         np.testing.assert_allclose(new.h2, h2, atol=1e-12)
 
@@ -309,7 +309,7 @@ class TestGreedyDecode:
         base = select_greedy_token(logits)
         assert select_greedy_token(3.0 * logits + 7.0) == base
         assert select_greedy_token(np.exp(logits)) == base
-        assert select_greedy_token(numeric.softmax(logits)) == base
+        assert select_greedy_token(kernels.softmax(logits)) == base
 
     def test_tie_breaks_to_lowest_id(self):
         assert select_greedy_token(np.array([0.2, 0.4, 0.4])) == 1
@@ -683,6 +683,45 @@ class TestFusedTeacherForcedOp:
                 tape_reference.constants(params), params.config, [rng.normal(size=(2, 3))], [[0, 0]], [0],
                 tokens,
             )
+
+
+class TestKernelBoundary:
+    """Training and decoding reach attention and the output layer's
+    softmaxes through ``kernels`` attributes, so a wrapper patched onto the
+    module sees every call."""
+
+    NAMES = ("attention_forward", "attention_backward", "log_softmax", "softmax")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(self.NAMES, 0)
+        for name in self.NAMES:
+            def counted(*args, _name=name, _kernel=getattr(kernels, name), **kwargs):
+                counts[_name] += 1
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(kernels, name, counted)
+        return counts
+
+    def test_batch_forward_and_backward_attend_once_per_step(self, calls):
+        params = decoder_params(5, vocab=20, d=6, d_in=4, scale=3.0)
+        rng = np.random.default_rng(2)
+        feats = [rng.normal(size=(k, 4)) for k in (3, 1, 5)]
+        tokens = [[3, 4, EOS_ID], [5, 6, 7, 8, EOS_ID], [9]]  # 5 steps
+        run_batch_forward(batch_forward, params, feats, [0, 1, 2], tokens, 0.2, 3)
+        assert calls == {
+            "attention_forward": 5, "attention_backward": 5, "log_softmax": 1, "softmax": 0
+        }
+
+    def test_greedy_decode_attends_and_softmaxes_once_per_step(self, calls):
+        params = decoder_params(3, vocab=8, d=4, d_in=3, scale=25.0)
+        captions = greedy_decode(split_objects(4, [1, 2, 3, 4, 5, 6] * 3, params), params, 16)
+        steps = max(min(len(caption) + 1, 16) for caption in captions)  # + 1: the EOS step
+        assert len({len(caption) for caption in captions}) > 2
+        assert calls == {
+            "attention_forward": steps, "attention_backward": 0, "log_softmax": 0,
+            "softmax": steps,
+        }
 
 
 FIXTURE_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "fixture" / "checkpoint_best.json.gz"
