@@ -92,8 +92,7 @@ def similarity_correlation(word_cos: np.ndarray, object_cos: np.ndarray) -> floa
     """Pearson correlation of two spaces' cosine matrices over the unordered
     class pairs."""
     n = len(word_cos)
-    if n < 3:
-        raise DomainError(f"similarity correlation needs >= 3 classes, got {n}")
+    _check_correlatable(n)
     pairs = np.triu_indices(n, 1)
     return kernels.pearson(object_cos[pairs], word_cos[pairs])
 
@@ -183,12 +182,18 @@ def _check_separable(n_classes: int) -> None:
         raise DomainError(f"cluster separation needs >= 2 classes, got {n_classes}")
 
 
+def _check_correlatable(n_classes: int) -> None:
+    if n_classes < 3:
+        raise DomainError(f"similarity correlation needs >= 3 classes, got {n_classes}")
+
+
 def check_neighbor_k_option(k: int, examples: list[ImageExample], unk_id: int) -> None:
     """``check_neighbor_k`` against the labelled classes of a split, for a
     command to run before it decodes or trains. The split's own faults that
     ``split_cider`` and ``analyze`` would raise first still come first; a bad
     k is then the option's fault, a ConfigError, where ``analyze`` itself
-    raises DomainError."""
+    raises DomainError. Last come the 3 classes that the similarity
+    correlation needs, with ``analyze``'s DomainError."""
     _check_scorable(examples)
     n_classes = len(np.unique(collect_objects(examples, unk_id)[1]))
     _check_separable(n_classes)
@@ -196,6 +201,7 @@ def check_neighbor_k_option(k: int, examples: list[ImageExample], unk_id: int) -
         check_neighbor_k(k, n_classes)
     except DomainError as err:
         raise ConfigError(str(err)) from err
+    _check_correlatable(n_classes)
 
 
 def decode_corpus(

@@ -23,6 +23,11 @@ carries the literal string "UNK". Inputs are parsed as RFC 8259 JSON in
 UTF-8: NaN/Infinity literals, numbers that overflow float64 and lone
 surrogate escapes are malformed JSON. An image id is a JSON string or a
 64-bit integer.
+
+One encoder, ``float_array_json``, writes every float array of the program's
+output: the parameters of a checkpoint and the features and boxes of a
+dataset record, each with the bytes ``json.dumps`` writes. A dataset file
+holds exactly ``json.dumps(example_to_record(ex), sort_keys=True)`` per line.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .errors import ConfigError, DataValidationError
+from .errors import ConfigError, DataValidationError, NumericalError
 
 log = logging.getLogger(__name__)
 
@@ -301,10 +306,64 @@ def write_atomic(path: Path, data: str | bytes) -> None:
         partial.unlink(missing_ok=True)
 
 
+def float_array_json(arr: np.ndarray) -> bytes:
+    """``json.dumps(arr.tolist())`` of a finite float64 array of any shape, as
+    bytes; NaN and infinities have no JSON number, so callers reject them.
+
+    orjson prints the same shortest round-trip digits as ``float.__repr__``
+    and differs only in layout: it writes no space after ``,``, and where
+    Python uses the exponent form (nonzero magnitudes below 1e-4 or from
+    1e16 up) it writes ``0.00001``, ``1e-6`` or ``1e16`` for Python's
+    ``1e-05``, ``1e-06`` and ``1e+16``. Those few values get ``repr``
+    spliced over their orjson token: the i-th value's token is the i-th run
+    of bytes other than ``[``, ``]`` and ``,``.
+    """
+    arr = np.ascontiguousarray(arr, dtype=np.float64)  # orjson takes C order only
+    body = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY)
+    flat = arr.ravel()
+    magnitude = np.abs(flat)
+    exponent = np.flatnonzero((flat != 0) & ((magnitude < 1e-4) | (magnitude >= 1e16)))
+    if exponent.size:
+        buf = np.frombuffer(body, np.uint8)
+        delimiter = (buf == ord(",")) | (buf == ord("[")) | (buf == ord("]"))
+        bounds = np.flatnonzero(delimiter[1:] != delimiter[:-1]) + 1  # start, end, start, ...
+        starts, ends = bounds[0::2][exponent], bounds[1::2][exponent]
+        pieces = [body[: starts[0]]]
+        for value, end, next_start in zip(
+            flat[exponent].tolist(), ends.tolist(), [*starts[1:].tolist(), len(body)]
+        ):
+            pieces += (repr(value).encode(), body[end:next_start])
+        body = b"".join(pieces)
+    return body.replace(b",", b", ")
+
+
+def record_json(ex: ImageExample) -> bytes:
+    """The line ``write_jsonl`` writes for ``ex``, as bytes:
+    ``json.dumps(example_to_record(ex), sort_keys=True)`` and a newline. The
+    arrays go through ``float_array_json`` and orjson, the id and the captions
+    through ``json.dumps``, which escapes non-ASCII text and lone surrogates
+    as it always has."""
+    return b"".join((
+        b'{"boxes": ', float_array_json(ex.boxes),
+        b', "captions": ', json.dumps(list(ex.captions)).encode(),
+        b', "features": ', float_array_json(ex.features),
+        b', "id": ', json.dumps(ex.image_id).encode(),
+        b', "labels": ', orjson.dumps(ex.labels.tolist()).replace(b",", b", "),
+        b"}\n",
+    ))
+
+
 def write_jsonl(examples: list[ImageExample], path: Path) -> None:
-    write_atomic(
-        path, "".join(json.dumps(example_to_record(ex), sort_keys=True) + "\n" for ex in examples)
-    )
+    """Write one ``record_json`` line per example, atomically. An example
+    with a NaN or infinite feature or box raises ``NumericalError`` before
+    anything is written: JSON has no such number, and ``load_dataset``
+    would reject the file."""
+    for ex in examples:
+        if not (np.isfinite(ex.features).all() and np.isfinite(ex.boxes).all()):
+            raise NumericalError(
+                f"image {ex.image_id} has non-finite features or boxes; {path} not written"
+            )
+    write_atomic(path, b"".join(map(record_json, examples)))
 
 
 def read_records(path: Path):
@@ -424,6 +483,10 @@ SINGLE_TEMPLATE = "a photo of a {a}"
 
 SAME_GROUP_COSINE = 0.5
 _GROUP_SIZE = 4
+# a box is drawn as (x0, y0, w, h) from these bounds, then clipped to
+# (x0, y0, min(x0 + w, 1), min(y0 + h, 1))
+_BOX_LOW = (0.0, 0.0, 0.1, 0.1)
+_BOX_HIGH = (0.55, 0.55, 0.4, 0.4)
 GEOMETRIES = ("matched", "scrambled")
 
 
@@ -513,14 +576,6 @@ def class_prototypes(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarra
     return protos
 
 
-def _random_box(rng: np.random.Generator) -> tuple[float, float, float, float]:
-    x0 = rng.uniform(0.0, 0.55)
-    y0 = rng.uniform(0.0, 0.55)
-    w = rng.uniform(0.1, 0.4)
-    h = rng.uniform(0.1, 0.4)
-    return x0, y0, min(x0 + w, 1.0), min(y0 + h, 1.0)
-
-
 def _caption_for(class_ids: list[int], names: dict[int, str], swap: bool) -> str:
     """Canonical caption of an object set.
 
@@ -544,14 +599,17 @@ def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> Dataset:
     """Clustered gaussian object features with template captions.
 
     Object vectors are class prototype + N(0, spread^2) noise. Every image
-    picks one class group and (up to) two distinct member classes, then
+    picks one class group and two distinct member classes (a group has at
+    least 2, as a spec has at least 3 classes), then
     splits its objects between them, so caption co-occurrence exactly
     mirrors the group structure and every label pair a caption can mention
     is frequent enough to learn; ``geometry`` controls whether prototype
     similarities line up with the co-occurrence. Each image carries
     captions_per_image copies of its canonical caption (every copy is one
     training pair). Deterministic given (spec, seed); splits are a fixed
-    80/10/10 cut over images.
+    80/10/10 cut over images. After the prototypes, each image draws in
+    turn its group, object count k, two members, k labels in one call, the
+    (k, d) noise, a (k, 4) block of box bounds and the caption swap.
     """
     spec.validate()
     rng = np.random.default_rng(seed)
@@ -566,21 +624,19 @@ def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> Dataset:
         gi = int(rng.integers(len(groups)))
         k = int(rng.integers(spec.objects_min, spec.objects_max + 1))
         members = groups[gi]
-        if len(members) >= 2:
-            first = int(rng.integers(len(members)))
-            second = int(rng.integers(len(members) - 1))
-            if second >= first:
-                second += 1
-            present = [members[first], members[second]]
-        else:
-            present = [members[0]]
-        labels = [present[int(rng.integers(len(present)))] for _ in range(k)]
+        first = int(rng.integers(len(members)))
+        second = int(rng.integers(len(members) - 1))
+        if second >= first:
+            second += 1
+        present = np.array([members[first], members[second]])
+        labels = present[rng.integers(len(present), size=k)]
         feats = protos[labels] + spec.spread * rng.standard_normal(
             (k, spec.feature_size)
         )
-        boxes = [_random_box(rng) for _ in range(k)]
+        boxes = rng.uniform(_BOX_LOW, _BOX_HIGH, size=(k, 4))
+        boxes[:, 2:] = np.minimum(boxes[:, :2] + boxes[:, 2:], 1.0)
         swap = bool(rng.random() < spec.caption_order_noise)
-        captions = [_caption_for(labels, names, swap)] * spec.captions_per_image
+        captions = [_caption_for(labels.tolist(), names, swap)] * spec.captions_per_image
         examples.append(
             ImageExample(
                 image_id=f"synth-{m:06d}",

@@ -38,7 +38,7 @@ import orjson
 from . import autodiff as ad
 from . import heap, kernels
 from .autodiff import Tensor
-from .data import BOS_ID, EOS_ID, write_atomic
+from .data import BOS_ID, EOS_ID, float_array_json, write_atomic
 from .errors import DataValidationError, DomainError, NumericalError, ShapeError
 
 INIT_SCALE = 0.08
@@ -118,33 +118,6 @@ class ModelParams:
         return {name: tape.parameter(name, arr) for name, arr in self.arrays.items()}
 
 
-def _float_array_json(arr: np.ndarray) -> bytes:
-    """``json.dumps(arr.ravel().tolist())`` of a float array, as bytes.
-
-    orjson prints the same shortest round-trip digits as ``float.__repr__``
-    and differs only in layout: it writes no space after ``,``, and where
-    Python uses the exponent form (nonzero magnitudes below 1e-4 or from
-    1e16 up) it writes ``0.00001``, ``1e-6`` or ``1e16`` for Python's
-    ``1e-05``, ``1e-06`` and ``1e+16``. Those few values get ``repr``
-    spliced over their orjson token, whose bounds are the commas around it.
-    """
-    flat = arr.ravel()
-    body = orjson.dumps(flat.tolist())
-    magnitude = np.abs(flat)
-    exponent = np.flatnonzero((flat != 0) & ((magnitude < 1e-4) | (magnitude >= 1e16)))
-    if exponent.size:
-        commas = np.flatnonzero(np.frombuffer(body, np.uint8) == ord(","))
-        starts = np.concatenate(([1], commas + 1))[exponent]
-        ends = np.concatenate((commas, [len(body) - 1]))[exponent]
-        pieces = [body[: starts[0]]]
-        for value, end, next_start in zip(
-            flat[exponent].tolist(), ends.tolist(), [*starts[1:].tolist(), len(body)]
-        ):
-            pieces += (repr(value).encode(), body[end:next_start])
-        body = b"".join(pieces)
-    return body.replace(b",", b", ")
-
-
 def save_checkpoint(params: ModelParams, path: Path, extra: dict | None = None) -> None:
     """Write the checkpoint JSON atomically: a kill or a failed write leaves
     any previous checkpoint at ``path`` intact.
@@ -153,7 +126,7 @@ def save_checkpoint(params: ModelParams, path: Path, extra: dict | None = None) 
     payload ``{"format_version", "model", "params", "extra"}``, where
     ``params`` maps each array's name to ``{"data": flat list, "shape"}``.
     ``json.dumps`` writes everything but the arrays; each array is encoded
-    by ``_float_array_json``, one at a time. A parameter with a NaN or
+    by ``data.float_array_json``, one at a time. A parameter with a NaN or
     infinite entry raises ``NumericalError`` before anything is written:
     JSON has no such number, and every reader would reject the file.
     """
@@ -178,7 +151,7 @@ def save_checkpoint(params: ModelParams, path: Path, extra: dict | None = None) 
         pieces += (
             b", " if i else b"",
             f'{json.dumps(name)}: {{"data": '.encode(),
-            _float_array_json(arr),
+            float_array_json(arr.ravel()),
             f', "shape": {json.dumps(list(arr.shape))}}}'.encode(),
         )
     pieces.append(b"}}")

@@ -487,7 +487,8 @@ def run_experiment_matrix(
     Writes per-run directories plus combined metric and structure reports,
     and returns the combined bundle. A bad config, a repeated seed or a
     ``neighbor_k`` that ``analyze`` would reject is a ConfigError before any
-    write.
+    write, and a test split of fewer than 3 labelled classes, which
+    ``analyze`` cannot correlate, a DomainError.
     """
     for seed in seeds:
         replace(base_config, seed=seed).validate()

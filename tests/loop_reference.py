@@ -13,13 +13,26 @@ also check the matrix backward's ``(G + G^T) @ U`` and normalisation steps.
 ``cosine`` is the two-vector formula the tests compare structure numbers
 with. ``box_is_valid`` is the box rule one box at a time, which the array
 check in ``groundcap.data`` must agree with on every float, NaN and
-infinities included.
+infinities included. ``generate_synthetic_dataset`` draws each object's label
+and box bounds with scalar calls; the generator in ``groundcap.data`` must
+make the same arrays and leave its generator in the same state.
 """
 
 import math
 
 import numpy as np
 
+from groundcap.data import (
+    LABEL_POOL,
+    UNK_CLASS_NAME,
+    ClassTable,
+    Dataset,
+    ImageExample,
+    SyntheticSpec,
+    _caption_for,
+    _class_groups,
+    class_prototypes,
+)
 from groundcap.errors import DomainError, ShapeError
 from groundcap.losses import LabeledProjection
 
@@ -255,3 +268,41 @@ def box_is_valid(x_min, y_min, x_max, y_max) -> bool:
     # chained comparisons also reject NaN and infinite coordinates
     inf = float("inf")
     return -inf < x_min < x_max < inf and -inf < y_min < y_max < inf
+
+
+def _random_box(rng: np.random.Generator) -> tuple[float, float, float, float]:
+    x0 = rng.uniform(0.0, 0.55)
+    y0 = rng.uniform(0.0, 0.55)
+    w = rng.uniform(0.1, 0.4)
+    h = rng.uniform(0.1, 0.4)
+    return x0, y0, min(x0 + w, 1.0), min(y0 + h, 1.0)
+
+
+def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> Dataset:
+    spec.validate()
+    rng = np.random.default_rng(seed)
+    protos = class_prototypes(spec, rng)
+    groups = _class_groups(spec.num_classes)
+    names = {c: LABEL_POOL[c] for c in range(spec.num_classes)}
+    names[spec.num_classes] = UNK_CLASS_NAME
+    examples = []
+    for m in range(spec.images):
+        gi = int(rng.integers(len(groups)))
+        k = int(rng.integers(spec.objects_min, spec.objects_max + 1))
+        members = groups[gi]
+        first = int(rng.integers(len(members)))
+        second = int(rng.integers(len(members) - 1))
+        if second >= first:
+            second += 1
+        present = [members[first], members[second]]
+        labels = [present[int(rng.integers(len(present)))] for _ in range(k)]
+        feats = protos[labels] + spec.spread * rng.standard_normal((k, spec.feature_size))
+        boxes = [_random_box(rng) for _ in range(k)]
+        swap = bool(rng.random() < spec.caption_order_noise)
+        captions = [_caption_for(labels, names, swap)] * spec.captions_per_image
+        examples.append(ImageExample(image_id=f"synth-{m:06d}", features=feats, boxes=boxes,
+                                     labels=labels, captions=captions))
+    n_train = int(spec.images * 0.8)
+    n_val = int(spec.images * 0.1)
+    return Dataset(train=examples[:n_train], val=examples[n_train : n_train + n_val],
+                   test=examples[n_train + n_val :], class_table=ClassTable(names=names))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import checkpoint_reference
-from groundcap import cli
+from groundcap import analysis, cli
 from groundcap.cli import build_train_config, main, make_parser, read_config_file
 from groundcap.data import (
     RESERVED,
@@ -19,7 +19,7 @@ from groundcap.data import (
     read_jsonl,
     save_dataset,
 )
-from groundcap.model import ModelConfig, ModelParams, save_checkpoint
+from groundcap.model import ModelConfig, ModelParams, greedy_decode, save_checkpoint
 from groundcap.training import TrainConfig
 
 TINY_FLAGS = [
@@ -543,6 +543,15 @@ def _label_test_objects_alike(data_dir):
     path.write_text("".join(json.dumps(record) + "\n" for record in records))
 
 
+def _label_test_objects_two_classes(data_dir):
+    """Relabel class 2 of the 3-class fixture's test split as class 1."""
+    path = data_dir / "test.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for record in records:
+        record["labels"] = [min(label, 1) for label in record["labels"]]
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+
+
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(TrainConfig) if f.type == "float"]
 
 
@@ -591,6 +600,15 @@ NAMED_FAILURES = {
         )
         for command, argv in (("matrix", _matrix("--seeds", "1")), ("analyze", _analyze()))
     },
+    # k=1 suits 2 classes, but the similarity correlation needs 3
+    **{
+        f"{command}_test_split_two_classes": (
+            lambda d, t, argv=argv: argv(_broken_copy(d, t, _label_test_objects_two_classes), t),
+            1, "similarity correlation needs >= 3 classes, got 2",
+        )
+        for command, argv in (("matrix", _matrix("--seeds", "1", "--neighbor-k", "1")),
+                              ("analyze", _analyze("--neighbor-k", "1")))
+    },
     # every float field, as a flag and as a --config key
     **{
         f"{name}_nan_flag": (
@@ -616,12 +634,20 @@ def test_failure_is_named_before_writing(case, data_dir, tmp_path, capsys, monke
     def must_not_decode(*args, **kwargs):
         raise AssertionError("decoded before the failure")
 
+    decodes = []
+
+    def counting_greedy_decode(*args, **kwargs):
+        decodes.append(1)
+        return greedy_decode(*args, **kwargs)
+
     monkeypatch.setattr(cli, "split_cider", must_not_decode)
+    monkeypatch.setattr(analysis, "greedy_decode", counting_greedy_decode)
     argv, code, message = NAMED_FAILURES[case]
     assert main(argv(data_dir, tmp_path)) == code
     err = capsys.readouterr().err
     assert message.format(first_test_id=_first_id(data_dir / "test.jsonl")) in err, err
     assert not (tmp_path / "run").exists()
+    assert len(decodes) == 0
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "assign_labels"])

@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from groundcap.data import (
     generate_synthetic_dataset,
     normalize,
 )
-from groundcap.errors import ConfigError, DataValidationError
+from groundcap.errors import ConfigError, DataValidationError, NumericalError
 
 
 def _float64_of_bits(bits: int) -> float:
@@ -47,6 +48,48 @@ BOX_SIDE = st.lists(FINITE_FLOAT64, min_size=2, max_size=2, unique=True)
 BOX_COORDINATE = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 1.0, -1.0, *EXTREME_FLOATS]),
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+# magnitudes from 1e-320 to 1e300 of both signs, and the values on both sides
+# of 1e-4 and 1e16, where repr switches to the exponent form
+RECORD_FLOATS = st.one_of(
+    FINITE_FLOAT64,
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-320, 300)),
+    st.sampled_from([sign * float(np.nextafter(x, to)) for sign in (1.0, -1.0)
+                     for x in (1e-4, 1e16) for to in (0.0, x, np.inf)]),
+    st.floats(-10.0, 10.0),
+)
+RECORD_BOX_SIDE = st.lists(RECORD_FLOATS, min_size=2, max_size=2, unique=True)
+# ids and captions with quotes, backslashes, control characters, non-ASCII
+# text and lone surrogates
+RECORD_TEXT = st.one_of(
+    st.sampled_from(['say "hi"', "back\\slash\\", "tab\tnew\nnul\x00\x1f\x7f", "café ☃ 𝄞",
+                     "\ud800", "lone \udfff low"]),
+    st.text(st.characters(categories=["Cc", "Cs", "L", "N", "P", "S", "Zs"]), max_size=8),
+)
+
+
+@st.composite
+def image_examples(draw):
+    k = draw(st.integers(1, 3))
+    width = draw(st.integers(0, 4))
+    feats = draw(st.lists(st.lists(RECORD_FLOATS, min_size=width, max_size=width),
+                          min_size=k, max_size=k))
+    sides = [(draw(RECORD_BOX_SIDE), draw(RECORD_BOX_SIDE)) for _ in range(k)]
+    return data.ImageExample(
+        image_id=draw(RECORD_TEXT), features=np.array(feats).reshape(k, width),
+        boxes=np.array([[min(xs), min(ys), max(xs), max(ys)] for xs, ys in sides]),
+        labels=draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=k, max_size=k)),
+        captions=draw(st.lists(RECORD_TEXT, max_size=3)),
+    )
+
+
+# a value that repr writes in exponent form first, inside and last in a row
+EXPONENT_FORM_RECORD = data.ImageExample(
+    image_id='id "7"\\ \ud800', features=np.array([[1e-05, 0.5, -0.0, 2e+16],
+                                                    [0.5, -3e-320, 0.5, 1.0],
+                                                    [-5e-324, 1e300, 0.0001, 9.999e-05]]),
+    boxes=np.array([[1e-07, -1e+17, 0.5, 1e-05]] * 3), labels=[0, 1, -1],
+    captions=["caf\u00e9", "\x00\n\udc80"],
 )
 RECORD_WITH_ID = (
     '{"id": ID, "features": [[0.5]], "boxes": [[0.0, 0.0, 1.0, 1.0]], '
@@ -247,6 +290,44 @@ class TestSyntheticGenerator:
         assert protos[groups[0][0]] @ protos[groups[1][0]] == pytest.approx(0.0, abs=1e-10)
 
 
+ACCEPTANCE_DATA = SyntheticSpec(num_classes=10, spread=0.1, images=500, feature_size=32,
+                                objects_min=2, objects_max=4, captions_per_image=3)
+GENERATOR_SPECS = {
+    "default": SyntheticSpec(),
+    "acceptance": ACCEPTANCE_DATA,
+    "train_grounded": replace(ACCEPTANCE_DATA, num_classes=20, objects_max=10),
+    "scrambled": SyntheticSpec(geometry="scrambled"),
+    "one_object": SyntheticSpec(objects_min=1, objects_max=1),
+    "classes_24": SyntheticSpec(num_classes=24),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SPECS))
+def test_generator_matches_the_per_object_oracle(name, monkeypatch):
+    """The same arrays and captions, bit for bit, and the same generator
+    state afterwards as ``loop_reference``'s one draw per object."""
+    made = []
+    real = np.random.default_rng
+
+    def recording_default_rng(seed):
+        made.append(real(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_default_rng)
+    for seed in range(1, 6):
+        got = generate_synthetic_dataset(GENERATOR_SPECS[name], seed)
+        want = loop_reference.generate_synthetic_dataset(GENERATOR_SPECS[name], seed)
+        assert made[-2].bit_generator.state == made[-1].bit_generator.state
+        assert got.class_table == want.class_table
+        for split in data.SPLITS:
+            for a, b in zip(got.splits[split], want.splits[split], strict=True):
+                assert a.image_id == b.image_id and a.captions == b.captions
+                for field in ("features", "boxes", "labels"):
+                    x, y = getattr(a, field), getattr(b, field)
+                    assert x.dtype == y.dtype and x.shape == y.shape
+                    assert x.tobytes() == y.tobytes()
+
+
 class TestDatasetIO:
     def test_jsonl_roundtrip(self, tmp_path):
         ds = generate_synthetic_dataset(
@@ -266,7 +347,7 @@ class TestDatasetIO:
         spec = SyntheticSpec(num_classes=3, images=10, feature_size=4)
         data.save_dataset(generate_synthetic_dataset(spec, seed=4), tmp_path)
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-        real = data.example_to_record
+        real = data.record_json
         calls = []
 
         def fails_on_the_second_image(ex):
@@ -275,10 +356,37 @@ class TestDatasetIO:
                 raise OSError("disk full")
             return real(ex)
 
-        monkeypatch.setattr(data, "example_to_record", fails_on_the_second_image)
+        monkeypatch.setattr(data, "record_json", fails_on_the_second_image)
         with pytest.raises(OSError, match="disk full"):
             data.save_dataset(generate_synthetic_dataset(spec, seed=5), tmp_path)
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("field, value", [("features", math.nan), ("features", math.inf),
+                                              ("boxes", -math.inf)])
+    def test_non_finite_value_leaves_the_previous_file(self, field, value, tmp_path):
+        ds = generate_synthetic_dataset(SyntheticSpec(num_classes=3, images=10, feature_size=4),
+                                        seed=4)
+        path = tmp_path / "train.jsonl"
+        data.write_jsonl(ds.train, path)
+        before = path.read_bytes()
+        bad = ds.train[1]
+        getattr(bad, field)[0, 0] = value
+        with pytest.raises(NumericalError, match=f"image {bad.image_id} has non-finite"):
+            data.write_jsonl(ds.train, path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+
+    @given(st.lists(image_examples(), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    @example([])
+    @example([EXPONENT_FORM_RECORD])
+    def test_write_jsonl_bytes_equal_json_dumps(self, examples):
+        want = "".join(json.dumps(data.example_to_record(ex), sort_keys=True) + "\n"
+                       for ex in examples)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "split.jsonl"
+            data.write_jsonl(examples, path)
+            assert path.read_bytes() == want.encode()
 
     def test_load_dataset_missing_file(self, tmp_path):
         with pytest.raises(DataValidationError):

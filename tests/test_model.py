@@ -33,7 +33,13 @@ from decode_reference import (
 )
 from groundcap import autodiff as ad
 from groundcap import kernels, model
-from groundcap.data import BOS_ID, EOS_ID, SyntheticSpec, generate_synthetic_dataset
+from groundcap.data import (
+    BOS_ID,
+    EOS_ID,
+    SyntheticSpec,
+    float_array_json,
+    generate_synthetic_dataset,
+)
 from groundcap.errors import DataValidationError, DomainError, NumericalError, ShapeError
 from groundcap.model import (
     DECODE_CHUNK,
@@ -917,7 +923,7 @@ class TestCheckpoint:
                                     10.0 ** rng.uniform(16.0001, 300, 5000)])
         values = rng.choice([-1.0, 1.0], magnitude.size) * rng.permutation(magnitude)
         assert all("e" in repr(x) for x in values.tolist())
-        assert model._float_array_json(values) == json.dumps(values.tolist()).encode()
+        assert float_array_json(values) == json.dumps(values.tolist()).encode()
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -8,9 +8,10 @@ in a process of its own that imports that tree's ``src/groundcap`` and its
 unchanged ``perfbench/workload.py`` (for the benchmark's data, fixture
 checkpoint and training flags). Each process writes:
 
-* under ``inputs/``, the dataset directories that ``save_dataset`` writes
-  (the ``eval-checkpoint`` data of seeds 1-5 and the ``train-grounded`` data
-  of seed 1), the staged fixture checkpoint and the detections file below;
+* under ``inputs/``, what the benchmark's own set-up (``workload.set_up``)
+  writes for the ``eval-checkpoint`` workload at seeds 1-5 (its dataset
+  directory and the staged fixture checkpoint) and for ``train-grounded`` at
+  seed 1 (its 3 dataset directories), and the detections file below;
 * ``evaluate`` and ``analyze`` of the fixture checkpoint on the test split
   of the ``eval-checkpoint`` data, and for seed 1 ``analyze --split val
   --neighbor-k 1`` on its validation split: stdout, ``--out`` and
@@ -22,9 +23,10 @@ checkpoint and training flags). Each process writes:
 * every file and the stdout of the ``train-grounded`` runs of seed 1, one
   per dataset, and of the run on the first dataset again with every option
   in a ``--config`` file instead of flags;
-* ``generate-data`` with no optional flags, and with the flags of the
-  acceptance data spec (``perfbench/workload.py``'s ``ACCEPTANCE_SPEC``)
-  and the acceptance test's data seed: every file and stdout;
+* ``generate-data`` with no optional flags, with ``--geometry scrambled``,
+  and with the flags of the acceptance data spec
+  (``perfbench/workload.py``'s ``ACCEPTANCE_SPEC``) and the acceptance
+  test's data seed: every file and stdout;
 * with ``--matrix``, every file of the acceptance test's 12-run matrix
   (``tests/test_acceptance.py``'s data, config and seeds, ``neighbor_k=3``).
 
@@ -107,16 +109,21 @@ def emit(root: Path, tree: Path, matrix: bool) -> None:
     import workload  # pins BLAS to 1 thread and imports the tree's groundcap
 
     from groundcap import cli, training
-    from groundcap.data import generate_synthetic_dataset, save_dataset
+    from groundcap.data import generate_synthetic_dataset, load_dataset
+
+    def set_up(name: str, seed: int, work: Path) -> dict:
+        checks = workload.Checks()
+        state = workload.set_up(name, seed, work, checks)
+        if not checks.all_ok:
+            raise SystemExit(f"set-up of {name} seed {seed} failed: {checks.results}")
+        return state
 
     for seed in EVAL_SEEDS:
         work = inputs / f"eval_seed{seed}"
         out = results / f"eval_seed{seed}"
         out.mkdir(parents=True)
-        dataset = workload.eval_dataset(seed)
-        save_dataset(dataset, work / "data")
-        checkpoint = workload.stage_fixture(work, dataset.class_table, workload.Checks())
-        common = ["--checkpoint", str(checkpoint), "--data", str(work / "data")]
+        state = set_up(workload.EVAL_WORKLOAD, seed, work)
+        common = ["--checkpoint", str(state["checkpoint"]), "--data", str(state["data_dir"])]
         _run_cli(cli, ["evaluate", *common, "--split", "test", "--out", str(out / "evaluate.json")],
                  out / "evaluate.stdout", root)
         analyses = [("test", 3, "analyze")]
@@ -128,22 +135,21 @@ def emit(root: Path, tree: Path, matrix: bool) -> None:
                            "--vectors", str(out / f"{name}_vectors.jsonl")],
                      out / f"{name}.stdout", root)
         if seed == EVAL_SEEDS[0]:
+            data_dir = state["data_dir"]
             detections = work / "detections.jsonl"
             detections.write_text("".join(
                 json.dumps({"id": ex.image_id, "boxes": ex.boxes[::2].tolist(),
                             "labels": ex.labels[::2].tolist()}) + "\n"
-                for ex in dataset.test
+                for ex in load_dataset(data_dir, split="test").test
             ))
-            _run_cli(cli, ["assign-labels", "--targets", str(work / "data" / "test.jsonl"),
+            _run_cli(cli, ["assign-labels", "--targets", str(data_dir / "test.jsonl"),
                            "--detections", str(detections),
-                           "--classes", str(work / "data" / "classes.json"),
+                           "--classes", str(data_dir / "classes.json"),
                            "--out", str(out / "labeled.jsonl")], out / "assign_labels.stdout", root)
 
     grounded = workload.TRAIN_WORKLOADS["train-grounded"]
-    for k in range(workload.TRAIN_DATASETS):
-        data_dir = inputs / f"train_data{k}"
-        dataset = generate_synthetic_dataset(grounded["spec"], seed=workload.TRAIN_DATASETS * TRAIN_SEED + k)
-        save_dataset(dataset, data_dir)
+    data_dirs = set_up("train-grounded", TRAIN_SEED, inputs / f"train_seed{TRAIN_SEED}")["data_dirs"]
+    for k, data_dir in enumerate(data_dirs):
         run_dir = results / f"train_seed{TRAIN_SEED}_data{k}"
         _run_cli(cli, ["train", "--data", str(data_dir), "--out", str(run_dir),
                        *grounded["flags"], "--seed", str(TRAIN_SEED)],
@@ -151,11 +157,12 @@ def emit(root: Path, tree: Path, matrix: bool) -> None:
     config = inputs / "train_grounded.cfg"
     config.write_text(_config_text([*grounded["flags"], "--seed", str(TRAIN_SEED)]))
     run_dir = results / f"train_seed{TRAIN_SEED}_data0_config"
-    _run_cli(cli, ["train", "--data", str(inputs / "train_data0"), "--out", str(run_dir),
+    _run_cli(cli, ["train", "--data", str(data_dirs[0]), "--out", str(run_dir),
                    "--config", str(config)], results / f"{run_dir.name}.stdout", root)
 
     for name, flags in (
         ("generate_default", []),
+        ("generate_scrambled", ["--geometry", "scrambled"]),
         ("generate_acceptance", [*_generate_flags(workload.ACCEPTANCE_SPEC),
                                  "--seed", str(ACCEPTANCE_DATA_SEED)]),
     ):
