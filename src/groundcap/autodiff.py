@@ -8,7 +8,9 @@ returns one gradient array per registered parameter (exact zeros for
 parameters the loss never touched).
 
 Tensors are treated as immutable once produced. A tape is single-owner:
-build the graph, call backward once, throw both away.
+build the graph, call backward once, throw both away. Backward frees each
+node's closure and parent links as it passes, so the graph cannot be
+backpropagated again.
 
 Fused ops have a hand-derived backward, checked by finite differences in
 the tests, and run their array math in ``kernels``. ``node`` is how a layer
@@ -110,28 +112,49 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def backward(tape: GradientTape, loss: Tensor) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. every registered parameter."""
+    """Gradients of a scalar loss w.r.t. every registered parameter.
+
+    The sweep frees the graph as it goes: once a node's backward has run,
+    the node drops its gradient, its backward closure (and with it every
+    forward array the closure kept) and its links to its parents, so a
+    step holds only the caches that backward has still to read. Each
+    parameter's gradient is handed over, not copied, and the parameter
+    keeps none. A graph can therefore be backpropagated only once: a
+    second ``backward`` through any of its spent nodes is a ContractError.
+    """
     if not isinstance(loss, Tensor):
         raise ContractError("loss must be a Tensor")
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
     if loss.requires_grad:
+        params = {id(p) for p in tape._params.values()}
         loss.grad = np.ones_like(loss.data)
-        for tensor in reversed(_toposort(loss)):
-            g = tensor.grad
-            if g is None or tensor._bwd is None:
+        order = _toposort(loss)
+        while order:
+            tensor = order.pop()
+            if tensor._bwd is None:
+                if id(tensor) not in params:
+                    raise ContractError(
+                        "backward reached a node whose graph was already backpropagated "
+                        "(or a leaf needing a gradient that is not a parameter of this tape)"
+                    )
                 continue
-            parent_grads = tensor._bwd(g)
-            for parent, pg in zip(tensor._parents, parent_grads):
+            parents = tensor._parents
+            parent_grads = () if tensor.grad is None else tensor._bwd(tensor.grad)
+            # spent: the closure, and the forward arrays it kept, go before
+            # the parents' gradients are summed
+            tensor.grad, tensor._bwd, tensor._parents = None, None, ()
+            for parent, pg in zip(parents, parent_grads):
                 if pg is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
                     parent.grad = np.zeros_like(parent.data)
                 parent.grad += pg
-    return {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in tape._params.items()
-    }
+    grads = {}
+    for name, p in tape._params.items():
+        grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
+        p.grad = None
+    return grads
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -216,8 +216,14 @@ def _decoder_blocks(a: dict[str, np.ndarray], d: int) -> tuple[np.ndarray, ...]:
     return wx1[:, :d], wx1[:, d : 2 * d], w_rec, proj[:, :d], proj[:, d:], w2
 
 
-# Images per greedy-decode pass. Larger chunks decode no faster and hold
-# more padded state in memory.
+# Images per greedy-decode pass. Larger chunks are a little faster: on the
+# 500-image test split of the benchmark's eval-checkpoint workload (2 vCPUs,
+# BLAS 1 thread), one greedy_decode took 32.6 ms at 100, 29.9 ms at 250 and
+# 29.8 ms at 500. The size stays at 100 because it is part of the decoder's
+# bit contract. OpenBLAS can give a row other bits in a GEMM of few rows
+# than in a larger one (rows 1 to 4 of a (rows, 64) x (64, 256) product),
+# and the chunk sets the row count of every GEMM. Tokens were identical at
+# all three sizes on every split tried, but that is not guaranteed.
 DECODE_CHUNK = 100
 
 
@@ -360,20 +366,26 @@ def teacher_forced_logprob(
     us = np.empty((steps,) + zz.shape)
     alphas = np.empty((steps,) + valid.shape)
     cells1, cells2 = np.zeros((2, steps + 1, n, d))  # row t: the cell state entering step t
-    gates1, gates2 = [], []
+    # Row t of gates1 and gates2: step t's gate activations [i f o g], until
+    # the backward writes step t's dpre over them. LSTM1's are written over
+    # its pre-activations, which step t has used.
+    gates1, gates2 = pre_in, np.empty((steps, n, 4 * d))
+    tanh_c1, tanh_c2 = [], []  # tanh of the cell state leaving each step
     for t in range(steps):
         if t:  # the recurrent inputs, from step t - 1
             rec[t] = np.concatenate([h2_fed[t - 1], h1], axis=1)
             in2[t, :, 2 * d :] = h2
             pre_in[t] += rec[t] @ w_rec.T
-        h1, cells1[t + 1], *cache = kernels.lstm_gates_forward(pre_in[t], cells1[t])
-        gates1.append(cache)
+        h1, cells1[t + 1], *acts, tc = kernels.lstm_gates_forward(pre_in[t], cells1[t])
+        np.concatenate(acts, axis=1, out=gates1[t])
+        tanh_c1.append(tc)
         in2[t, :, d : 2 * d] = h1 * drop[t, 1]
         in2[t, :, :d], alphas[t] = kernels.attention_forward(
             in2[t, :, d : 2 * d] @ w_h.T, zz, z, valid, wav, us[t]
         )
-        h2, cells2[t + 1], *cache = kernels.lstm_gates_forward(in2[t] @ w2.T + a["lstm2.b"], cells2[t])
-        gates2.append(cache)
+        h2, cells2[t + 1], *acts, tc = kernels.lstm_gates_forward(in2[t] @ w2.T + a["lstm2.b"], cells2[t])
+        np.concatenate(acts, axis=1, out=gates2[t])
+        tanh_c2.append(tc)
         h2_fed[t] = h2 * drop[t, 2]
 
     logp = kernels.log_softmax(h2_fed.reshape(-1, d) @ w_out.T + a["out.b"], axis=1)
@@ -386,23 +398,29 @@ def teacher_forced_logprob(
         dlogits = np.exp(logp) * -dlp[:, None]
         dlogits[picks] += dlp
         dh2_out = (dlogits @ w_out).reshape(steps, n, d)
-        dpre1, dpre2 = np.empty((2, steps, n, 4 * d))
         dct = np.empty((steps, n, d))
         dhh = np.empty((steps, n, att))
         des = np.empty(alphas.shape)
-        dpre, datt = np.zeros((2,) + zz.shape)  # d(tanh input): one step, summed over steps
+        dpre, datt = np.zeros((2,) + us.shape[1:])  # d(tanh input): one step, summed over steps
         dh2_fed = dh1_rec = dh2_rec = dc1 = dc2 = np.zeros((n, d))
+        # t runs backwards: step t's dpre takes the place of its gate
+        # activations, and pop() frees its tanh(c) once used
         for t in reversed(range(steps)):
             dh2 = (dh2_out[t] + dh2_fed) * drop[t, 2] + dh2_rec
-            dpre2[t], dc2 = kernels.lstm_gates_backward(dh2, dc2, *gates2[t], cells2[t])
-            dct[t], dh1_fed, dh2_rec = np.split(dpre2[t] @ w2, 3, axis=1)
+            gates2[t], dc2 = kernels.lstm_gates_backward(
+                dh2, dc2, *np.split(gates2[t], 4, axis=1), tanh_c2.pop(), cells2[t]
+            )
+            dct[t], dh1_fed, dh2_rec = np.split(gates2[t] @ w2, 3, axis=1)
             des[t] = kernels.attention_backward(dct[t], z, us[t], alphas[t], wav, dpre)
             datt += dpre
             dhh[t] = dpre.sum(axis=1)
             dh1 = (dh1_fed + dhh[t] @ w_h) * drop[t, 1] + dh1_rec
-            dpre1[t], dc1 = kernels.lstm_gates_backward(dh1, dc1, *gates1[t], cells1[t])
-            dh2_fed, dh1_rec = np.split(dpre1[t] @ w_rec, 2, axis=1)
+            gates1[t], dc1 = kernels.lstm_gates_backward(
+                dh1, dc1, *np.split(gates1[t], 4, axis=1), tanh_c1.pop(), cells1[t]
+            )
+            dh2_fed, dh1_rec = np.split(gates1[t] @ w_rec, 2, axis=1)
 
+        dpre1, dpre2 = gates1, gates2
         flat1, flat2 = dpre1.reshape(-1, 4 * d), dpre2.reshape(-1, 4 * d)
         sum1 = dpre1.sum(axis=0)
         dw_rec = flat1.T @ rec.reshape(-1, 2 * d)

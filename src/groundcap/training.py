@@ -322,7 +322,10 @@ def _train_step(state: TrainState, batch: list[tuple[int, list[int]]]) -> None:
         raise NumericalError(f"non-finite loss at step {state.total_steps + 1}")
 
     grads = ad.backward(tape, total)
-    clip_global_norm(grads, config.grad_clip_norm)
+    # An infinite gradient under a finite loss would be scaled by 0 into NaN
+    # and reach the parameters through Adam; stop at the step that made it.
+    if not math.isfinite(clip_global_norm(grads, config.grad_clip_norm)):
+        raise NumericalError(f"non-finite gradient at step {state.total_steps + 1}")
     state.optimizer.step(state.params.arrays, grads, lr)
     state.total_steps += 1
     state.rows.append(

@@ -9,7 +9,8 @@ and leave the dropout generator in the same state.
 
 The generic ops it needs are kept here, each with the hand-written
 backward it had on the tape; ``test_autodiff.py`` checks them by finite
-differences.
+differences. ``retaining_backward`` is the backward sweep that keeps the
+whole graph, the oracle for ``autodiff.backward``, which frees it.
 """
 
 from __future__ import annotations
@@ -204,3 +205,27 @@ def batch_forward(
         projected_flat=z_flat,
         flat_labels=flat_labels,
     )
+
+
+def retaining_backward(tape: ad.GradientTape, loss: Tensor) -> dict[str, np.ndarray]:
+    """``autodiff.backward`` as it was before it freed the graph: every node
+    keeps its gradient, backward closure and parents, and each parameter's
+    gradient is returned as a copy. The oracle for the freeing sweep's
+    values and order of accumulation."""
+    if loss.requires_grad:
+        loss.grad = np.ones_like(loss.data)
+        for tensor in reversed(ad._toposort(loss)):
+            g = tensor.grad
+            if g is None or tensor._bwd is None:
+                continue
+            parent_grads = tensor._bwd(g)
+            for parent, pg in zip(tensor._parents, parent_grads):
+                if pg is None or not parent.requires_grad:
+                    continue
+                if parent.grad is None:
+                    parent.grad = np.zeros_like(parent.data)
+                parent.grad += pg
+    return {
+        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+        for name, p in tape._params.items()
+    }

@@ -131,6 +131,13 @@ class TestTape:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             ad.linear(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 2))))
 
+    def test_shape_ndim_and_repr(self):
+        tape = ad.GradientTape()
+        w = tape.parameter("w", np.zeros((2, 3)))
+        assert (w.shape, w.ndim) == ((2, 3), 2)
+        assert repr(w) == "Tensor(shape=(2, 3), requires_grad=True)"
+        assert repr(ad.Tensor(1.5)) == "Tensor(shape=(), requires_grad=False)"
+
     def test_square_gradient(self):
         tape = ad.GradientTape()
         x = tape.parameter("x", np.array(3.0))

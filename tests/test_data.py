@@ -266,6 +266,15 @@ class TestSyntheticGenerator:
             return sorted(tuple(np.round(r, 10)) for r in m)
         assert rowset(matched) == rowset(scrambled)
 
+    def test_scrambled_geometry_redraws_an_identity_permutation(self):
+        # at rng seed 23 the first two permutations of 3 classes are the identity
+        spec = SyntheticSpec(num_classes=3, images=10, feature_size=8)
+        matched = data.class_prototypes(spec, np.random.default_rng(23))
+        scrambled = data.class_prototypes(
+            replace(spec, geometry="scrambled"), np.random.default_rng(23)
+        )
+        np.testing.assert_array_equal(scrambled, matched[[2, 0, 1]])
+
     def test_config_errors(self):
         with pytest.raises(ConfigError):
             generate_synthetic_dataset(SyntheticSpec(num_classes=2), seed=0)

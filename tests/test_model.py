@@ -9,6 +9,7 @@ import gzip
 import hashlib
 import json
 import tempfile
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,7 +41,22 @@ from groundcap.data import (
     float_array_json,
     generate_synthetic_dataset,
 )
-from groundcap.errors import DataValidationError, DomainError, NumericalError, ShapeError
+from groundcap.errors import (
+    ContractError,
+    DataValidationError,
+    DomainError,
+    NumericalError,
+    ShapeError,
+)
+from groundcap.losses import (
+    batch_cross_entropy,
+    build_projection_pool,
+    cluster_loss,
+    perceptual_loss,
+    sample_pairs,
+    sample_triplets,
+    total_loss,
+)
 from groundcap.model import (
     DECODE_CHUNK,
     DropoutPlan,
@@ -689,6 +705,81 @@ class TestFusedTeacherForcedOp:
                 tape_reference.constants(params), params.config, [rng.normal(size=(2, 3))], [[0, 0]], [0],
                 tokens,
             )
+
+
+def grounded_step_graph(params: ModelParams, seed: int):
+    """The graph of one grounded training step on toy data, built as
+    ``training._train_step`` builds it: the fused decoder with dropout, then
+    cross-entropy, cluster and perceptual losses over the batch's object
+    pool. Returns the tape, the total loss and the decoder's output."""
+    rng = np.random.default_rng(seed)
+    counts = (3, 2, 4)
+    feats = [rng.normal(size=(k, params.config.feature_size)) for k in counts]
+    labels = [np.array([0, 1, 2]), np.array([2, 0]), np.array([1, 1, 0, 3])]  # 3 is UNK
+    tape = ad.GradientTape()
+    p = params.tensors(tape)
+    out = batch_forward(
+        p, params.config, feats, labels, [0, 1, 2, 0, 2],
+        [[3, 4, EOS_ID], [5, 3], [6, EOS_ID], [4], [3, 6, 5, EOS_ID]],
+        DropoutPlan(rate=0.2, rng=np.random.default_rng(seed + 1)),
+    )
+    pool = build_projection_pool(out.projected_flat, out.flat_labels, unk_id=3)
+    triplets = sample_triplets(pool, 20, np.random.default_rng(seed + 2))
+    pairs = sample_pairs(pool, 20, np.random.default_rng(seed + 3))
+    l_c = cluster_loss(pool, triplets, 0.5)
+    l_p = perceptual_loss(pool, pairs, p["embedding"], {0: [3], 1: [4, 5], 2: [6]})
+    total = total_loss(batch_cross_entropy(out.per_example_logprob), l_c, l_p, 1.0, 1.0)
+    return tape, total, out
+
+
+class TestBackwardFreesTheGraph:
+    """``autodiff.backward`` drops each node's gradient, closure and parent
+    links once the node's backward has run, and hands the parameter
+    gradients over; the values are those of the sweep that keeps the graph."""
+
+    PARAMS = decoder_params(3, vocab=7, d=4, d_in=3, scale=2.0)
+
+    def test_every_node_is_cleared(self):
+        tape, total, _ = grounded_step_graph(self.PARAMS, 5)
+        nodes = ad._toposort(total)
+        params = {id(p) for p in tape._params.values()}
+        inner = [t for t in nodes if id(t) not in params]
+        assert len(inner) >= 10
+        ad.backward(tape, total)
+        for tensor in inner:
+            assert (tensor.grad, tensor._bwd, tensor._parents) == (None, None, ())
+        assert all(p.grad is None for p in tape._params.values())
+
+    def test_gradients_equal_the_sweep_that_keeps_the_graph(self):
+        tape, total, _ = grounded_step_graph(self.PARAMS, 5)
+        got = ad.backward(tape, total)
+        tape, total, _ = grounded_step_graph(self.PARAMS, 5)
+        want = tape_reference.retaining_backward(tape, total)
+        assert list(got) == list(want)
+        for name, grad in want.items():
+            assert got[name].tobytes() == grad.tobytes(), name
+
+    def test_fused_op_caches_die_with_its_backward(self):
+        tape, total, out = grounded_step_graph(self.PARAMS, 5)
+        bwd = out.per_example_logprob._bwd
+        kept = dict(zip(bwd.__code__.co_freevars, (cell.cell_contents for cell in bwd.__closure__)))
+        assert "zz" not in kept  # backward reads only its shape, from us
+        names = ("logp", "us", "alphas", "cells1", "in2", "gates1", "gates2")
+        refs = [weakref.ref(kept[name]) for name in names]
+        refs += [weakref.ref(kept["tanh_c1"][0]), weakref.ref(kept["tanh_c2"][-1])]
+        del bwd, kept
+        assert all(ref() is not None for ref in refs)
+        ad.backward(tape, total)
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_a_spent_graph_cannot_be_backpropagated_again(self):
+        tape, total, out = grounded_step_graph(self.PARAMS, 5)
+        ad.backward(tape, total)
+        with pytest.raises(ContractError, match="already backpropagated"):
+            ad.backward(tape, total)
+        # a new loss on a spent node of the graph
+        with pytest.raises(ContractError, match="already backpropagated"):
+            ad.backward(tape, ad.mean_(out.per_example_logprob))
 
 
 class TestKernelBoundary:

@@ -10,6 +10,7 @@ import pytest
 import decode_reference
 import loop_reference
 from groundcap import analysis, heap, kernels, training
+from groundcap import autodiff as ad
 from groundcap.analysis import analyze
 from groundcap.data import SyntheticSpec, generate_synthetic_dataset, normalize
 from groundcap.errors import ConfigError, DataValidationError, NumericalError
@@ -273,6 +274,32 @@ class TestTrainLoop:
         # previously written artifacts survive the abort, and the log flushed
         assert sentinel.exists()
         assert (run_dir / "convergence.csv").exists()
+
+    def test_infinite_gradient_stops_at_the_step_that_made_it(
+        self, tiny_dataset, tmp_path, monkeypatch
+    ):
+        # the loss stays finite; clipping would scale the inf by 0 into NaN
+        backward, adam_step = ad.backward, training.Adam.step
+        calls = {"backward": 0, "adam": 0}
+
+        def inf_at_step_3(tape, loss):
+            grads = backward(tape, loss)
+            calls["backward"] += 1
+            if calls["backward"] == 3:
+                grads["out.b"][0] = np.inf
+            return grads
+
+        def counted_adam_step(self, *args):
+            calls["adam"] += 1
+            adam_step(self, *args)
+
+        monkeypatch.setattr(ad, "backward", inf_at_step_3)
+        monkeypatch.setattr(training.Adam, "step", counted_adam_step)
+        with pytest.raises(NumericalError, match="non-finite gradient at step 3$"):
+            train(replace(TINY, max_epochs=1), tiny_dataset, run_dir=tmp_path)
+        assert calls == {"backward": 3, "adam": 2}
+        rows = (tmp_path / "convergence.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in rows[1:]] == ["1", "2"]
 
     def test_killed_run_keeps_the_log_of_finished_epochs(
         self, tiny_dataset, tmp_path, monkeypatch
