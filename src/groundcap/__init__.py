@@ -4,7 +4,7 @@ embedding-space structure analysis."""
 
 __version__ = "0.1.0"
 
-from .autodiff import GradientTape, Tensor, backward, no_grad
+from .autodiff import Tensor, backward, parameter
 from .errors import (
     ConfigError,
     ContractError,
@@ -17,10 +17,9 @@ from .errors import (
 )
 
 __all__ = [
-    "GradientTape",
     "Tensor",
     "backward",
-    "no_grad",
+    "parameter",
     "GroundcapError",
     "ShapeError",
     "DomainError",

@@ -49,7 +49,7 @@ import orjson
 
 from . import kernels
 from .autodiff import Tensor
-from .data import ClassTable, ImageExample, Vocabulary, normalize, write_atomic
+from .data import ClassTable, ImageExample, Vocabulary, float_array_json, normalize, write_atomic
 from .errors import ConfigError, DataValidationError, DegenerateStatisticsError, DomainError
 from .losses import label_embedding_matrix
 from .metrics import EvaluationCorpus, cider
@@ -234,7 +234,7 @@ def split_cider(
     params: ModelParams,
     examples: list[ImageExample],
     vocab: Vocabulary,
-    max_len: int = 16,
+    max_len: int,
 ) -> float:
     """Greedy-decode a split and score it, on the 0..100 report scale."""
     return 100.0 * cider(decode_corpus(params, examples, vocab, max_len))
@@ -291,17 +291,16 @@ def analyze(
 
 
 def write_vector_export(exports: list[ClassVectors], path: Path) -> None:
+    """One line per class, ``json.dumps`` of its label and three vectors with
+    sorted keys; the vectors go through ``float_array_json``."""
     lines = [
-        json.dumps(
-            {
-                "label": cv.label,
-                "word_vector": [float(x) for x in cv.word_vector],
-                "centroid_original": [float(x) for x in cv.centroid_original],
-                "centroid_projected": [float(x) for x in cv.centroid_projected],
-            },
-            sort_keys=True,
-        )
-        + "\n"
+        b"".join((
+            b'{"centroid_original": ', float_array_json(cv.centroid_original),
+            b', "centroid_projected": ', float_array_json(cv.centroid_projected),
+            b', "label": ', json.dumps(cv.label).encode(),
+            b', "word_vector": ', float_array_json(cv.word_vector),
+            b"}\n",
+        ))
         for cv in exports
     ]
-    write_atomic(path, "".join(lines))
+    write_atomic(path, b"".join(lines))

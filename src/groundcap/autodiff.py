@@ -1,15 +1,15 @@
 """Reverse-mode automatic differentiation on float64 numpy arrays.
 
-A Tensor wraps an ndarray and, while gradients are enabled, remembers the
-operation that produced it as a backward closure over its parents. A
-GradientTape owns the registry of trainable parameters for one training
-step; ``backward(tape, loss)`` runs the reversed topological sweep and
-returns one gradient array per registered parameter (exact zeros for
-parameters the loss never touched).
+A Tensor wraps an ndarray. ``parameter(array)`` makes a leaf that needs a
+gradient; ``node`` records an operation's result, with a backward closure
+over its parents, whenever one of those parents needs a gradient.
+``backward(loss, params)`` runs the reversed topological sweep from a
+scalar loss and returns one gradient array per entry of ``params``, a
+name -> parameter dict (exact zeros for parameters the loss never touched).
 
-Tensors are treated as immutable once produced. A tape is single-owner:
-build the graph, call backward once, throw both away. Backward frees each
-node's closure and parent links as it passes, so the graph cannot be
+Tensors are treated as immutable once produced. A graph is single-owner:
+build it, call backward once, throw it away. Backward frees each node's
+closure and parent links as it passes, so the graph cannot be
 backpropagated again.
 
 Fused ops have a hand-derived backward, checked by finite differences in
@@ -20,26 +20,12 @@ the whole teacher-forced decoder over all time steps, is one node.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import kernels
 from .errors import ContractError, ShapeError
-
-_GRAD_ENABLED = [True]
-
-
-@contextmanager
-def no_grad():
-    """Disable graph recording (inference / constant construction)."""
-    _GRAD_ENABLED.append(False)
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED.pop()
-
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
@@ -66,30 +52,23 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+def parameter(array) -> Tensor:
+    """A leaf that needs a gradient; ``backward`` returns that gradient under
+    the leaf's name in ``params``."""
+    t = Tensor(array)
+    t.requires_grad = True
+    return t
+
+
 def node(data, parents: Sequence[Tensor], bwd) -> Tensor:
-    """A tensor of ``data`` on the tape; ``bwd(g)`` returns one gradient (or
-    None) per parent. Recorded only if grad is on and a parent needs one."""
+    """A tensor of ``data``; ``bwd(g)`` returns one gradient (or None) per
+    parent. Recorded only if a parent needs a gradient."""
     out = Tensor(data)
-    if _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._bwd = bwd
     return out
-
-
-class GradientTape:
-    """Parameter registry for one optimisation step."""
-
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-
-    def parameter(self, name: str, array: np.ndarray) -> Tensor:
-        if name in self._params:
-            raise ContractError(f"parameter {name!r} registered twice")
-        t = Tensor(array)
-        t.requires_grad = True
-        self._params[name] = t
-        return t
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -111,8 +90,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(tape: GradientTape, loss: Tensor) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. every registered parameter.
+def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Gradients of a scalar loss w.r.t. every tensor of ``params``, by name.
 
     The sweep frees the graph as it goes: once a node's backward has run,
     the node drops its gradient, its backward closure (and with it every
@@ -120,23 +99,27 @@ def backward(tape: GradientTape, loss: Tensor) -> dict[str, np.ndarray]:
     step holds only the caches that backward has still to read. Each
     parameter's gradient is handed over, not copied, and the parameter
     keeps none. A graph can therefore be backpropagated only once: a
-    second ``backward`` through any of its spent nodes is a ContractError.
+    second ``backward`` through any of its spent nodes is a ContractError,
+    and so is a leaf that needs a gradient but is not in ``params``, or a
+    tensor that ``params`` holds under two names.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("loss must be a Tensor")
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
+    leaves = {id(p) for p in params.values()}
+    if len(leaves) != len(params):
+        raise ContractError("params holds one tensor under two names")
     if loss.requires_grad:
-        params = {id(p) for p in tape._params.values()}
         loss.grad = np.ones_like(loss.data)
         order = _toposort(loss)
         while order:
             tensor = order.pop()
             if tensor._bwd is None:
-                if id(tensor) not in params:
+                if id(tensor) not in leaves:
                     raise ContractError(
                         "backward reached a node whose graph was already backpropagated "
-                        "(or a leaf needing a gradient that is not a parameter of this tape)"
+                        "(or a leaf needing a gradient that is not in params)"
                     )
                 continue
             parents = tensor._parents
@@ -151,7 +134,7 @@ def backward(tape: GradientTape, loss: Tensor) -> dict[str, np.ndarray]:
                     parent.grad = np.zeros_like(parent.data)
                 parent.grad += pg
     grads = {}
-    for name, p in tape._params.items():
+    for name, p in params.items():
         grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
         p.grad = None
     return grads

@@ -25,18 +25,20 @@ surrogate escapes are malformed JSON. An image id is a JSON string or a
 64-bit integer.
 
 One encoder, ``float_array_json``, writes every float array of the program's
-output: the parameters of a checkpoint and the features and boxes of a
-dataset record, each with the bytes ``json.dumps`` writes. A dataset file
-holds exactly ``json.dumps(example_to_record(ex), sort_keys=True)`` per line.
+output: the parameters of a checkpoint, the features and boxes of a dataset
+record and the vectors of ``analyze --vectors``, each with the bytes
+``json.dumps`` writes. A dataset file holds exactly
+``json.dumps(example_to_record(ex), sort_keys=True)`` per line.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 
@@ -86,7 +88,7 @@ class Vocabulary:
         return token in self.index
 
 
-def build_vocabulary(captions: list[str], min_count: int = 5) -> Vocabulary:
+def build_vocabulary(captions: list[str], min_count: int) -> Vocabulary:
     """Count normalized tokens and keep those seen at least min_count times.
 
     Kept tokens are ordered by descending count, ties alphabetical, after
@@ -110,7 +112,7 @@ def build_vocabulary(captions: list[str], min_count: int = 5) -> Vocabulary:
     return Vocabulary(tokens=tokens, index={t: i for i, t in enumerate(tokens)})
 
 
-def encode_caption(text: str, vocab: Vocabulary, max_len: int = 16) -> list[int]:
+def encode_caption(text: str, vocab: Vocabulary, max_len: int) -> list[int]:
     """Token ids of the normalized caption, truncated, with EOS appended."""
     ids = [vocab.token_to_id(t) for t in normalize(text)[:max_len]]
     ids.append(EOS_ID)
@@ -506,6 +508,9 @@ class SyntheticSpec:
     caption_order_noise: float = 0.3
 
     def validate(self) -> None:
+        for f in fields(self):  # the comparisons below let NaN and infinities through
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.num_classes < 3:
             raise ConfigError(f"need at least 3 classes, got {self.num_classes}")
         if self.num_classes > len(LABEL_POOL):

@@ -47,7 +47,6 @@ from .analysis import (
     split_cider,
     write_vector_export,
 )
-from .autodiff import GradientTape
 from .data import (
     RESERVED,
     Dataset,
@@ -70,7 +69,6 @@ from .losses import (
 )
 from .metrics import metric_table
 from .model import (
-    DropoutPlan,
     ModelConfig,
     ModelParams,
     batch_forward,
@@ -281,36 +279,21 @@ def _train_step(state: TrainState, batch: list[tuple[int, list[int]]]) -> None:
     """One optimizer step on ``batch``; appends its row to ``state.rows``."""
     config = state.config
     lr = learning_rate_at(config, state.total_steps)
-    tape = GradientTape()
-    p = state.params.tensors(tape)
+    p = state.params.tensors()
 
-    position: dict[int, int] = {}
-    feats: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
-    image_of_example: list[int] = []
-    tokens: list[list[int]] = []
-    for img_idx, seq in batch:
-        if img_idx not in position:
-            position[img_idx] = len(feats)
-            feats.append(state.train_examples[img_idx].features)
-            labels.append(state.train_examples[img_idx].labels)
-        image_of_example.append(position[img_idx])
-        tokens.append(seq)
-
-    out = batch_forward(
-        p,
-        state.params.config,
-        feats,
-        labels,
-        image_of_example,
-        tokens,
-        dropout_plan=DropoutPlan(rate=config.dropout, rng=state.dropout_rng),
+    position: dict[int, int] = {}  # image index -> its place among the batch's images
+    image_of_example = [position.setdefault(img_idx, len(position)) for img_idx, _ in batch]
+    images = [state.train_examples[img_idx] for img_idx in position]
+    per_example, z_flat = batch_forward(
+        p, state.params.config, [ex.features for ex in images], image_of_example,
+        [seq for _, seq in batch], config.dropout, state.dropout_rng,
     )
-    l_xe = batch_cross_entropy(out.per_example_logprob)
+    l_xe = batch_cross_entropy(per_example)
     l_c = None
     l_p = None
     if config.grounding_enabled:
-        pool = build_projection_pool(out.projected_flat, out.flat_labels, state.unk_id)
+        labels = np.concatenate([ex.labels for ex in images])
+        pool = build_projection_pool(z_flat, labels, state.unk_id)
         if config.use_cluster_loss:
             triplets = sample_triplets(pool, config.sample_size, state.triplet_rng)
             l_c = cluster_loss(pool, triplets, config.margin)
@@ -321,7 +304,7 @@ def _train_step(state: TrainState, batch: list[tuple[int, list[int]]]) -> None:
     if not np.isfinite(total.data):
         raise NumericalError(f"non-finite loss at step {state.total_steps + 1}")
 
-    grads = ad.backward(tape, total)
+    grads = ad.backward(total, p)
     # An infinite gradient under a finite loss would be scaled by 0 into NaN
     # and reach the parameters through Adam; stop at the step that made it.
     if not math.isfinite(clip_global_norm(grads, config.grad_clip_norm)):
@@ -472,7 +455,7 @@ def evaluate(
     params: ModelParams,
     examples: list[ImageExample],
     vocab: Vocabulary,
-    max_len: int = 16,
+    max_len: int,
 ) -> dict[str, float]:
     """Greedy-decode a split and emit the 100-scaled metric row."""
     return metric_table(decode_corpus(params, examples, vocab, max_len))

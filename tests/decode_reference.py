@@ -48,14 +48,9 @@ def attend(h1: np.ndarray, z: np.ndarray, wa: np.ndarray, wav: np.ndarray) -> np
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 1:
         raise DomainError("attend needs at least one object vector")
-    with ad.no_grad():
-        out = ad.attend(
-            Tensor(h1[None, :]),
-            Tensor(z[None, :, :]),
-            np.ones((1, z.shape[0])),
-            Tensor(wa),
-            Tensor(wav),
-        )
+    out = ad.attend(
+        Tensor(h1[None, :]), Tensor(z[None, :, :]), np.ones((1, z.shape[0])), Tensor(wa), Tensor(wav)
+    )
     return out.data[0]
 
 

@@ -24,7 +24,7 @@ from groundcap import kernels
 from groundcap.autodiff import Tensor, node
 from groundcap.data import BOS_ID, EOS_ID
 from groundcap.errors import DomainError, ShapeError
-from groundcap.model import NO_DROPOUT, BatchForward, DropoutPlan, ModelConfig, ModelParams
+from groundcap.model import ModelConfig, ModelParams
 
 
 def constants(params: ModelParams) -> dict[str, Tensor]:
@@ -132,21 +132,15 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return node(x.data * mask, (x,), lambda g: (g * mask,))
 
 
-def _apply(plan: DropoutPlan, t: Tensor) -> Tensor:
-    if plan.rate == 0.0 or plan.rng is None:
-        return t
-    return dropout(t, plan.rate, plan.rng)
-
-
 def batch_forward(
     p: dict[str, Tensor],
     cfg: ModelConfig,
     features: list[np.ndarray],
-    labels: list[list[int]],
     image_of_example: list[int],
     tokens: list[list[int]],
-    dropout_plan: DropoutPlan = NO_DROPOUT,
-) -> BatchForward:
+    rate: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> tuple[Tensor, Tensor]:
     """``groundcap.model.batch_forward``, one tape node per operation and step."""
     d = cfg.hidden_size
     batch = len(tokens)
@@ -180,34 +174,24 @@ def batch_forward(
     h2_fed = Tensor(np.zeros((batch, d)))
     total_logprob: Tensor | None = None
     for t in range(t_max):
-        x = _apply(dropout_plan, embedding_cols(p["embedding"], inputs[:, t]))
+        x = dropout(embedding_cols(p["embedding"], inputs[:, t]), rate, rng)
         in1 = concat([x, z_bar, h2_fed], axis=1)
         hc1 = ad.lstm_cell(in1, hc1, p["lstm1.wx"], p["lstm1.wh"], p["lstm1.b"])
-        h1 = _apply(dropout_plan, slice_cols(hc1, 0, d))
+        h1 = dropout(slice_cols(hc1, 0, d), rate, rng)
         ct = ad.attend(h1, z_pad, mask, p["att.proj"], p["att.score"])
         in2 = concat([ct, h1], axis=1)
         hc2 = ad.lstm_cell(in2, hc2, p["lstm2.wx"], p["lstm2.wh"], p["lstm2.b"])
-        h2_fed = _apply(dropout_plan, slice_cols(hc2, 0, d))
+        h2_fed = dropout(slice_cols(hc2, 0, d), rate, rng)
         logits = ad.linear(h2_fed, p["out.w"], p["out.b"])
         step_lp = gather_cols(log_softmax(logits, axis=1), targets[:, t])
         masked = ad.mul(step_lp, Tensor(t_mask[:, t]))
         total_logprob = masked if total_logprob is None else ad.add(total_logprob, masked)
 
     lengths = np.array([float(len(t)) for t in tokens])
-    per_example = ad.mul(total_logprob, Tensor(1.0 / lengths))
-    flat_labels = (
-        np.concatenate([np.asarray(l, dtype=np.int64) for l in labels])
-        if labels
-        else np.zeros(0, dtype=np.int64)
-    )
-    return BatchForward(
-        per_example_logprob=per_example,
-        projected_flat=z_flat,
-        flat_labels=flat_labels,
-    )
+    return ad.mul(total_logprob, Tensor(1.0 / lengths)), z_flat
 
 
-def retaining_backward(tape: ad.GradientTape, loss: Tensor) -> dict[str, np.ndarray]:
+def retaining_backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     """``autodiff.backward`` as it was before it freed the graph: every node
     keeps its gradient, backward closure and parents, and each parameter's
     gradient is returned as a copy. The oracle for the freeing sweep's
@@ -227,5 +211,5 @@ def retaining_backward(tape: ad.GradientTape, loss: Tensor) -> dict[str, np.ndar
                 parent.grad += pg
     return {
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in tape._params.items()
+        for name, p in params.items()
     }

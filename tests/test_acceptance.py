@@ -87,19 +87,16 @@ class TestCriterion1Gradients:
         cfg = ModelConfig(vocab_size=12, feature_size=6, hidden_size=8)
         params = ModelParams.init(cfg, np.random.default_rng(7))
         feats = [rng.normal(size=(3, 6)), rng.normal(size=(3, 6))]
-        labels = [[0, 1, 2], [1, 0, 2]]
         tokens = [[3, 5, 7, EOS_ID], [4, 6, 8, EOS_ID]]  # T = 4
 
         def nll_value(arrays):
-            with ad.no_grad():
-                p = {k: Tensor(v) for k, v in arrays.items()}
-                out = batch_forward(p, cfg, feats, labels, [0, 1], tokens)
-            return float(-out.per_example_logprob.data.mean())
+            p = {k: Tensor(v) for k, v in arrays.items()}
+            per_example, _ = batch_forward(p, cfg, feats, [0, 1], tokens)
+            return float(-per_example.data.mean())
 
-        tape = ad.GradientTape()
-        tensors = params.tensors(tape)
-        out = batch_forward(tensors, cfg, feats, labels, [0, 1], tokens)
-        grads = ad.backward(tape, ad.neg(ad.mean_(out.per_example_logprob)))
+        tensors = params.tensors()
+        per_example, _ = batch_forward(tensors, cfg, feats, [0, 1], tokens)
+        grads = ad.backward(ad.neg(ad.mean_(per_example)), tensors)
 
         failures = []
         for name, arr in params.arrays.items():
@@ -136,16 +133,13 @@ class TestCriterion1Gradients:
             )
             return l_c, l_p
 
-        tape2 = ad.GradientTape()
-        w_in_t = tape2.parameter("input_proj", w_in0)
-        w_e_t = tape2.parameter("embedding", w_e0)
-        l_c, l_p = grounding_losses(w_in_t, w_e_t)
-        grads2 = ad.backward(tape2, ad.add(l_c, l_p))
+        grounding_params = {"input_proj": ad.parameter(w_in0), "embedding": ad.parameter(w_e0)}
+        l_c, l_p = grounding_losses(grounding_params["input_proj"], grounding_params["embedding"])
+        grads2 = ad.backward(ad.add(l_c, l_p), grounding_params)
 
         def loss_sum(w_in, w_e):
-            with ad.no_grad():
-                l_c, l_p = grounding_losses(w_in, w_e)
-                return float(l_c.data + l_p.data)
+            l_c, l_p = grounding_losses(w_in, w_e)
+            return float(l_c.data + l_p.data)
 
         fd_in = central_difference(lambda a: loss_sum(a, w_e0), [w_in0])[0]
         fd_e = central_difference(lambda a: loss_sum(w_in0, a), [w_e0])[0]

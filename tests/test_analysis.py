@@ -15,6 +15,7 @@ import loop_reference
 from groundcap import kernels
 from groundcap.analysis import (
     AnalysisReport,
+    ClassVectors,
     analyze,
     class_centroids,
     cluster_homogeneity,
@@ -384,6 +385,26 @@ class TestAnalyze:
         for rec in lines:
             assert set(rec) == {"label", "word_vector", "centroid_original", "centroid_projected"}
             assert len(rec["centroid_projected"]) == 24
+
+    def test_vector_export_bytes_are_those_of_json_dumps(self, tmp_path):
+        # magnitudes where Python writes the exponent form (below 1e-4, from
+        # 1e16 up) next to plain ones, signed zeros and a non-ASCII label
+        rng = np.random.default_rng(4)
+        vectors = rng.normal(size=(200, 3, 6)) * 10.0 ** rng.integers(-12, 20, size=(200, 3, 6))
+        vectors[0, 0, :2] = 0.0, -0.0
+        exports = [ClassVectors(f"caf\u00e9 {i}", *rows) for i, rows in enumerate(vectors)]
+        path = tmp_path / "vectors.jsonl"
+        write_vector_export(exports, path)
+        want = "".join(
+            json.dumps({
+                "label": cv.label,
+                "word_vector": cv.word_vector.tolist(),
+                "centroid_original": cv.centroid_original.tolist(),
+                "centroid_projected": cv.centroid_projected.tolist(),
+            }, sort_keys=True) + "\n"
+            for cv in exports
+        )
+        assert path.read_bytes() == want.encode()
 
     def test_missing_labels_is_validation_error(self, setup):
         ds, vocab, params = setup

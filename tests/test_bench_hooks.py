@@ -2,12 +2,19 @@
 
 ``perfbench/tracing.py`` wraps functions by (module, attribute) and
 ``perfbench/workload.py`` imports a few names directly. Moving or renaming
-any of them must fail here rather than crash a traced benchmark run.
+any of them must fail here rather than crash a traced benchmark run. So
+must a change in how the tracer calls into the program: it replaces
+``Tensor.__init__`` with a function of ``(obj, data)``, and its observers
+read the draw count, the clip norm and the checkpoint path as the second
+positional argument of the samplers, ``clip_global_norm`` and
+``save_checkpoint``.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from groundcap import cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -38,3 +45,44 @@ def test_names_the_workload_imports_exist():
     for name in ("Dataset", "SyntheticSpec", "generate_synthetic_dataset", "save_dataset"):
         assert hasattr(data, name), name
     assert callable(training.load_for_inference)
+
+
+# The fused teacher-forced op runs its cells and attention in ``kernels``;
+# these autodiff ops are traced but no command reaches them.
+UNREACHED_SPANS = {"autodiff.lstm_cell", "autodiff.attend"}
+
+
+def test_traced_train_evaluate_analyze_fill_every_span_and_counter(tmp_path):
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert cli.main([
+        "generate-data", "--out", str(data), "--classes", "3", "--images", "60",
+        "--feature-size", "12", "--objects-min", "2", "--objects-max", "3", "--seed", "9",
+    ]) == 0
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main([
+            "train", "--data", str(data), "--out", str(run), "--hidden-size", "8",
+            "--min-count", "1", "--batch-size", "8", "--sample-size", "10", "--max-epochs", "1",
+            "--learning-rate", "0.01",  # so that the captions, and ROUGE-L's LCS, are not empty
+            "--use-cluster-loss", "--use-perceptual-loss",
+        ]) == 0
+        inference = ["--checkpoint", str(run / "checkpoint_best.json"), "--data", str(data)]
+        assert cli.main(["evaluate", *inference]) == 0
+        vectors = tmp_path / "vectors.jsonl"
+        assert cli.main(["analyze", *inference, "--neighbor-k", "1", "--vectors", str(vectors)]) == 0
+        tracer.end_iteration()
+    finally:
+        tracer.uninstall()
+
+    assert tracer.nesting_violations == 0
+    for name in tracing.SPAN_NAMES:
+        assert (tracer.calls(name) > 0) == (name not in UNREACHED_SPANS), name
+    counters = tracer.counters
+    assert counters["pool_sizes"] and min(counters["pool_sizes"]) > 0
+    for name in ("triplet_draws", "triplet_valid", "pair_draws", "pair_valid", "clip_steps",
+                 "model.decoded_tokens"):
+        assert counters[name] > 0, name
+    assert counters["model.checkpoint_bytes"] == (run / "checkpoint_best.json").stat().st_size
+    assert tracer.tensors > 0

@@ -555,6 +555,35 @@ def _label_test_objects_two_classes(data_dir):
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(TrainConfig) if f.type == "float"]
 
 
+def _evaluate_with_header(key, value):
+    """``evaluate`` of an untrained checkpoint whose header entry ``key``
+    (``format_version`` or ``model.<field>``) is set to ``value``."""
+
+    def argv(data_dir, tmp_path):
+        path = _write_checkpoint(tmp_path / "checkpoint.json")
+        payload = json.loads(path.read_text())
+        *parents, leaf = key.split(".")
+        owner = payload
+        for name in parents:
+            owner = owner[name]
+        owner[leaf] = value
+        path.write_text(json.dumps(payload))
+        return ["evaluate", "--checkpoint", str(path), "--data", str(data_dir)]
+
+    return argv
+
+
+# each header integer of _write_checkpoint's checkpoint, and the types that
+# int() used to accept in its place: a bool, a float and a string
+HEADER_INTEGERS = {
+    "format_version": ("1", 1),
+    "model.vocab_size": ("an integer", len(CHECKPOINT_TOKENS)),
+    "model.feature_size": ("an integer", 12),
+    "model.hidden_size": ("an integer", 4),
+    "model.att_size": ("an integer or null", 4),
+}
+
+
 def _assign_with_repeated_target(d, t):
     first = (d / "test.jsonl").read_text().splitlines(keepends=True)[0]
     return [
@@ -623,6 +652,25 @@ NAMED_FAILURES = {
         for name in FLOAT_FIELDS
     },
     "margin_inf_matrix": (_matrix("--margin", "inf"), 2, "margin must be finite, got inf"),
+    **{
+        f"generate_data_spread_{value}": (
+            lambda d, t, value=value: ["generate-data", "--out", str(t / "run"), "--spread", value],
+            2, f"spread must be finite, got {value}",
+        )
+        for value in ("nan", "inf")
+    },
+    **{
+        f"checkpoint_{key}_{type(value).__name__}": (
+            _evaluate_with_header(key, value), 3,
+            f"checkpoint {key} must be {kind}, got {json.dumps(value)}",
+        )
+        for key, (kind, good) in HEADER_INTEGERS.items()
+        for value in (True, float(good), str(good))
+    },
+    "checkpoint_model.hidden_size_fraction": (
+        _evaluate_with_header("model.hidden_size", 4.7), 3,
+        "checkpoint model.hidden_size must be an integer, got 4.7",
+    ),
     "assign_labels_target_id_repeated": (
         _assign_with_repeated_target, 3, "targets.jsonl: image id {first_test_id} appears twice"
     ),

@@ -148,13 +148,13 @@ class TestEncodeCaption:
         assert len(ids) == 17 and ids[-1] == EOS_ID
 
     def test_empty_text(self, vocab):
-        assert encode_caption("", vocab) == [EOS_ID]
+        assert encode_caption("", vocab, max_len=16) == [EOS_ID]
 
     def test_oov_maps_to_unk(self, vocab):
-        assert encode_caption("zebra", vocab) == [UNK_ID, EOS_ID]
+        assert encode_caption("zebra", vocab, max_len=16) == [UNK_ID, EOS_ID]
 
     def test_ids_below_vocab_size(self, vocab):
-        for i in encode_caption("a dog eats a cat", vocab):
+        for i in encode_caption("a dog eats a cat", vocab, max_len=16):
             assert i < vocab.size
 
     @given(st.text(max_size=60))

@@ -359,11 +359,10 @@ class TestGroundingGradients:
         pool0 = make_pool(feats @ w_in.T, labels)
         trip = sample_triplets(pool0, 60, np.random.default_rng(0))
 
-        tape = ad.GradientTape()
-        w = tape.parameter("w_in", w_in)
+        w = ad.parameter(w_in)
         z = ad.linear(Tensor(feats), w)
         pool = LabeledProjection(vectors=z, rows=np.arange(6), class_ids=labels)
-        grads = ad.backward(tape, cluster_loss(pool, trip, 0.5))
+        grads = ad.backward(cluster_loss(pool, trip, 0.5), {"w_in": w})
 
         def fn(wa):
             zz = feats @ wa.T
@@ -378,12 +377,11 @@ class TestGroundingGradients:
         pool0 = make_pool(feats @ w_in.T, labels)
         pairs = sample_pairs(pool0, 60, np.random.default_rng(1))
 
-        tape = ad.GradientTape()
-        w = tape.parameter("w_in", w_in)
-        we = tape.parameter("w_e", w_e)
+        w = ad.parameter(w_in)
+        we = ad.parameter(w_e)
         z = ad.linear(Tensor(feats), w)
         pool = LabeledProjection(vectors=z, rows=np.arange(6), class_ids=labels)
-        grads = ad.backward(tape, perceptual_loss(pool, pairs, we, tokens))
+        grads = ad.backward(perceptual_loss(pool, pairs, we, tokens), {"w_in": w, "w_e": we})
 
         def fn(wa, wb):
             p = make_pool(feats @ wa.T, labels)

@@ -59,7 +59,6 @@ from groundcap.losses import (
 )
 from groundcap.model import (
     DECODE_CHUNK,
-    DropoutPlan,
     ModelConfig,
     ModelParams,
     batch_forward,
@@ -301,7 +300,7 @@ class TestGreedyDecode:
         params.arrays["out.w"][:] = 0.0
         params.arrays["out.b"][:] = 0.0
         params.arrays["out.b"][EOS_ID] = 5.0
-        assert greedy_decode([rng.normal(size=(2, 4))], params) == [[]]
+        assert greedy_decode([rng.normal(size=(2, 4))], params, max_len=16) == [[]]
 
     def test_no_eos_hits_length_cap(self, rng):
         params = toy_params(seed=11)
@@ -429,13 +428,13 @@ class TestBatchedGreedyDecode:
         assert assert_matches_reference(zs, params, max_len=3) == [[], []]
 
     def test_empty_split_gives_no_captions(self):
-        assert greedy_decode([], toy_params()) == []
+        assert greedy_decode([], toy_params(), max_len=16) == []
 
     def test_image_without_objects_is_domain_error(self):
         params = toy_params()
         zs = [np.ones((2, 4)), np.zeros((0, 4))]
         with pytest.raises(DomainError):
-            greedy_decode(zs, params)
+            greedy_decode(zs, params, max_len=16)
 
     @pytest.mark.parametrize("max_len", [0, -1])
     def test_max_len_below_one_is_domain_error(self, max_len):
@@ -511,24 +510,21 @@ class TestBatchForward:
         params = toy_params(seed=14)
         feats = [rng.normal(size=(k, 3)) for k in (2, 4, 1)]
         tokens = [[3, EOS_ID], [4, 5, EOS_ID], [EOS_ID]]
-        with ad.no_grad():
-            out = batch_forward(
-                tape_reference.constants(params), params.config, feats,
-                [[0] * f.shape[0] for f in feats], [0, 1, 2], tokens,
-            )
+        per_example, _ = batch_forward(
+            tape_reference.constants(params), params.config, feats, [0, 1, 2], tokens
+        )
         for e in range(3):
             expected = sequence_logprob(feats[e], tokens[e], params).mean()
-            assert out.per_example_logprob.data[e] == pytest.approx(expected, abs=1e-12)
+            assert per_example.data[e] == pytest.approx(expected, abs=1e-12)
 
     def test_shared_image_projection(self, rng):
         params = toy_params(seed=15)
         feats = [rng.normal(size=(3, 3))]
         tokens = [[3, EOS_ID], [4, EOS_ID]]  # two captions of one image
-        with ad.no_grad():
-            out = batch_forward(
-                tape_reference.constants(params), params.config, feats, [[0, 0, 0]], [0, 0], tokens
-            )
-        assert out.projected_flat.data.shape == (3, 4)
+        _, z_flat = batch_forward(
+            tape_reference.constants(params), params.config, feats, [0, 0], tokens
+        )
+        assert z_flat.data.shape == (3, 4)
 
     def test_full_gradient_check_small_dims(self, rng, fd_grad, rel_err):
         cfg = ModelConfig(vocab_size=6, feature_size=3, hidden_size=4)
@@ -538,17 +534,13 @@ class TestBatchForward:
 
         def loss_from(arrays: dict) -> float:
             p = ModelParams(config=cfg, arrays=arrays)
-            with ad.no_grad():
-                out = batch_forward(
-                    tape_reference.constants(p), cfg, feats, [[0, 0], [0, 0, 0]], [0, 1], tokens
-                )
-            return float(-out.per_example_logprob.data.mean())
+            per_example, _ = batch_forward(tape_reference.constants(p), cfg, feats, [0, 1], tokens)
+            return float(-per_example.data.mean())
 
-        tape = ad.GradientTape()
-        tensors = params.tensors(tape)
-        out = batch_forward(tensors, cfg, feats, [[0, 0], [0, 0, 0]], [0, 1], tokens)
-        nll = ad.neg(ad.mean_(out.per_example_logprob))
-        grads = ad.backward(tape, nll)
+        tensors = params.tensors()
+        per_example, _ = batch_forward(tensors, cfg, feats, [0, 1], tokens)
+        nll = ad.neg(ad.mean_(per_example))
+        grads = ad.backward(nll, tensors)
 
         for name in params.arrays:
             arr = params.arrays[name]
@@ -564,19 +556,15 @@ class TestBatchForward:
 def run_batch_forward(forward, params, feats, image_of_example, tokens, rate, seed, probe=None):
     """Loss value, per-parameter gradients and the dropout generator's state
     after one teacher-forced pass; ``probe`` adds a grounding-like head that
-    reads ``projected_flat``, the second path into ``input_proj``."""
-    tape = ad.GradientTape()
+    reads the projected object rows, the second path into ``input_proj``."""
     rng = np.random.default_rng(seed)
-    labels = [[0] * f.shape[0] for f in feats]
-    out = forward(
-        params.tensors(tape), params.config, feats, labels, image_of_example, tokens,
-        DropoutPlan(rate=rate, rng=rng),
-    )
-    loss = ad.neg(ad.mean_(out.per_example_logprob))
+    p = params.tensors()
+    per_example, z_flat = forward(p, params.config, feats, image_of_example, tokens, rate, rng)
+    loss = ad.neg(ad.mean_(per_example))
     if probe is not None:
-        loss = ad.add(loss, ad.mean_(ad.mul(out.projected_flat, ad.Tensor(probe))))
-    grads = ad.backward(tape, loss)
-    return out.per_example_logprob.data, grads, rng.bit_generator.state
+        loss = ad.add(loss, ad.mean_(ad.mul(z_flat, ad.Tensor(probe))))
+    grads = ad.backward(loss, p)
+    return per_example.data, grads, rng.bit_generator.state
 
 
 def assert_close_relative(got, want, tol=1e-12):
@@ -678,14 +666,11 @@ class TestFusedTeacherForcedOp:
 
         def loss_from(arrays: dict) -> float:
             p = ModelParams(config=params.config, arrays=arrays)
-            with ad.no_grad():
-                out = batch_forward(
-                    tape_reference.constants(p), p.config, feats, [[0], [0, 0, 0]], image_of_example,
-                    tokens, DropoutPlan(rate=0.2, rng=np.random.default_rng(8)),
-                )
-            return float(
-                -out.per_example_logprob.data.mean() + (out.projected_flat.data * probe).mean()
+            per_example, z_flat = batch_forward(
+                tape_reference.constants(p), p.config, feats, image_of_example, tokens,
+                0.2, np.random.default_rng(8),
             )
+            return float(-per_example.data.mean() + (z_flat.data * probe).mean())
 
         for name, arr in params.arrays.items():
 
@@ -702,8 +687,7 @@ class TestFusedTeacherForcedOp:
         tokens[0][position] = bad_id
         with pytest.raises(DomainError, match="out of range"):
             batch_forward(
-                tape_reference.constants(params), params.config, [rng.normal(size=(2, 3))], [[0, 0]], [0],
-                tokens,
+                tape_reference.constants(params), params.config, [rng.normal(size=(2, 3))], [0], tokens
             )
 
 
@@ -711,25 +695,25 @@ def grounded_step_graph(params: ModelParams, seed: int):
     """The graph of one grounded training step on toy data, built as
     ``training._train_step`` builds it: the fused decoder with dropout, then
     cross-entropy, cluster and perceptual losses over the batch's object
-    pool. Returns the tape, the total loss and the decoder's output."""
+    pool. Returns the parameters, the total loss and the decoder's
+    per-example log-probabilities."""
     rng = np.random.default_rng(seed)
     counts = (3, 2, 4)
     feats = [rng.normal(size=(k, params.config.feature_size)) for k in counts]
     labels = [np.array([0, 1, 2]), np.array([2, 0]), np.array([1, 1, 0, 3])]  # 3 is UNK
-    tape = ad.GradientTape()
-    p = params.tensors(tape)
-    out = batch_forward(
-        p, params.config, feats, labels, [0, 1, 2, 0, 2],
+    p = params.tensors()
+    per_example, z_flat = batch_forward(
+        p, params.config, feats, [0, 1, 2, 0, 2],
         [[3, 4, EOS_ID], [5, 3], [6, EOS_ID], [4], [3, 6, 5, EOS_ID]],
-        DropoutPlan(rate=0.2, rng=np.random.default_rng(seed + 1)),
+        0.2, np.random.default_rng(seed + 1),
     )
-    pool = build_projection_pool(out.projected_flat, out.flat_labels, unk_id=3)
+    pool = build_projection_pool(z_flat, np.concatenate(labels), unk_id=3)
     triplets = sample_triplets(pool, 20, np.random.default_rng(seed + 2))
     pairs = sample_pairs(pool, 20, np.random.default_rng(seed + 3))
     l_c = cluster_loss(pool, triplets, 0.5)
     l_p = perceptual_loss(pool, pairs, p["embedding"], {0: [3], 1: [4, 5], 2: [6]})
-    total = total_loss(batch_cross_entropy(out.per_example_logprob), l_c, l_p, 1.0, 1.0)
-    return tape, total, out
+    total = total_loss(batch_cross_entropy(per_example), l_c, l_p, 1.0, 1.0)
+    return p, total, per_example
 
 
 class TestBackwardFreesTheGraph:
@@ -740,28 +724,28 @@ class TestBackwardFreesTheGraph:
     PARAMS = decoder_params(3, vocab=7, d=4, d_in=3, scale=2.0)
 
     def test_every_node_is_cleared(self):
-        tape, total, _ = grounded_step_graph(self.PARAMS, 5)
+        p, total, _ = grounded_step_graph(self.PARAMS, 5)
         nodes = ad._toposort(total)
-        params = {id(p) for p in tape._params.values()}
-        inner = [t for t in nodes if id(t) not in params]
+        leaves = {id(t) for t in p.values()}
+        inner = [t for t in nodes if id(t) not in leaves]
         assert len(inner) >= 10
-        ad.backward(tape, total)
+        ad.backward(total, p)
         for tensor in inner:
             assert (tensor.grad, tensor._bwd, tensor._parents) == (None, None, ())
-        assert all(p.grad is None for p in tape._params.values())
+        assert all(t.grad is None for t in p.values())
 
     def test_gradients_equal_the_sweep_that_keeps_the_graph(self):
-        tape, total, _ = grounded_step_graph(self.PARAMS, 5)
-        got = ad.backward(tape, total)
-        tape, total, _ = grounded_step_graph(self.PARAMS, 5)
-        want = tape_reference.retaining_backward(tape, total)
+        p, total, _ = grounded_step_graph(self.PARAMS, 5)
+        got = ad.backward(total, p)
+        p, total, _ = grounded_step_graph(self.PARAMS, 5)
+        want = tape_reference.retaining_backward(total, p)
         assert list(got) == list(want)
         for name, grad in want.items():
             assert got[name].tobytes() == grad.tobytes(), name
 
     def test_fused_op_caches_die_with_its_backward(self):
-        tape, total, out = grounded_step_graph(self.PARAMS, 5)
-        bwd = out.per_example_logprob._bwd
+        p, total, per_example = grounded_step_graph(self.PARAMS, 5)
+        bwd = per_example._bwd
         kept = dict(zip(bwd.__code__.co_freevars, (cell.cell_contents for cell in bwd.__closure__)))
         assert "zz" not in kept  # backward reads only its shape, from us
         names = ("logp", "us", "alphas", "cells1", "in2", "gates1", "gates2")
@@ -769,17 +753,17 @@ class TestBackwardFreesTheGraph:
         refs += [weakref.ref(kept["tanh_c1"][0]), weakref.ref(kept["tanh_c2"][-1])]
         del bwd, kept
         assert all(ref() is not None for ref in refs)
-        ad.backward(tape, total)
+        ad.backward(total, p)
         assert [ref() for ref in refs] == [None] * len(refs)
 
     def test_a_spent_graph_cannot_be_backpropagated_again(self):
-        tape, total, out = grounded_step_graph(self.PARAMS, 5)
-        ad.backward(tape, total)
+        p, total, per_example = grounded_step_graph(self.PARAMS, 5)
+        ad.backward(total, p)
         with pytest.raises(ContractError, match="already backpropagated"):
-            ad.backward(tape, total)
+            ad.backward(total, p)
         # a new loss on a spent node of the graph
         with pytest.raises(ContractError, match="already backpropagated"):
-            ad.backward(tape, ad.mean_(out.per_example_logprob))
+            ad.backward(ad.mean_(per_example), p)
 
 
 class TestKernelBoundary:

@@ -282,8 +282,8 @@ class TestTrainLoop:
         backward, adam_step = ad.backward, training.Adam.step
         calls = {"backward": 0, "adam": 0}
 
-        def inf_at_step_3(tape, loss):
-            grads = backward(tape, loss)
+        def inf_at_step_3(loss, params):
+            grads = backward(loss, params)
             calls["backward"] += 1
             if calls["backward"] == 3:
                 grads["out.b"][0] = np.inf
@@ -439,8 +439,8 @@ class TestEvaluate:
 
     def test_repeated_evaluation_identical(self, tiny_dataset):
         result = train(replace(TINY, max_epochs=1), tiny_dataset)
-        a = evaluate(result.best_params, tiny_dataset.test, result.vocab)
-        b = evaluate(result.best_params, tiny_dataset.test, result.vocab)
+        a = evaluate(result.best_params, tiny_dataset.test, result.vocab, max_len=16)
+        b = evaluate(result.best_params, tiny_dataset.test, result.vocab, max_len=16)
         assert a == b
 
     def test_missing_references_is_validation_error(self, tiny_dataset):
@@ -450,7 +450,7 @@ class TestEvaluate:
         ds = copy.deepcopy(tiny_dataset)
         ds.test[0].captions = ["!!!"]
         with pytest.raises(DataValidationError):
-            evaluate(result.best_params, ds.test, result.vocab)
+            evaluate(result.best_params, ds.test, result.vocab, max_len=16)
 
 
 class TestCheckpointRoundtrip:
