@@ -10,7 +10,8 @@ name -> parameter dict (exact zeros for parameters the loss never touched).
 Tensors are treated as immutable once produced. A graph is single-owner:
 build it, call backward once, throw it away. Backward frees each node's
 closure and parent links as it passes, so the graph cannot be
-backpropagated again.
+backpropagated again. ``release(t)`` frees, before backward, the values
+of a tensor that nothing still to run reads; ``t`` keeps its shape.
 
 Fused ops have a hand-derived backward, checked by finite differences in
 the tests, and run their array math in ``kernels``. ``node`` is how a layer
@@ -69,6 +70,14 @@ def node(data, parents: Sequence[Tensor], bwd) -> Tensor:
         out._parents = tuple(parents)
         out._bwd = bwd
     return out
+
+
+def release(t: Tensor) -> None:
+    """Free the values of ``t`` once nothing still to run reads them, not
+    even a backward. ``t`` keeps its shape, from which ``backward``
+    zero-fills its gradient, in a read-only zero-stride stand-in of NaN, so
+    a read that should not happen shows up as NaN."""
+    t.data = np.broadcast_to(np.float64(np.nan), t.data.shape)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -288,12 +297,14 @@ def cosine_matrix(vecs: Tensor, rows: np.ndarray) -> Tensor:
 
 
 def pair_pick(m: Tensor, left: np.ndarray, right: np.ndarray) -> Tensor:
-    """The entries ``m[left[t], right[t]]`` of a square matrix."""
+    """The entries ``m[left[t], right[t]]`` of a square matrix. The backward
+    reads only the matrix's size, so ``m`` may be released once picked."""
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
+    n = len(m.data)
 
     def bwd(g):
-        return (kernels.pair_pick_backward(g, left, right, len(m.data)),)
+        return (kernels.pair_pick_backward(g, left, right, n),)
 
     return node(m.data[left, right], (m,), bwd)
 

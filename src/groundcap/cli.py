@@ -7,9 +7,10 @@ matrix. Every TrainConfig field is a ``train``/``matrix`` flag
 takes its defaults from SyntheticSpec. Every run writes its config
 snapshot, logs and checkpoints into the run directory.
 
-Exit codes: 0 success, 2 configuration error, 3 data validation error,
-4 numerical failure (a NaN loss aborts training; the last good checkpoint
-stays on disk).
+Exit codes: 0 success, 2 configuration error (an output path that cannot
+be written is one, named before anything is read, decoded or trained), 3
+data validation error, 4 numerical failure (a NaN loss aborts training;
+the last good checkpoint stays on disk).
 """
 
 from __future__ import annotations
@@ -172,7 +173,28 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dir(path: Path) -> None:
+    """A directory output: ``path``, or its nearest existing ancestor, must
+    be a directory."""
+    for parent in (path, *path.parents):
+        if parent.exists():
+            if not parent.is_dir():
+                raise ConfigError(f"cannot write into {path}: {parent} is not a directory")
+            return
+
+
+def _check_out_file(path: Path | None) -> None:
+    """A file output: its directory must exist, and it must not be one."""
+    if path is None:
+        return
+    if not path.parent.is_dir():
+        raise ConfigError(f"cannot write {path}: {path.parent} is not a directory")
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+
+
 def _cmd_generate_data(args) -> int:
+    _check_out_dir(args.out)
     spec = SyntheticSpec(**_given(args, SyntheticSpec))
     dataset = generate_synthetic_dataset(spec, seed=args.seed)
     save_dataset(dataset, args.out)
@@ -191,6 +213,7 @@ def _cmd_assign_labels(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_out_dir(args.out)
     config = build_train_config(args)
     dataset = load_dataset(args.data)
     result = train(config, dataset, run_dir=args.out)
@@ -218,6 +241,7 @@ def _load_checkpoint_and_data(args):
 
 
 def _cmd_evaluate(args) -> int:
+    _check_out_file(args.out)
     params, vocab, max_len, dataset = _load_checkpoint_and_data(args)
     table = evaluate(params, dataset.splits[args.split], vocab, max_len)
     text = json.dumps(table, sort_keys=True, indent=2)
@@ -228,6 +252,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    _check_out_file(args.out)
+    _check_out_file(args.vectors)
     params, vocab, max_len, dataset = _load_checkpoint_and_data(args)
     examples = dataset.splits[args.split]
     check_neighbor_k_option(args.neighbor_k, examples, dataset.class_table.unk_id)
@@ -248,6 +274,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    _check_out_dir(args.out)
     config = build_train_config(args)
     dataset = load_dataset(args.data)
     try:

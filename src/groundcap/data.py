@@ -355,16 +355,20 @@ def record_json(ex: ImageExample) -> bytes:
     ))
 
 
-def write_jsonl(examples: list[ImageExample], path: Path) -> None:
-    """Write one ``record_json`` line per example, atomically. An example
-    with a NaN or infinite feature or box raises ``NumericalError`` before
-    anything is written: JSON has no such number, and ``load_dataset``
-    would reject the file."""
+def _check_finite(examples: list[ImageExample], path: Path) -> None:
     for ex in examples:
         if not (np.isfinite(ex.features).all() and np.isfinite(ex.boxes).all()):
             raise NumericalError(
                 f"image {ex.image_id} has non-finite features or boxes; {path} not written"
             )
+
+
+def write_jsonl(examples: list[ImageExample], path: Path) -> None:
+    """Write one ``record_json`` line per example, atomically. An example
+    with a NaN or infinite feature or box raises ``NumericalError`` before
+    anything is written: JSON has no such number, and ``load_dataset``
+    would reject the file."""
+    _check_finite(examples, path)
     write_atomic(path, b"".join(map(record_json, examples)))
 
 
@@ -406,10 +410,16 @@ def add_unique_ids(path: Path, ids: list[str], seen: set[str]) -> None:
 
 
 def save_dataset(dataset: Dataset, out_dir: Path) -> None:
+    """Write every split and the class table into ``out_dir``. Every split is
+    checked as ``write_jsonl`` checks it before the directory is made, so a
+    non-finite value creates nothing."""
     out_dir = Path(out_dir)
+    paths = {name: out_dir / f"{name}.jsonl" for name in dataset.splits}
+    for name, examples in dataset.splits.items():
+        _check_finite(examples, paths[name])
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, examples in dataset.splits.items():
-        write_jsonl(examples, out_dir / f"{name}.jsonl")
+        write_atomic(paths[name], b"".join(map(record_json, examples)))
     write_atomic(out_dir / "classes.json", dataset.class_table.to_json() + "\n")
 
 

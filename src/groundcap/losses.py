@@ -56,7 +56,9 @@ class LabeledProjection:
     """Projected object vectors pooled over a batch, with their class ids.
 
     ``rows`` indexes into ``vectors`` (a possibly larger matrix); only
-    labeled, non-zero-norm rows are kept.
+    labeled, non-zero-norm rows are kept. The heads pick their pairs out of
+    ``cosines``. No backward reads the matrix's values, so once every head
+    has picked, ``autodiff.release`` may free them.
     """
 
     vectors: Tensor  # (N, d), superset matrix

@@ -15,7 +15,8 @@ consumers; the dropped h2 feeds both the output projection and the next
 step's LSTM1 input. The teacher-forced pass is one tape node over all
 steps (``teacher_forced_logprob``); its dropout masks are drawn up
 front in one call, x, h1, h2 for each step in turn, as a step-by-step pass
-would draw them.
+would draw them, and kept as booleans: each use multiplies by
+``mask * scale``, whose entries are 0 and 1 / (1 - rate).
 
 Inference decodes greedily until EOS or the length cap, argmax ties broken
 toward the lowest token id. It runs a split in chunks of DECODE_CHUNK
@@ -337,14 +338,19 @@ def teacher_forced_logprob(
     targets: np.ndarray,
     t_mask: np.ndarray,
     drop: np.ndarray,
+    dropout: float,
 ) -> Tensor:
     """Mean log-probability of each target sequence under the decoder with
     the parameters ``p``, teacher-forced, as one node. Example b attends over
     ``z_flat[rows[b, k]]`` where ``valid[b, k]``; ``inputs``, ``targets``,
-    ``t_mask`` are (B, T) and ``drop`` the (T, 3, B, d) dropout masks of x,
-    h1 and h2. Following Appleyard et al. (arXiv 1604.01946), the attention
-    projection of z, the input GEMMs of LSTM1, the output layer and every
-    weight gradient run once over all steps, not once per step.
+    ``t_mask`` are (B, T) and ``drop`` the (T, 3, B, d) boolean keep-masks
+    of x, h1 and h2 at rate ``dropout``; each use multiplies by ``mask *
+    scale`` with ``scale = True / (1 - dropout)``, whose entries are exactly
+    0 and 1 / (1 - dropout). Following Appleyard et al. (arXiv 1604.01946),
+    the attention projection of z, the input GEMMs of LSTM1, the output
+    layer and every weight gradient run once over all steps, not once per
+    step. The backward releases each forward cache right after its last
+    read.
     """
     a = {name: p[name].data for name in _DECODER_PARAMS}
     emb, wav, w_out = a["embedding"], a["att.score"], a["out.w"]
@@ -355,7 +361,8 @@ def teacher_forced_logprob(
     inv_count = 1.0 / valid.sum(axis=1)
     z_bar = z.sum(axis=1) * inv_count[:, None]
     zz = z @ w_z.T
-    x = emb.T[inputs.T] * drop[:, 0]  # (T, B, d)
+    scale = True / (1 - dropout)
+    x = emb.T[inputs.T] * (drop[:, 0] * scale)  # (T, B, d)
     pre_in = (x.reshape(-1, d) @ w_x.T).reshape(steps, n, 4 * d)
     pre_in += z_bar @ w_zbar.T + a["lstm1.b"]
 
@@ -379,14 +386,14 @@ def teacher_forced_logprob(
         h1, cells1[t + 1], *acts, tc = kernels.lstm_gates_forward(pre_in[t], cells1[t])
         np.concatenate(acts, axis=1, out=gates1[t])
         tanh_c1.append(tc)
-        in2[t, :, d : 2 * d] = h1 * drop[t, 1]
+        in2[t, :, d : 2 * d] = h1 * (drop[t, 1] * scale)
         in2[t, :, :d], alphas[t] = kernels.attention_forward(
             in2[t, :, d : 2 * d] @ w_h.T, zz, z, valid, wav, us[t]
         )
         h2, cells2[t + 1], *acts, tc = kernels.lstm_gates_forward(in2[t] @ w2.T + a["lstm2.b"], cells2[t])
         np.concatenate(acts, axis=1, out=gates2[t])
         tanh_c2.append(tc)
-        h2_fed[t] = h2 * drop[t, 2]
+        h2_fed[t] = h2 * (drop[t, 2] * scale)
 
     logp = kernels.log_softmax(h2_fed.reshape(-1, d) @ w_out.T + a["out.b"], axis=1)
     picks = (np.arange(steps * n), targets.T.ravel())
@@ -394,6 +401,7 @@ def teacher_forced_logprob(
     out = (logp[picks].reshape(steps, n) * t_mask.T).sum(axis=0) * inv_len
 
     def bwd(g):
+        nonlocal us, rec, x, pre_in, gates1, gates2, in2, cells1, cells2
         dlp = ((g * inv_len) * t_mask.T).ravel()
         dlogits = np.exp(logp) * -dlp[:, None]
         dlogits[picks] += dlp
@@ -406,7 +414,7 @@ def teacher_forced_logprob(
         # t runs backwards: step t's dpre takes the place of its gate
         # activations, and pop() frees its tanh(c) once used
         for t in reversed(range(steps)):
-            dh2 = (dh2_out[t] + dh2_fed) * drop[t, 2] + dh2_rec
+            dh2 = (dh2_out[t] + dh2_fed) * (drop[t, 2] * scale) + dh2_rec
             gates2[t], dc2 = kernels.lstm_gates_backward(
                 dh2, dc2, *np.split(gates2[t], 4, axis=1), tanh_c2.pop(), cells2[t]
             )
@@ -414,29 +422,39 @@ def teacher_forced_logprob(
             des[t] = kernels.attention_backward(dct[t], z, us[t], alphas[t], wav, dpre)
             datt += dpre
             dhh[t] = dpre.sum(axis=1)
-            dh1 = (dh1_fed + dhh[t] @ w_h) * drop[t, 1] + dh1_rec
+            dh1 = (dh1_fed + dhh[t] @ w_h) * (drop[t, 1] * scale) + dh1_rec
             gates1[t], dc1 = kernels.lstm_gates_backward(
                 dh1, dc1, *np.split(gates1[t], 4, axis=1), tanh_c1.pop(), cells1[t]
             )
             dh2_fed, dh1_rec = np.split(gates1[t] @ w_rec, 2, axis=1)
+        del cells1, cells2, dh2_out
 
-        dpre1, dpre2 = gates1, gates2
-        flat1, flat2 = dpre1.reshape(-1, 4 * d), dpre2.reshape(-1, 4 * d)
-        sum1 = dpre1.sum(axis=0)
+        # gates1 and gates2 now hold dpre; each cache goes after its last read
+        dwav = des.ravel() @ us.reshape(-1, att)
+        del us
+        flat1 = gates1.reshape(-1, 4 * d)
+        sum1 = gates1.sum(axis=0)
         dw_rec = flat1.T @ rec.reshape(-1, 2 * d)
+        del rec
         dwx1 = np.concatenate([flat1.T @ x.reshape(-1, d), sum1.T @ z_bar, dw_rec[:, :d]], axis=1)
+        del x
+        dx = (flat1 @ w_x) * (drop[:, 0] * scale).reshape(-1, d)
+        del flat1, gates1, pre_in
+        flat2 = gates2.reshape(-1, 4 * d)
         dw2 = flat2.T @ in2.reshape(-1, 3 * d)
-        dx = (flat1 @ w_x) * drop[:, 0].reshape(-1, d)
-        demb = np.ascontiguousarray(kernels.scatter_rows(inputs.T.ravel(), dx, emb.shape[1]).T)
+        db2 = flat2.sum(axis=0)
+        del flat2, gates2
         dw_h = dhh.reshape(-1, att).T @ in2[:, :, d : 2 * d].reshape(-1, d)
+        del in2
+        demb = np.ascontiguousarray(kernels.scatter_rows(inputs.T.ravel(), dx, emb.shape[1]).T)
         dw_z = datt.reshape(-1, att).T @ z.reshape(-1, d)
         dz = alphas.transpose(1, 2, 0) @ dct.transpose(1, 0, 2) + datt @ w_z
         dz += ((sum1 @ w_zbar) * inv_count[:, None])[:, None, :]
         dz_flat = kernels.scatter_rows(rows[valid], dz[valid], len(z_flat.data))
         return (
             dz_flat, demb, dwx1, dw_rec[:, d:], sum1.sum(axis=0),
-            np.concatenate([dw_h, dw_z], axis=1), des.ravel() @ us.reshape(-1, att),
-            dw2[:, : 2 * d], dw2[:, 2 * d :], flat2.sum(axis=0),
+            np.concatenate([dw_h, dw_z], axis=1), dwav,
+            dw2[:, : 2 * d], dw2[:, 2 * d :], db2,
             dlogits.T @ h2_fed.reshape(-1, d), dlogits.sum(axis=0),
         )
 
@@ -458,7 +476,8 @@ def batch_forward(
     ``features`` holds the unique images' object rows; ``image_of_example[e]``
     maps example e to its image, so several captions of one image share a
     single projection. At a ``dropout`` rate above 0 the inverted-dropout
-    masks come from one ``rng.random`` call; at rate 0 nothing is drawn.
+    masks are the booleans of one ``rng.random`` call; at rate 0 nothing is
+    drawn and every entry is kept.
     """
     batch = len(tokens)
     if batch == 0:
@@ -484,5 +503,6 @@ def batch_forward(
     inputs[:, 1:] = targets[:, :-1]
 
     shape = (t_mask.shape[1], 3, batch, cfg.hidden_size)
-    drop = np.ones(shape) if dropout == 0.0 else (rng.random(shape) >= dropout) / (1.0 - dropout)
-    return teacher_forced_logprob(z_flat, p, rows, valid, inputs, targets, t_mask, drop), z_flat
+    drop = np.ones(shape, bool) if dropout == 0.0 else rng.random(shape) >= dropout
+    out = teacher_forced_logprob(z_flat, p, rows, valid, inputs, targets, t_mask, drop, dropout)
+    return out, z_flat

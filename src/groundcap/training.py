@@ -300,6 +300,7 @@ def _train_step(state: TrainState, batch: list[tuple[int, list[int]]]) -> None:
         if config.use_perceptual_loss:
             pairs = sample_pairs(pool, config.sample_size, state.pair_rng)
             l_p = perceptual_loss(pool, pairs, p["embedding"], state.class_tokens)
+        ad.release(pool.cosines)  # both heads have picked: free the (n, n) values
     total = total_loss(l_xe, l_c, l_p, config.cluster_weight, config.perceptual_weight)
     if not np.isfinite(total.data):
         raise NumericalError(f"non-finite loss at step {state.total_steps + 1}")

@@ -153,6 +153,20 @@ class TestTape:
         expected = kernels.softmax(logits_val) - np.eye(5)[target]
         np.testing.assert_allclose(grads["logits"], expected, atol=1e-12)
 
+    def test_released_matrix_keeps_its_shape_and_the_picks_gradient(self, rng):
+        vecs = rng.normal(size=(4, 3))
+        grads = []
+        for release in (False, True):
+            v = ad.parameter(vecs.copy())
+            m = ad.cosine_matrix(v, np.arange(4))
+            picks = ad.pair_pick(m, np.array([0, 1, 3]), np.array([2, 3, 1]))
+            if release:
+                ad.release(m)
+                assert m.shape == (4, 4) and np.isnan(m.data).all()
+                assert not m.data.flags.writeable and m.data.base.nbytes == 8
+            grads.append(ad.backward(ad.mean_(picks), {"v": v})["v"])
+        assert grads[0].tobytes() == grads[1].tobytes()
+
     def test_unused_parameter_gets_exact_zeros(self):
         x = ad.parameter(np.array(2.0))
         unused = ad.parameter(np.ones((3, 2)))

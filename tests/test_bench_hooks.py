@@ -7,16 +7,21 @@ must a change in how the tracer calls into the program: it replaces
 ``Tensor.__init__`` with a function of ``(obj, data)``, and its observers
 read the draw count, the clip norm and the checkpoint path as the second
 positional argument of the samplers, ``clip_global_norm`` and
-``save_checkpoint``.
+``save_checkpoint``. ``tools/step_memory.py`` reaches in too: it replaces
+``training._train_step`` and reads the workload's training flags.
 """
 
 import importlib
 import importlib.util
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 from groundcap import cli
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -86,3 +91,18 @@ def test_traced_train_evaluate_analyze_fill_every_span_and_counter(tmp_path):
         assert counters[name] > 0, name
     assert counters["model.checkpoint_bytes"] == (run / "checkpoint_best.json").stat().st_size
     assert tracer.tensors > 0
+
+
+def test_step_memory_tool_runs_one_step():
+    # tools/step_memory.py replaces training._train_step and reads the
+    # train-grounded workload's flags from perfbench/workload.py
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "step_memory.py"), "--steps", "1", "--hidden-size", "8"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = re.search(r"^transient peak per step: max ([\d.]+) MB, median ([\d.]+) MB$",
+                     proc.stdout, re.MULTILINE)
+    assert line, proc.stdout
+    high, median = map(float, line.groups())
+    assert 0 < median <= high

@@ -593,9 +593,55 @@ def _assign_with_repeated_target(d, t):
     ]
 
 
+def _scoring(command, flag, path):
+    """``command`` (evaluate or analyze) of an untrained checkpoint, with the
+    output ``flag`` set to t / ``path``."""
+
+    def argv(d, t):
+        checkpoint = _write_checkpoint(t / "checkpoint.json")
+        return [command, "--checkpoint", str(checkpoint), "--data", str(d), flag, str(t / path)]
+
+    return argv
+
+
+def _out_under_a_file(argv):
+    """``argv(d, t)`` with its ``--out`` moved under the regular file t / "file"."""
+
+    def under(d, t):
+        args = argv(d, t)
+        args[args.index("--out") + 1] = str(_write(t / "file", "") / "run")
+        return args
+
+    return under
+
+
 # name: (argv of a command that must fail before it writes to t / "run",
 #        its exit code, a line of its error message)
 NAMED_FAILURES = {
+    "evaluate_out_in_missing_directory": (
+        _scoring("evaluate", "--out", "run/metrics.json"), 2, "run is not a directory",
+    ),
+    "analyze_out_in_missing_directory": (
+        _scoring("analyze", "--out", "run/analysis.json"), 2, "run is not a directory",
+    ),
+    "analyze_vectors_in_missing_directory": (
+        _scoring("analyze", "--vectors", "run/vectors.jsonl"), 2, "run is not a directory",
+    ),
+    "evaluate_out_is_a_directory": (_scoring("evaluate", "--out", "."), 2, "it is a directory"),
+    **{
+        f"{command}_out_under_a_file": (
+            _out_under_a_file(argv), 2, "file is not a directory",
+        )
+        for command, argv in (
+            ("train", _train()),
+            ("matrix", _matrix("--seeds", "1")),
+            ("generate_data", lambda d, t: ["generate-data", "--out", str(t / "run"), "--images", "10"]),
+        )
+    },
+    "generate_data_spread_overflows": (
+        lambda d, t: ["generate-data", "--out", str(t / "run"), "--images", "10", "--spread", "1e308"],
+        4, "has non-finite features or boxes",
+    ),
     "att_size_zero": (_train("--att-size", "0"), 2, "att_size must be none or >= 1, got 0"),
     "att_size_negative": (_train("--att-size", "-3"), 2, "att_size must be none or >= 1, got -3"),
     "seed_negative": (_train("--seed", "-1"), 2, "seed must be >= 0, got -1"),

@@ -385,6 +385,15 @@ class TestDatasetIO:
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == before
 
+    def test_non_finite_value_in_any_split_creates_no_directory(self, tmp_path):
+        ds = generate_synthetic_dataset(SyntheticSpec(num_classes=3, images=10, feature_size=4),
+                                        seed=4)
+        bad = ds.test[-1]
+        bad.boxes[0, 2] = math.nan
+        with pytest.raises(NumericalError, match=f"image {bad.image_id} has non-finite"):
+            data.save_dataset(ds, tmp_path / "out" / "data")
+        assert list(tmp_path.iterdir()) == []
+
     @given(st.lists(image_examples(), max_size=3))
     @settings(max_examples=200, deadline=None)
     @example([])

@@ -691,12 +691,13 @@ class TestFusedTeacherForcedOp:
             )
 
 
-def grounded_step_graph(params: ModelParams, seed: int):
+def grounded_step_graph(params: ModelParams, seed: int, rate: float = 0.2, release: bool = True):
     """The graph of one grounded training step on toy data, built as
-    ``training._train_step`` builds it: the fused decoder with dropout, then
-    cross-entropy, cluster and perceptual losses over the batch's object
-    pool. Returns the parameters, the total loss and the decoder's
-    per-example log-probabilities."""
+    ``training._train_step`` builds it: the fused decoder with dropout at
+    ``rate``, then cross-entropy, cluster and perceptual losses over the
+    batch's object pool, whose cosine matrix is released once both heads
+    have picked (unless ``release`` is False). Returns the parameters, the
+    total loss and the decoder's per-example log-probabilities."""
     rng = np.random.default_rng(seed)
     counts = (3, 2, 4)
     feats = [rng.normal(size=(k, params.config.feature_size)) for k in counts]
@@ -705,13 +706,15 @@ def grounded_step_graph(params: ModelParams, seed: int):
     per_example, z_flat = batch_forward(
         p, params.config, feats, [0, 1, 2, 0, 2],
         [[3, 4, EOS_ID], [5, 3], [6, EOS_ID], [4], [3, 6, 5, EOS_ID]],
-        0.2, np.random.default_rng(seed + 1),
+        rate, np.random.default_rng(seed + 1),
     )
     pool = build_projection_pool(z_flat, np.concatenate(labels), unk_id=3)
     triplets = sample_triplets(pool, 20, np.random.default_rng(seed + 2))
     pairs = sample_pairs(pool, 20, np.random.default_rng(seed + 3))
     l_c = cluster_loss(pool, triplets, 0.5)
     l_p = perceptual_loss(pool, pairs, p["embedding"], {0: [3], 1: [4, 5], 2: [6]})
+    if release:
+        ad.release(pool.cosines)
     total = total_loss(batch_cross_entropy(per_example), l_c, l_p, 1.0, 1.0)
     return p, total, per_example
 
@@ -735,13 +738,76 @@ class TestBackwardFreesTheGraph:
         assert all(t.grad is None for t in p.values())
 
     def test_gradients_equal_the_sweep_that_keeps_the_graph(self):
-        p, total, _ = grounded_step_graph(self.PARAMS, 5)
-        got = ad.backward(total, p)
-        p, total, _ = grounded_step_graph(self.PARAMS, 5)
-        want = tape_reference.retaining_backward(total, p)
-        assert list(got) == list(want)
-        for name, grad in want.items():
-            assert got[name].tobytes() == grad.tobytes(), name
+        # the oracle's graph keeps the pool's cosine matrix
+        for rate in (0.0, 0.2):
+            p, total, _ = grounded_step_graph(self.PARAMS, 5, rate)
+            got = ad.backward(total, p)
+            p, total, _ = grounded_step_graph(self.PARAMS, 5, rate, release=False)
+            want = tape_reference.retaining_backward(total, p)
+            assert list(got) == list(want)
+            for name, grad in want.items():
+                assert got[name].tobytes() == grad.tobytes(), (rate, name)
+
+    @staticmethod
+    def _on_entry(tensor, probe):
+        """Run ``probe()`` when ``tensor``'s backward starts."""
+        bwd = tensor._bwd
+
+        def probed(g):
+            probe()
+            return bwd(g)
+
+        tensor._bwd = probed
+
+    def test_pool_matrix_is_freed_before_the_fused_backward(self, monkeypatch):
+        matrices = []
+
+        def kept_cosines(*args):
+            out = pair_cosines_forward(*args)
+            matrices.append(weakref.ref(out))
+            return out
+
+        pair_cosines_forward = kernels.pair_cosines_forward
+        monkeypatch.setattr(kernels, "pair_cosines_forward", kept_cosines)
+        p, total, per_example = grounded_step_graph(self.PARAMS, 5)
+        pool_matrix = matrices[0]  # the word-side matrix comes second
+        seen = []
+        self._on_entry(per_example, lambda: seen.append(pool_matrix()))
+        ad.backward(total, p)
+        assert seen == [None]
+
+    def test_fused_backward_frees_its_caches_before_it_returns(self, monkeypatch):
+        p, total, per_example = grounded_step_graph(self.PARAMS, 5)
+        bwd = per_example._bwd
+        kept = dict(zip(bwd.__code__.co_freevars, (cell.cell_contents for cell in bwd.__closure__)))
+        names = ("us", "rec", "x", "in2", "gates1", "gates2", "cells1")
+        refs = {name: weakref.ref(kept[name]) for name in names}
+        del bwd, kept
+        inside = []
+        self._on_entry(per_example, lambda: inside.append(True))
+        alive_at_scatter = []
+
+        def scatter_rows(*args):
+            if inside:  # the pick backwards scatter too
+                alive_at_scatter.append([name for name, ref in refs.items() if ref() is not None])
+            return kernels_scatter_rows(*args)
+
+        kernels_scatter_rows = kernels.scatter_rows
+        monkeypatch.setattr(kernels, "scatter_rows", scatter_rows)
+        ad.backward(total, p)
+        # the embedding rows' scatter, the fused backward's first, sees them gone
+        assert alive_at_scatter and alive_at_scatter[0] == []
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_dropout_masks_are_booleans(self, rate):
+        _, _, per_example = grounded_step_graph(self.PARAMS, 5, rate)
+        bwd = per_example._bwd
+        drop = bwd.__closure__[bwd.__code__.co_freevars.index("drop")].cell_contents
+        assert drop.dtype == np.bool_
+        assert drop.all() == (rate == 0.0)
+        # each factor has the bits of the float mask (keep) / (1 - rate)
+        for r in (rate, 0.1, 0.3, 0.5, 0.7):
+            assert (drop * (True / (1 - r))).tobytes() == (drop / (1.0 - r)).tobytes()
 
     def test_fused_op_caches_die_with_its_backward(self):
         p, total, per_example = grounded_step_graph(self.PARAMS, 5)
