@@ -10,8 +10,7 @@ name -> parameter dict (exact zeros for parameters the loss never touched).
 Tensors are treated as immutable once produced. A graph is single-owner:
 build it, call backward once, throw it away. Backward frees each node's
 closure and parent links as it passes, so the graph cannot be
-backpropagated again. ``release(t)`` frees, before backward, the values
-of a tensor that nothing still to run reads; ``t`` keeps its shape.
+backpropagated again.
 
 Fused ops have a hand-derived backward, checked by finite differences in
 the tests, and run their array math in ``kernels``. ``node`` is how a layer
@@ -38,14 +37,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._bwd: Callable | None = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
@@ -70,14 +61,6 @@ def node(data, parents: Sequence[Tensor], bwd) -> Tensor:
         out._parents = tuple(parents)
         out._bwd = bwd
     return out
-
-
-def release(t: Tensor) -> None:
-    """Free the values of ``t`` once nothing still to run reads them, not
-    even a backward. ``t`` keeps its shape, from which ``backward``
-    zero-fills its gradient, in a read-only zero-stride stand-in of NaN, so
-    a read that should not happen shows up as NaN."""
-    t.data = np.broadcast_to(np.float64(np.nan), t.data.shape)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -283,30 +266,39 @@ def attend(h1: Tensor, z: Tensor, mask: np.ndarray, wa: Tensor, wav: Tensor) -> 
     return node(ct, (h1, z, wa, wav), bwd)
 
 
-def cosine_matrix(vecs: Tensor, rows: np.ndarray) -> Tensor:
-    """All-pairs cosine matrix of the rows ``vecs[rows]`` (distinct, non-zero);
-    the backward writes those rows' gradient into the shape of ``vecs``."""
-    picked = vecs.data[rows]
+def pair_cosines(
+    vecs: Tensor, rows: np.ndarray, picks: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> list[Tensor]:
+    """The cosines ``cos(vecs[rows[l]], vecs[rows[r]])`` of each (left, right)
+    pick list, one tensor per list; ``rows`` are distinct, of non-zero norm.
+
+    The rows' (n, n) cosine matrix is a local of the forward. The backward
+    keeps only the rows (``vecs`` itself when they are all of it, in order)
+    and the picks: it sums every list's gradient into one (n, n) gradient
+    (``kernels.scatter_cells``) and runs one cosine backward. The lists'
+    tensors are segments of one tape node.
+    """
+    picks = [(np.asarray(left, np.int64), np.asarray(right, np.int64)) for left, right in picks]
+    whole = np.array_equal(rows, np.arange(len(vecs.data)))
+    picked = vecs.data if whole else vecs.data[rows]
+    cos = kernels.pair_cosines_forward(picked)
+    bounds = np.cumsum([0] + [len(left) for left, _ in picks])
+    spans = list(zip(bounds[:-1], bounds[1:]))
 
     def bwd(g):
+        dcos = kernels.scatter_cells([g[a:b] for a, b in spans], picks, len(rows))
         gv = np.zeros_like(vecs.data)
-        gv[rows] = kernels.pair_cosines_backward(g, picked)
+        gv[rows] = kernels.pair_cosines_backward(dcos, picked)
         return (gv,)
 
-    return node(kernels.pair_cosines_forward(picked), (vecs,), bwd)
+    values = [cos[left, right] for left, right in picks]
+    joint = node(np.concatenate([np.zeros(0), *values]), (vecs,), bwd)
+    return [_segment(joint, a, b) for a, b in spans]
 
 
-def pair_pick(m: Tensor, left: np.ndarray, right: np.ndarray) -> Tensor:
-    """The entries ``m[left[t], right[t]]`` of a square matrix. The backward
-    reads only the matrix's size, so ``m`` may be released once picked."""
-    left = np.asarray(left, dtype=np.int64)
-    right = np.asarray(right, dtype=np.int64)
-    n = len(m.data)
-
-    def bwd(g):
-        return (kernels.pair_pick_backward(g, left, right, n),)
-
-    return node(m.data[left, right], (m,), bwd)
+def _segment(t: Tensor, start: int, stop: int) -> Tensor:
+    """The entries ``start:stop`` of a 1-D tensor."""
+    return node(t.data[start:stop], (t,), lambda g: (np.pad(g, (start, len(t.data) - stop)),))
 
 
 def pearson_t(x: Tensor, y: Tensor) -> Tensor:

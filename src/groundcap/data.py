@@ -645,9 +645,8 @@ def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> Dataset:
             second += 1
         present = np.array([members[first], members[second]])
         labels = present[rng.integers(len(present), size=k)]
-        feats = protos[labels] + spec.spread * rng.standard_normal(
-            (k, spec.feature_size)
-        )
+        with np.errstate(over="ignore"):  # the dataset's finite check names it
+            feats = protos[labels] + spec.spread * rng.standard_normal((k, spec.feature_size))
         boxes = rng.uniform(_BOX_LOW, _BOX_HIGH, size=(k, 4))
         boxes[:, 2:] = np.minimum(boxes[:, :2] + boxes[:, 2:], 1.0)
         swap = bool(rng.random() < spec.caption_order_noise)

@@ -1,5 +1,5 @@
 """Every plain-array kernel: softmax, log-softmax, sigmoid, Pearson, LSTM
-gates, masked attention, the cosine matrix, row scatters and IoU in numpy, and LCS.
+gates, masked attention, the cosine matrix, scatters and IoU in numpy, and LCS.
 
 Callers reach every kernel through the module attribute
 (``kernels.lstm_gates_forward(...)``), so a wrapper patched onto the module
@@ -165,10 +165,16 @@ def scatter_rows(ids, values, n):
     return np.bincount(cells, weights=values.ravel(), minlength=n * w).reshape(n, w)
 
 
-def pair_pick_backward(dpicks, left, right, n):
-    """Gradient of the picks ``m[left, right]`` of an (n, n) matrix: each
-    pick is row ``left * n + right`` of the flat matrix."""
-    return scatter_rows(left * n + right, dpicks[:, None], n * n).reshape(n, n)
+def scatter_cells(dpicks, picks, n):
+    """(n, n) gradient from the gradients ``dpicks[k]`` of the picks
+    ``m[left, right]`` of each ``picks[k]``: a list's picks of a cell add in
+    pick order, then the lists add per cell in list order, as ``np.add.at``
+    into one zeroed matrix per list, summed, would."""
+    dm = np.zeros((n, n))
+    for g, (left, right) in zip(dpicks, picks):
+        cells, at = np.unique(left * n + right, return_inverse=True)
+        dm.reshape(-1)[cells] += np.bincount(at, weights=g)
+    return dm
 
 
 def lcs_length(a, b):

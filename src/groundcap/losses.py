@@ -1,9 +1,10 @@
 """Training objective: caption cross-entropy plus two grounding losses.
 
 The grounding losses act on the pool of all projected object vectors of a
-batch's images (UNK-labeled and zero-norm vectors are excluded). Each head
-picks its cosines out of the pool's one all-pairs matrix, so one cosine
-backward serves every head:
+batch's images (UNK-labeled and zero-norm vectors are excluded). The
+samplers draw index pairs into the pool, and one tape op
+(``LabeledProjection.cosines``) returns the cosines of every head's pairs,
+so one cosine backward serves every head:
 
 * cluster loss — max-margin ranking over sampled triplets (anchor,
   same-class, other-class): mean of max(0, margin - cos(a, p) + cos(a, n))
@@ -40,7 +41,7 @@ with the same bounds in order, which the samplers rely on.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,18 +57,18 @@ class LabeledProjection:
     """Projected object vectors pooled over a batch, with their class ids.
 
     ``rows`` indexes into ``vectors`` (a possibly larger matrix); only
-    labeled, non-zero-norm rows are kept. The heads pick their pairs out of
-    ``cosines``. No backward reads the matrix's values, so once every head
-    has picked, ``autodiff.release`` may free them.
+    labeled, non-zero-norm rows are kept. Pool positions 0..size-1 name
+    the usable rows.
     """
 
     vectors: Tensor  # (N, d), superset matrix
     rows: np.ndarray  # (n,) indices of usable rows
     class_ids: np.ndarray  # (n,) class per usable row
-    cosines: Tensor = field(init=False)  # (n, n) cosines of the usable rows
 
-    def __post_init__(self):
-        self.cosines = ad.cosine_matrix(self.vectors, self.rows)
+    def cosines(self, picks: list[tuple[np.ndarray, np.ndarray]]) -> list[Tensor]:
+        """The cosines of each (left, right) list of pool positions, one
+        tensor per list, from one ``autodiff.pair_cosines`` op."""
+        return ad.pair_cosines(self.vectors, self.rows, picks)
 
     @property
     def size(self) -> int:
@@ -171,17 +172,11 @@ def _walk(step: np.ndarray, count: int) -> np.ndarray:
     return stops
 
 
-def cluster_loss(
-    pool: LabeledProjection,
-    triplets: tuple[np.ndarray, np.ndarray, np.ndarray],
-    margin: float,
-) -> Tensor:
-    """Mean hinge over valid triplets; constant 0 when there are none."""
-    anchors, positives, negatives = triplets
-    if len(anchors) == 0:
+def cluster_loss(cos_ap: Tensor, cos_an: Tensor, margin: float) -> Tensor:
+    """Mean hinge over valid triplets, from their anchor-positive and
+    anchor-negative cosines; constant 0 when there are none."""
+    if len(cos_ap.data) == 0:
         return Tensor(0.0)
-    cos_ap = ad.pair_pick(pool.cosines, anchors, positives)
-    cos_an = ad.pair_pick(pool.cosines, anchors, negatives)
     hinge = ad.relu(ad.add(ad.sub(Tensor(margin), cos_ap), cos_an))
     return ad.mean_(hinge)
 
@@ -219,10 +214,12 @@ def label_embedding_matrix(
 def perceptual_loss(
     pool: LabeledProjection,
     pairs: tuple[np.ndarray, np.ndarray],
+    sim_obj: Tensor,
     w_e: Tensor,
     class_tokens: dict[int, list[int]],
 ) -> Tensor:
-    """Negative correlation between object- and word-space pair similarities.
+    """Negative correlation between the object-space cosines ``sim_obj`` of
+    the cross-class ``pairs`` and their labels' word-space cosines.
 
     Returns a constant 0 (logged) when fewer than 2 valid pairs exist or
     either similarity list has zero variance.
@@ -231,11 +228,11 @@ def perceptual_loss(
     if len(left) < 2:
         log.warning("perceptual loss skipped: %d valid cross-class pairs", len(left))
         return Tensor(0.0)
-    sim_obj = ad.pair_pick(pool.cosines, left, right)
     classes = np.concatenate([pool.class_ids[left], pool.class_ids[right]])
     embeddings, row = label_embedding_matrix(w_e, classes, class_tokens)
-    word_cosines = ad.cosine_matrix(embeddings, np.arange(len(embeddings.data)))
-    sim_text = ad.pair_pick(word_cosines, row[: len(left)], row[len(left) :])
+    (sim_text,) = ad.pair_cosines(
+        embeddings, np.arange(len(embeddings.data)), [(row[: len(left)], row[len(left) :])]
+    )
     try:
         correlation = ad.pearson_t(sim_obj, sim_text)
     except DegenerateStatisticsError as err:

@@ -294,13 +294,18 @@ def _train_step(state: TrainState, batch: list[tuple[int, list[int]]]) -> None:
     if config.grounding_enabled:
         labels = np.concatenate([ex.labels for ex in images])
         pool = build_projection_pool(z_flat, labels, state.unk_id)
+        picks = []  # the samplers read no cosine: draw, then one op for every head
         if config.use_cluster_loss:
-            triplets = sample_triplets(pool, config.sample_size, state.triplet_rng)
-            l_c = cluster_loss(pool, triplets, config.margin)
+            a, pos, neg = sample_triplets(pool, config.sample_size, state.triplet_rng)
+            picks += [(a, pos), (a, neg)]
         if config.use_perceptual_loss:
             pairs = sample_pairs(pool, config.sample_size, state.pair_rng)
-            l_p = perceptual_loss(pool, pairs, p["embedding"], state.class_tokens)
-        ad.release(pool.cosines)  # both heads have picked: free the (n, n) values
+            picks.append(pairs)
+        cosines = pool.cosines(picks)
+        if config.use_cluster_loss:
+            l_c = cluster_loss(cosines[0], cosines[1], config.margin)
+        if config.use_perceptual_loss:
+            l_p = perceptual_loss(pool, pairs, cosines[-1], p["embedding"], state.class_tokens)
     total = total_loss(l_xe, l_c, l_p, config.cluster_weight, config.perceptual_weight)
     if not np.isfinite(total.data):
         raise NumericalError(f"non-finite loss at step {state.total_steps + 1}")

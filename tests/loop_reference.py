@@ -1,9 +1,9 @@
-"""Loop versions of the grounding samplers, the pair-pick and row scatters,
+"""Loop versions of the grounding samplers, the cell and row scatters,
 the masked-branch sigmoid and the array kernels.
 
 These are the definitions the vectorised code in ``groundcap.losses`` and
 ``groundcap.kernels`` must reproduce: the samplers, the ``np.add.at``
-scatters of the pair picks and of rows, and the sigmoid bit for bit (the
+scatters of the picked cells and of rows, and the sigmoid bit for bit (the
 same index arrays, gradient and sigmoid bits and generator state after
 each call), and the ``*_loop`` kernels, which
 accumulate one element at a time, within the tolerances in ``tests/test_kernels.py``
@@ -91,9 +91,12 @@ def sample_pairs(
     return np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
 
 
-def pair_pick_backward(dpicks, left, right, n):
+def scatter_cells(dpicks, picks, n):
     dm = np.zeros((n, n))
-    np.add.at(dm, (left, right), dpicks)
+    for g, (left, right) in zip(dpicks, picks):
+        one = np.zeros((n, n))
+        np.add.at(one, (left, right), g)
+        dm += one
     return dm
 
 

@@ -11,6 +11,11 @@ The generic ops it needs are kept here, each with the hand-written
 backward it had on the tape; ``test_autodiff.py`` checks them by finite
 differences. ``retaining_backward`` is the backward sweep that keeps the
 whole graph, the oracle for ``autodiff.backward``, which frees it.
+
+``pair_cosines`` is the oracle for ``autodiff.pair_cosines``: the grounding
+heads' cosines as the tape once built them, a ``cosine_matrix`` node and
+one ``pair_pick`` node per pick list, whose dense (n, n) gradients the tape
+zero-fills and sums into the matrix's.
 """
 
 from __future__ import annotations
@@ -130,6 +135,39 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
     mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
     return node(x.data * mask, (x,), lambda g: (g * mask,))
+
+
+def cosine_matrix(vecs: Tensor, rows: np.ndarray) -> Tensor:
+    """All-pairs cosine matrix of the rows ``vecs[rows]`` (distinct, non-zero);
+    the backward writes those rows' gradient into the shape of ``vecs``."""
+    picked = vecs.data[rows]
+
+    def bwd(g):
+        gv = np.zeros_like(vecs.data)
+        gv[rows] = kernels.pair_cosines_backward(g, picked)
+        return (gv,)
+
+    return node(kernels.pair_cosines_forward(picked), (vecs,), bwd)
+
+
+def pair_pick(m: Tensor, left: np.ndarray, right: np.ndarray) -> Tensor:
+    """The entries ``m[left[t], right[t]]`` of a square matrix; the backward
+    adds each pick into a zeroed matrix, repeated cells in pick order."""
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
+
+    def bwd(g):
+        gm = np.zeros_like(m.data)
+        np.add.at(gm, (left, right), g)
+        return (gm,)
+
+    return node(m.data[left, right], (m,), bwd)
+
+
+def pair_cosines(vecs: Tensor, rows: np.ndarray, picks) -> list[Tensor]:
+    """``autodiff.pair_cosines`` as one matrix node and a pick node per list."""
+    m = cosine_matrix(vecs, rows)
+    return [pair_pick(m, left, right) for left, right in picks]
 
 
 def batch_forward(

@@ -127,9 +127,10 @@ class TestCriterion1Gradients:
                 rows=np.arange(6),
                 class_ids=pool_labels,
             )
-            l_c = cluster_loss(pool, triplets, 0.5)
+            l_c = cluster_loss(*pool.cosines([triplets[:2], (triplets[0], triplets[2])]), 0.5)
             l_p = perceptual_loss(
-                pool, pairs, w_e if isinstance(w_e, Tensor) else Tensor(w_e), class_tokens
+                pool, pairs, *pool.cosines([pairs]),
+                w_e if isinstance(w_e, Tensor) else Tensor(w_e), class_tokens,
             )
             return l_c, l_p
 
@@ -173,13 +174,13 @@ class TestCriterion2LossEndpoints:
         pool = LabeledProjection(vectors=Tensor(vecs), rows=np.arange(3),
                                  class_ids=np.array([0, 0, 1]))
         trip = (np.array([0]), np.array([1]), np.array([2]))
-        zero = cluster_loss(pool, trip, 0.5).item()
+        zero = cluster_loss(*pool.cosines([trip[:2], (trip[0], trip[2])]), 0.5).item()
 
         # degenerate equal-vector triplet -> exactly margin
         same = np.tile(np.array([1.0, 2.0]), (3, 1))
         pool_same = LabeledProjection(vectors=Tensor(same), rows=np.arange(3),
                                       class_ids=np.array([0, 0, 1]))
-        gamma = cluster_loss(pool_same, trip, 0.5).item()
+        gamma = cluster_loss(*pool_same.cosines([trip[:2], (trip[0], trip[2])]), 0.5).item()
 
         # perceptual loss: identical similarity structure -> -1
         w_e = np.random.default_rng(3).normal(size=(3, 4))
@@ -188,7 +189,9 @@ class TestCriterion2LossEndpoints:
         pool_p = LabeledProjection(vectors=Tensor(obj), rows=np.arange(4),
                                    class_ids=np.arange(4))
         pairs = sample_pairs(pool_p, 200, np.random.default_rng(0))
-        minus_one = perceptual_loss(pool_p, pairs, Tensor(w_e), tokens).item()
+        minus_one = perceptual_loss(
+            pool_p, pairs, *pool_p.cosines([pairs]), Tensor(w_e), tokens
+        ).item()
 
         # anticorrelated similarity structure -> +1, via a Gram construction
         words = np.stack([np.array([1.0, 0.0]),
@@ -204,7 +207,8 @@ class TestCriterion2LossEndpoints:
                                    class_ids=np.arange(3))
         pairs_a = sample_pairs(pool_a, 200, np.random.default_rng(1))
         plus_one = perceptual_loss(
-            pool_a, pairs_a, Tensor(words.T.copy()), {c: [c] for c in range(3)}
+            pool_a, pairs_a, *pool_a.cosines([pairs_a]),
+            Tensor(words.T.copy()), {c: [c] for c in range(3)},
         ).item()
 
         ok = (

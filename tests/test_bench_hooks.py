@@ -8,7 +8,9 @@ must a change in how the tracer calls into the program: it replaces
 read the draw count, the clip norm and the checkpoint path as the second
 positional argument of the samplers, ``clip_global_norm`` and
 ``save_checkpoint``. ``tools/step_memory.py`` reaches in too: it replaces
-``training._train_step`` and reads the workload's training flags.
+``training._train_step`` and reads the workload's training flags. So does
+``tools/paired_steps.py``, which reads the flags, the data spec and the
+benchmark's reading of ``convergence.csv``.
 """
 
 import importlib
@@ -106,3 +108,16 @@ def test_step_memory_tool_runs_one_step():
     assert line, proc.stdout
     high, median = map(float, line.groups())
     assert 0 < median <= high
+
+
+def test_paired_steps_tool_runs_one_pair():
+    # tools/paired_steps.py times the train-grounded workload's train call in
+    # two trees; here both are this tree, so the logs must agree
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "paired_steps.py"), str(ROOT), str(ROOT), "--pairs", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert re.search(r"^pair 1 \(base first\): base [\d.]+, change [\d.]+$", proc.stdout, re.MULTILINE)
+    assert re.search(r"^median ratio change/base [\d.]+; change faster in [01] of 1 pairs$",
+                     proc.stdout, re.MULTILINE), proc.stdout

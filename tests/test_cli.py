@@ -724,7 +724,7 @@ NAMED_FAILURES = {
 
 
 @pytest.mark.parametrize("case", sorted(NAMED_FAILURES))
-def test_failure_is_named_before_writing(case, data_dir, tmp_path, capsys, monkeypatch):
+def test_failure_is_named_before_writing(case, data_dir, tmp_path, capsys, monkeypatch, recwarn):
     def must_not_decode(*args, **kwargs):
         raise AssertionError("decoded before the failure")
 
@@ -742,6 +742,7 @@ def test_failure_is_named_before_writing(case, data_dir, tmp_path, capsys, monke
     assert message.format(first_test_id=_first_id(data_dir / "test.jsonl")) in err, err
     assert not (tmp_path / "run").exists()
     assert len(decodes) == 0
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]  # no numpy noise
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "assign_labels"])

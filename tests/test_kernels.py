@@ -114,8 +114,9 @@ def test_sigmoid_matches_masked_branch_reference(rng):
 
 
 def test_pair_cosines_backward_matches_add_at_reference(rng):
-    # the pick scatter against np.add.at, and the picks' cosines and row
-    # gradients through the matrix against the cell-by-cell loops
+    # the cell scatter against np.add.at, one list at a time and all lists
+    # at once, and the picks' cosines and row gradients through the matrix
+    # against the cell-by-cell loops
     vecs = rng.normal(size=(9, 4))
     # repeated rows, rows paired with themselves, unreferenced rows, no pairs
     cases = [
@@ -128,12 +129,15 @@ def test_pair_cosines_backward_matches_add_at_reference(rng):
     cos = kernels.pair_cosines_forward(vecs)
     want_cos = loop_reference.pair_cosines_forward_loop(vecs)
     for left, right in cases:
-        dpicks = rng.normal(size=len(left))
-        dcos = kernels.pair_pick_backward(dpicks, left, right, 9)
-        want_dcos = loop_reference.pair_pick_backward(dpicks, left, right, 9)
+        np.testing.assert_allclose(cos[left, right], want_cos[left, right], rtol=1e-13)
+    dpicks = [rng.normal(size=len(left)) for left, _ in cases]
+    # each list on its own, then all of them at once, many sharing cells
+    calls = [([g], [pick]) for g, pick in zip(dpicks, cases)] + [(dpicks, cases)]
+    for g, picks in calls:
+        dcos = kernels.scatter_cells(g, picks, 9)
+        want_dcos = loop_reference.scatter_cells(g, picks, 9)
         assert dcos.shape == (9, 9)
         assert dcos.tobytes() == want_dcos.tobytes()
-        np.testing.assert_allclose(cos[left, right], want_cos[left, right], rtol=1e-13)
         np.testing.assert_allclose(
             kernels.pair_cosines_backward(dcos, vecs),
             loop_reference.pair_cosines_backward_loop(want_dcos, vecs),

@@ -35,6 +35,17 @@ def make_pool(vectors: np.ndarray, labels) -> LabeledProjection:
     )
 
 
+
+def cluster(pool: LabeledProjection, triplets, margin: float) -> Tensor:
+    """The cluster head on the pool's cosines of its triplets."""
+    anchors, positives, negatives = triplets
+    return cluster_loss(*pool.cosines([(anchors, positives), (anchors, negatives)]), margin)
+
+
+def perceptual(pool: LabeledProjection, pairs, w_e: Tensor, tokens) -> Tensor:
+    """The perceptual head on the pool's cosines of its pairs."""
+    return perceptual_loss(pool, pairs, *pool.cosines([pairs]), w_e, tokens)
+
 class TestCrossEntropy:
     def test_batch_mean(self):
         per_example = Tensor(np.array([-1.0, -3.0]))
@@ -144,13 +155,13 @@ class TestClusterLoss:
         vecs = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
         pool = make_pool(vecs, [0, 0, 1])
         trip = (np.array([0]), np.array([1]), np.array([2]))
-        assert cluster_loss(pool, trip, 0.5).item() == 0.0
+        assert cluster(pool, trip, 0.5).item() == 0.0
 
     def test_identical_vectors_give_margin(self):
         vecs = np.tile(np.array([1.0, 2.0]), (3, 1))
         pool = make_pool(vecs, [0, 0, 1])
         trip = (np.array([0]), np.array([1]), np.array([2]))
-        assert cluster_loss(pool, trip, 0.5).item() == pytest.approx(0.5, abs=1e-15)
+        assert cluster(pool, trip, 0.5).item() == pytest.approx(0.5, abs=1e-15)
 
     def test_mean_of_hinges(self):
         # two triplets engineered to hinge values 0 and 0.3
@@ -161,12 +172,12 @@ class TestClusterLoss:
         margin = 0.5
         h1 = max(0.0, margin - 1.0 + 0.0)
         h2 = max(0.0, margin - 1.0 + cos_an1)
-        got = cluster_loss(pool, trip, margin).item()
+        got = cluster(pool, trip, margin).item()
         assert got == pytest.approx((h1 + h2) / 2.0, abs=1e-12)
 
     def test_empty_triplets_constant_zero(self):
         pool = make_pool(np.eye(2), [0, 0])
-        out = cluster_loss(pool, sample_triplets(pool, 10, np.random.default_rng(0)), 0.5)
+        out = cluster(pool, sample_triplets(pool, 10, np.random.default_rng(0)), 0.5)
         assert out.item() == 0.0
         assert not out.requires_grad
 
@@ -174,7 +185,7 @@ class TestClusterLoss:
         vecs = rng.normal(size=(12, 5))
         pool = make_pool(vecs, rng.integers(0, 3, size=12))
         trip = sample_triplets(pool, 200, rng)
-        assert cluster_loss(pool, trip, 0.5).item() >= 0.0
+        assert cluster(pool, trip, 0.5).item() >= 0.0
 
 
 class TestSamplePairs:
@@ -221,7 +232,7 @@ class TestPerceptualLoss:
     def _run(self, obj_vecs, labels, w_e, tokens, seed=0, draws=200):
         pool = make_pool(obj_vecs, labels)
         pairs = sample_pairs(pool, draws, np.random.default_rng(seed))
-        return perceptual_loss(pool, pairs, Tensor(w_e), tokens)
+        return perceptual(pool, pairs, Tensor(w_e), tokens)
 
     def test_perfectly_correlated_gives_minus_one(self):
         # object space equals the word space -> identical similarity lists
@@ -250,7 +261,7 @@ class TestPerceptualLoss:
         # instead verify against a hand pearson on the actual sampled pairs
         pool = make_pool(obj, [0, 1, 2])
         pairs = sample_pairs(pool, 100, np.random.default_rng(3))
-        out = perceptual_loss(pool, pairs, Tensor(w_e), tokens)
+        out = perceptual(pool, pairs, Tensor(w_e), tokens)
         sims_o = [loop_reference.cosine(obj[i], obj[j]) for i, j in zip(*pairs)]
         sims_t = [loop_reference.cosine(w_e[:, i], w_e[:, j]) for i, j in zip(*pairs)]
         assert out.item() == pytest.approx(-kernels.pearson(sims_o, sims_t), abs=1e-12)
@@ -282,7 +293,7 @@ class TestPerceptualLoss:
         w_e = np.random.default_rng(1).normal(size=(3, 2))
         pool = make_pool(obj, [0, 0])
         with caplog.at_level("WARNING"):
-            out = perceptual_loss(pool, sample_pairs(pool, 10, np.random.default_rng(0)),
+            out = perceptual(pool, sample_pairs(pool, 10, np.random.default_rng(0)),
                                   Tensor(w_e), {0: [0]})
         assert out.item() == 0.0
 
@@ -332,8 +343,8 @@ class TestScaleInvariance:
             pool = make_pool(v, labels)
             trip = sample_triplets(pool, 80, np.random.default_rng(5))
             pairs = sample_pairs(pool, 80, np.random.default_rng(6))
-            lc = cluster_loss(pool, trip, 0.5).item()
-            lp = perceptual_loss(pool, pairs, Tensor(w_e), tokens).item()
+            lc = cluster(pool, trip, 0.5).item()
+            lp = perceptual(pool, pairs, Tensor(w_e), tokens).item()
             return lc, lp
 
         base = both(vecs)
@@ -362,12 +373,12 @@ class TestGroundingGradients:
         w = ad.parameter(w_in)
         z = ad.linear(Tensor(feats), w)
         pool = LabeledProjection(vectors=z, rows=np.arange(6), class_ids=labels)
-        grads = ad.backward(cluster_loss(pool, trip, 0.5), {"w_in": w})
+        grads = ad.backward(cluster(pool, trip, 0.5), {"w_in": w})
 
         def fn(wa):
             zz = feats @ wa.T
             p = make_pool(zz, labels)
-            return cluster_loss(p, trip, 0.5).item()
+            return cluster(p, trip, 0.5).item()
 
         fd = fd_grad(fn, [w_in])[0]
         assert rel_err(grads["w_in"], fd) <= FD_TOL
@@ -381,11 +392,11 @@ class TestGroundingGradients:
         we = ad.parameter(w_e)
         z = ad.linear(Tensor(feats), w)
         pool = LabeledProjection(vectors=z, rows=np.arange(6), class_ids=labels)
-        grads = ad.backward(perceptual_loss(pool, pairs, we, tokens), {"w_in": w, "w_e": we})
+        grads = ad.backward(perceptual(pool, pairs, we, tokens), {"w_in": w, "w_e": we})
 
         def fn(wa, wb):
             p = make_pool(feats @ wa.T, labels)
-            return perceptual_loss(p, pairs, Tensor(wb), tokens).item()
+            return perceptual(p, pairs, Tensor(wb), tokens).item()
 
         fd = fd_grad(fn, [w_in, w_e])
         assert rel_err(grads["w_in"], fd[0]) <= FD_TOL
@@ -398,8 +409,8 @@ class TestGroundingGradients:
             pool = make_pool(feats @ w_in.T, labels)
             trip = sample_triplets(pool, 50, np.random.default_rng(11))
             pairs = sample_pairs(pool, 50, np.random.default_rng(12))
-            lc = cluster_loss(pool, trip, 0.5)
-            lp = perceptual_loss(pool, pairs, Tensor(w_e), tokens)
+            lc = cluster(pool, trip, 0.5)
+            lp = perceptual(pool, pairs, Tensor(w_e), tokens)
             return total_loss(Tensor(1.3), lc, lp, 1.0, 1.0).item()
 
         assert run() == run()

@@ -691,13 +691,13 @@ class TestFusedTeacherForcedOp:
             )
 
 
-def grounded_step_graph(params: ModelParams, seed: int, rate: float = 0.2, release: bool = True):
+def grounded_step_graph(params: ModelParams, seed: int, rate: float = 0.2):
     """The graph of one grounded training step on toy data, built as
     ``training._train_step`` builds it: the fused decoder with dropout at
     ``rate``, then cross-entropy, cluster and perceptual losses over the
-    batch's object pool, whose cosine matrix is released once both heads
-    have picked (unless ``release`` is False). Returns the parameters, the
-    total loss and the decoder's per-example log-probabilities."""
+    batch's object pool, whose cosines come from one ``pair_cosines`` op.
+    Returns the parameters, the total loss and the decoder's per-example
+    log-probabilities."""
     rng = np.random.default_rng(seed)
     counts = (3, 2, 4)
     feats = [rng.normal(size=(k, params.config.feature_size)) for k in counts]
@@ -709,12 +709,11 @@ def grounded_step_graph(params: ModelParams, seed: int, rate: float = 0.2, relea
         rate, np.random.default_rng(seed + 1),
     )
     pool = build_projection_pool(z_flat, np.concatenate(labels), unk_id=3)
-    triplets = sample_triplets(pool, 20, np.random.default_rng(seed + 2))
+    anchors, positives, negatives = sample_triplets(pool, 20, np.random.default_rng(seed + 2))
     pairs = sample_pairs(pool, 20, np.random.default_rng(seed + 3))
-    l_c = cluster_loss(pool, triplets, 0.5)
-    l_p = perceptual_loss(pool, pairs, p["embedding"], {0: [3], 1: [4, 5], 2: [6]})
-    if release:
-        ad.release(pool.cosines)
+    cos_ap, cos_an, sim_obj = pool.cosines([(anchors, positives), (anchors, negatives), pairs])
+    l_c = cluster_loss(cos_ap, cos_an, 0.5)
+    l_p = perceptual_loss(pool, pairs, sim_obj, p["embedding"], {0: [3], 1: [4, 5], 2: [6]})
     total = total_loss(batch_cross_entropy(per_example), l_c, l_p, 1.0, 1.0)
     return p, total, per_example
 
@@ -737,12 +736,14 @@ class TestBackwardFreesTheGraph:
             assert (tensor.grad, tensor._bwd, tensor._parents) == (None, None, ())
         assert all(t.grad is None for t in p.values())
 
-    def test_gradients_equal_the_sweep_that_keeps_the_graph(self):
-        # the oracle's graph keeps the pool's cosine matrix
+    def test_gradients_equal_the_sweep_that_keeps_the_graph(self, monkeypatch):
+        # the oracle's graph keeps the pool's cosine matrix and a node per pick list
         for rate in (0.0, 0.2):
             p, total, _ = grounded_step_graph(self.PARAMS, 5, rate)
             got = ad.backward(total, p)
-            p, total, _ = grounded_step_graph(self.PARAMS, 5, rate, release=False)
+            with monkeypatch.context() as patch:
+                patch.setattr(ad, "pair_cosines", tape_reference.pair_cosines)
+                p, total, _ = grounded_step_graph(self.PARAMS, 5, rate)
             want = tape_reference.retaining_backward(total, p)
             assert list(got) == list(want)
             for name, grad in want.items():
@@ -788,7 +789,7 @@ class TestBackwardFreesTheGraph:
         alive_at_scatter = []
 
         def scatter_rows(*args):
-            if inside:  # the pick backwards scatter too
+            if inside:  # only the fused backward's scatters count
                 alive_at_scatter.append([name for name, ref in refs.items() if ref() is not None])
             return kernels_scatter_rows(*args)
 

@@ -127,7 +127,7 @@ class TestTrainLoop:
         train(cfg, tiny_dataset, run_dir=tmp_path / "vectorised")
         monkeypatch.setattr(training, "sample_triplets", loop_reference.sample_triplets)
         monkeypatch.setattr(training, "sample_pairs", loop_reference.sample_pairs)
-        monkeypatch.setattr(kernels, "pair_pick_backward", loop_reference.pair_pick_backward)
+        monkeypatch.setattr(kernels, "scatter_cells", loop_reference.scatter_cells)
         monkeypatch.setattr(kernels, "scatter_rows", loop_reference.scatter_rows)
         train(cfg, tiny_dataset, run_dir=tmp_path / "loops")
         runs = [tmp_path / "vectorised", tmp_path / "loops"]
