@@ -222,14 +222,13 @@ def lstm_cell(x: Tensor, hc_prev: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> 
         )
     h_prev = hc_prev.data[:, :d]
     c_prev = np.ascontiguousarray(hc_prev.data[:, d:])
-    pre = x.data @ wx.data.T + h_prev @ wh.data.T + b.data
-    h, c, i, f, o, g_, tc = kernels.lstm_gates_forward(pre, c_prev)
+    gates = x.data @ wx.data.T + h_prev @ wh.data.T + b.data
+    h, c, tc = kernels.lstm_gates_forward(gates, c_prev)
 
     def bwd(g):
-        dpre, dc_prev = kernels.lstm_gates_backward(
-            np.ascontiguousarray(g[:, :d]),
-            np.ascontiguousarray(g[:, d:]),
-            i, f, o, g_, tc, c_prev,
+        dpre = gates  # the backward writes d(pre) over the activations
+        dc_prev = kernels.lstm_gates_backward(
+            np.ascontiguousarray(g[:, :d]), np.ascontiguousarray(g[:, d:]), dpre, tc, c_prev
         )
         dx = dpre @ wx.data
         dwx = dpre.T @ x.data

@@ -206,6 +206,7 @@ def _cmd_generate_data(args) -> int:
 
 
 def _cmd_assign_labels(args) -> int:
+    _check_out_file(args.out)
     table = load_class_table(args.classes)
     count = label_dataset_file(args.targets, args.detections, args.out, table)
     print(f"labeled {count} images -> {args.out}")

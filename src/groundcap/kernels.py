@@ -9,8 +9,10 @@ loops, and the tests compare the two.
 Every cosine of the grounding heads and the structure analysis comes from
 one all-pairs matrix, ``pair_cosines_forward``.
 
-LSTM gate layout throughout: the pre-activation matrix packs the four
-gates column-blockwise as [input | forget | output | candidate].
+An LSTM step's (B, 4d) gate block packs its gates column-blockwise as
+[input | forget | output | candidate]. The gate kernels work in place on it,
+as the attention kernels do on ``u`` and ``dpre``: the forward writes the
+activations over the pre-activations, the backward d(pre) over those.
 """
 
 from __future__ import annotations
@@ -70,42 +72,38 @@ def pearson(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(np.dot(xc, yc) / (sx * sy))
 
 
-def lstm_gates_forward(pre, c_prev):
-    """Gate nonlinearities and state update from pre-activations.
+def lstm_gates_forward(gates, c_prev):
+    """Gate nonlinearities and state update, in place on the gate block.
 
-    pre: (B, 4d) gate pre-activations, c_prev: (B, d) previous cell.
-    Returns (h, c, i, f, o, g, tc) where tc = tanh(c).
+    gates: (B, 4d) pre-activations, overwritten with the activations
+    [i f o g]; c_prev: (B, d) previous cell. Returns (h, c, tanh c).
     """
     d = c_prev.shape[1]
     # One call for the three sigmoid gates: per-call overhead dominates at
     # small batch sizes.
-    ifo = sigmoid(pre[:, :3 * d])
-    i = ifo[:, :d]
-    f = ifo[:, d:2 * d]
-    o = ifo[:, 2 * d:]
-    g = np.tanh(pre[:, 3 * d:])
+    gates[:, :3 * d] = sigmoid(gates[:, :3 * d])
+    np.tanh(gates[:, 3 * d:], out=gates[:, 3 * d:])
+    i, f, o, g = (gates[:, k * d:(k + 1) * d] for k in range(4))
     c = f * c_prev + i * g
     tc = np.tanh(c)
-    h = o * tc
-    return h, c, i, f, o, g, tc
+    return o * tc, c, tc
 
 
-def lstm_gates_backward(dh, dc, i, f, o, g, tc, c_prev):
-    """Backward through the gate nonlinearities.
+def lstm_gates_backward(dh, dc, gates, tc, c_prev):
+    """Backward through the gate nonlinearities, in place on the gate block.
 
-    dh, dc: (B, d) gradients w.r.t. h and c.
-    Returns (dpre, dc_prev) with dpre shaped (B, 4d).
+    dh, dc: (B, d) gradients w.r.t. h and c; gates: the (B, 4d) activations
+    [i f o g] of ``lstm_gates_forward``, overwritten with d(pre); tc: tanh c.
+    Returns dc_prev.
     """
-    B, d = dh.shape
-    do = dh * tc
+    d = dh.shape[1]
+    i, f, o, g = (gates[:, k * d:(k + 1) * d] for k in range(4))
     dct = dc + dh * o * (1.0 - tc * tc)
-    dpre = np.empty((B, 4 * d))
-    dpre[:, :d] = dct * g * i * (1.0 - i)
-    dpre[:, d:2 * d] = dct * c_prev * f * (1.0 - f)
-    dpre[:, 2 * d:3 * d] = do * o * (1.0 - o)
-    dpre[:, 3 * d:] = dct * i * (1.0 - g * g)
     dc_prev = dct * f
-    return dpre, dc_prev
+    # every right-hand side is computed before any gate is overwritten
+    i[:], f[:], o[:], g[:] = (dct * g * i * (1.0 - i), dct * c_prev * f * (1.0 - f),
+                              dh * tc * o * (1.0 - o), dct * i * (1.0 - g * g))
+    return dc_prev
 
 
 def attention_forward(hh, zz, z, valid, wav, u):

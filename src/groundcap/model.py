@@ -165,9 +165,9 @@ def load_checkpoint(path: Path) -> tuple[ModelParams, dict]:
     """The parameters and the ``extra`` metadata of a checkpoint file.
 
     ``format_version`` must be the JSON integer 1; ``vocab_size``,
-    ``feature_size`` and ``hidden_size`` JSON integers, and ``att_size`` an
-    integer or null. A bool, a float such as ``2.0`` or a string such as
-    ``"2"`` there is a DataValidationError that names the field. The
+    ``feature_size`` and ``hidden_size`` JSON integers >= 1, and ``att_size``
+    one or null. A bool, a float such as ``2.0``, a string such as ``"2"``
+    or a size below 1 there is a DataValidationError that names the field. The
     ``data`` arrays are not type-checked: numpy reads ``true`` or ``"0.5"``
     in them as a number, and a type scan of the 127,826 values of the
     benchmark's fixture checkpoint takes about 3.6 ms (2 vCPUs), paid on
@@ -188,6 +188,8 @@ def load_checkpoint(path: Path) -> tuple[ModelParams, dict]:
                 raise DataValidationError(
                     f"checkpoint model.{name} must be {kind}, got {json.dumps(value)}"
                 )
+            if value is not None and value < 1:
+                raise DataValidationError(f"checkpoint model.{name} must be >= 1, got {value}")
         config = ModelConfig(**header)
         arrays = {
             name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
@@ -301,10 +303,10 @@ def _greedy_decode_chunk(
         pre1 = a["embedding"].T[y] @ w_x.T
         pre1 += pre_z
         pre1 += np.concatenate([h2, h1], axis=1) @ w_rec.T
-        h1, c1, *_ = kernels.lstm_gates_forward(pre1, c1)
+        h1, c1, _ = kernels.lstm_gates_forward(pre1, c1)
         ct, _ = kernels.attention_forward(h1 @ w_h.T, zz, z_pad, valid, a["att.score"], u[: active.size])
         pre2 = np.concatenate([ct, h1, h2], axis=1) @ w2.T + a["lstm2.b"]
-        h2, c2, *_ = kernels.lstm_gates_forward(pre2, c2)
+        h2, c2, _ = kernels.lstm_gates_forward(pre2, c2)
         probs = kernels.softmax(h2 @ a["out.w"].T + a["out.b"], axis=1)
         y = probs.argmax(axis=1)  # first maximum: ties go to the lowest id
         going = y != EOS_ID
@@ -357,14 +359,18 @@ def teacher_forced_logprob(
     n, steps = inputs.shape
     d, att = a["lstm1.wh"].shape[1], wav.shape[0]
     w_x, w_zbar, w_rec, w_h, w_z, w2 = _decoder_blocks(a, d)
-    z = np.where(valid[:, :, None], z_flat.data[rows], 0.0)
+    z = z_flat.data[rows]
+    z[~valid] = 0.0
     inv_count = 1.0 / valid.sum(axis=1)
     z_bar = z.sum(axis=1) * inv_count[:, None]
     zz = z @ w_z.T
     scale = True / (1 - dropout)
     x = emb.T[inputs.T] * (drop[:, 0] * scale)  # (T, B, d)
-    pre_in = (x.reshape(-1, d) @ w_x.T).reshape(steps, n, 4 * d)
-    pre_in += z_bar @ w_zbar.T + a["lstm1.b"]
+    # Row t of gates1 and gates2: step t's pre-activations, which the gate
+    # kernels overwrite with the activations [i f o g], then with d(pre).
+    gates1 = (x.reshape(-1, d) @ w_x.T).reshape(steps, n, 4 * d)
+    gates1 += z_bar @ w_zbar.T + a["lstm1.b"]
+    gates2 = np.empty((steps, n, 4 * d))
 
     # per-step inputs of the recurrent GEMMs, kept for the weight gradients
     rec = np.zeros((steps, n, 2 * d))
@@ -373,25 +379,20 @@ def teacher_forced_logprob(
     us = np.empty((steps,) + zz.shape)
     alphas = np.empty((steps,) + valid.shape)
     cells1, cells2 = np.zeros((2, steps + 1, n, d))  # row t: the cell state entering step t
-    # Row t of gates1 and gates2: step t's gate activations [i f o g], until
-    # the backward writes step t's dpre over them. LSTM1's are written over
-    # its pre-activations, which step t has used.
-    gates1, gates2 = pre_in, np.empty((steps, n, 4 * d))
     tanh_c1, tanh_c2 = [], []  # tanh of the cell state leaving each step
     for t in range(steps):
         if t:  # the recurrent inputs, from step t - 1
             rec[t] = np.concatenate([h2_fed[t - 1], h1], axis=1)
             in2[t, :, 2 * d :] = h2
-            pre_in[t] += rec[t] @ w_rec.T
-        h1, cells1[t + 1], *acts, tc = kernels.lstm_gates_forward(pre_in[t], cells1[t])
-        np.concatenate(acts, axis=1, out=gates1[t])
+            gates1[t] += rec[t] @ w_rec.T
+        h1, cells1[t + 1], tc = kernels.lstm_gates_forward(gates1[t], cells1[t])
         tanh_c1.append(tc)
         in2[t, :, d : 2 * d] = h1 * (drop[t, 1] * scale)
         in2[t, :, :d], alphas[t] = kernels.attention_forward(
             in2[t, :, d : 2 * d] @ w_h.T, zz, z, valid, wav, us[t]
         )
-        h2, cells2[t + 1], *acts, tc = kernels.lstm_gates_forward(in2[t] @ w2.T + a["lstm2.b"], cells2[t])
-        np.concatenate(acts, axis=1, out=gates2[t])
+        np.add(in2[t] @ w2.T, a["lstm2.b"], out=gates2[t])
+        h2, cells2[t + 1], tc = kernels.lstm_gates_forward(gates2[t], cells2[t])
         tanh_c2.append(tc)
         h2_fed[t] = h2 * (drop[t, 2] * scale)
 
@@ -401,7 +402,7 @@ def teacher_forced_logprob(
     out = (logp[picks].reshape(steps, n) * t_mask.T).sum(axis=0) * inv_len
 
     def bwd(g):
-        nonlocal us, rec, x, pre_in, gates1, gates2, in2, cells1, cells2
+        nonlocal us, rec, x, gates1, gates2, in2, cells1, cells2
         dlp = ((g * inv_len) * t_mask.T).ravel()
         dlogits = np.exp(logp) * -dlp[:, None]
         dlogits[picks] += dlp
@@ -411,21 +412,17 @@ def teacher_forced_logprob(
         des = np.empty(alphas.shape)
         dpre, datt = np.zeros((2,) + us.shape[1:])  # d(tanh input): one step, summed over steps
         dh2_fed = dh1_rec = dh2_rec = dc1 = dc2 = np.zeros((n, d))
-        # t runs backwards: step t's dpre takes the place of its gate
+        # t runs backwards: the gate kernel writes step t's dpre over its
         # activations, and pop() frees its tanh(c) once used
         for t in reversed(range(steps)):
             dh2 = (dh2_out[t] + dh2_fed) * (drop[t, 2] * scale) + dh2_rec
-            gates2[t], dc2 = kernels.lstm_gates_backward(
-                dh2, dc2, *np.split(gates2[t], 4, axis=1), tanh_c2.pop(), cells2[t]
-            )
+            dc2 = kernels.lstm_gates_backward(dh2, dc2, gates2[t], tanh_c2.pop(), cells2[t])
             dct[t], dh1_fed, dh2_rec = np.split(gates2[t] @ w2, 3, axis=1)
             des[t] = kernels.attention_backward(dct[t], z, us[t], alphas[t], wav, dpre)
             datt += dpre
             dhh[t] = dpre.sum(axis=1)
             dh1 = (dh1_fed + dhh[t] @ w_h) * (drop[t, 1] * scale) + dh1_rec
-            gates1[t], dc1 = kernels.lstm_gates_backward(
-                dh1, dc1, *np.split(gates1[t], 4, axis=1), tanh_c1.pop(), cells1[t]
-            )
+            dc1 = kernels.lstm_gates_backward(dh1, dc1, gates1[t], tanh_c1.pop(), cells1[t])
             dh2_fed, dh1_rec = np.split(gates1[t] @ w_rec, 2, axis=1)
         del cells1, cells2, dh2_out
 
@@ -439,7 +436,7 @@ def teacher_forced_logprob(
         dwx1 = np.concatenate([flat1.T @ x.reshape(-1, d), sum1.T @ z_bar, dw_rec[:, :d]], axis=1)
         del x
         dx = (flat1 @ w_x) * (drop[:, 0] * scale).reshape(-1, d)
-        del flat1, gates1, pre_in
+        del flat1, gates1
         flat2 = gates2.reshape(-1, 4 * d)
         dw2 = flat2.T @ in2.reshape(-1, 3 * d)
         db2 = flat2.sum(axis=0)

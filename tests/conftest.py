@@ -1,5 +1,12 @@
-import numpy as np
-import pytest
+import os
+
+# Tier-1 figures are taken at 1 BLAS thread, and GEMM bits depend on the
+# thread count; set before numpy loads, unless the caller chose a count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 def central_difference(fn, arrays, h=1e-5):

@@ -604,6 +604,17 @@ def _scoring(command, flag, path):
     return argv
 
 
+def _assign_test_split_to(out):
+    """``assign-labels`` on the test split, with no detections, writing t / ``out``."""
+
+    def argv(d, t):
+        args = _assign_labels(d / "test.jsonl", _write(t / "dets.jsonl", ""), d / "classes.json", t)
+        args[-1] = str(t / out)
+        return args
+
+    return argv
+
+
 def _out_under_a_file(argv):
     """``argv(d, t)`` with its ``--out`` moved under the regular file t / "file"."""
 
@@ -628,6 +639,10 @@ NAMED_FAILURES = {
         _scoring("analyze", "--vectors", "run/vectors.jsonl"), 2, "run is not a directory",
     ),
     "evaluate_out_is_a_directory": (_scoring("evaluate", "--out", "."), 2, "it is a directory"),
+    "assign_labels_out_in_missing_directory": (
+        _assign_test_split_to("run/labels.jsonl"), 2, "run is not a directory",
+    ),
+    "assign_labels_out_is_a_directory": (_assign_test_split_to("."), 2, "it is a directory"),
     **{
         f"{command}_out_under_a_file": (
             _out_under_a_file(argv), 2, "file is not a directory",
@@ -712,6 +727,13 @@ NAMED_FAILURES = {
         )
         for key, (kind, good) in HEADER_INTEGERS.items()
         for value in (True, float(good), str(good))
+    },
+    **{
+        f"checkpoint_{key}_zero": (
+            _evaluate_with_header(key, 0), 3, f"checkpoint {key} must be >= 1, got 0",
+        )
+        for key in HEADER_INTEGERS
+        if key.startswith("model.")
     },
     "checkpoint_model.hidden_size_fraction": (
         _evaluate_with_header("model.hidden_size", 4.7), 3,

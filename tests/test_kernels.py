@@ -3,7 +3,9 @@
 The references accumulate one element at a time, so the floating-point
 kernels are compared within relative tolerances of 1e-14 to 1e-12 and the
 bit-parallel LCS exactly; the sigmoid and the pair-pick scatter must also
-match their numpy references bit for bit.
+match their numpy references bit for bit, and the LSTM gate backward, whose
+arithmetic is the loop's, its loop. The gate kernels work in place, so the
+loops get copies of the gate block.
 """
 
 import numpy as np
@@ -16,29 +18,50 @@ from groundcap import kernels
 from groundcap.errors import DomainError
 
 
-def _random_gate_inputs(rng, batch=7, d=5):
-    pre = rng.normal(size=(batch, 4 * d))
-    c_prev = rng.normal(size=(batch, d))
-    return pre, c_prev
+# (T, B, d): each gate block is row T // 2 of a (T, B, 4d) array, as the
+# fused decoder passes them
+GATE_SHAPES = [(1, 7, 5), (3, 7, 5), (4, 1, 5), (3, 6, 1), (2, 1, 1)]
+
+
+def _gate_rows(rng, steps, batch, d):
+    """Gate pre-activations ``rows``, the index of the block to pass and a
+    c_prev: rows[t] is the block, every other row must stay as it is."""
+    rows = rng.normal(scale=3.0, size=(steps, batch, 4 * d))
+    return rows, steps // 2, rng.normal(size=(batch, d))
+
+
+def _rest(rows, t):
+    return np.delete(rows, t, axis=0).tobytes()
 
 
 def test_lstm_gates_forward_matches_loop_reference(rng):
-    pre, c_prev = _random_gate_inputs(rng)
-    got = kernels.lstm_gates_forward(pre, c_prev)
-    got_loop = loop_reference.lstm_gates_forward_loop(pre, c_prev)
-    for a, b in zip(got, got_loop):
-        np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-15)
+    for steps, batch, d in GATE_SHAPES:
+        rows, t, c_prev = _gate_rows(rng, steps, batch, d)
+        pre, rest = rows[t].copy(), _rest(rows, t)
+        h, c, tc = kernels.lstm_gates_forward(rows[t], c_prev)
+        *want, i, f, o, g, want_tc = loop_reference.lstm_gates_forward_loop(pre, c_prev)
+        # the block holds [i f o g]: the bits of the numpy sigmoid and tanh,
+        # and within an ulp of the loop's math.exp and math.tanh
+        assert rows[t][:, : 3 * d].tobytes() == loop_reference.sigmoid(pre[:, : 3 * d]).tobytes()
+        assert rows[t][:, 3 * d :].tobytes() == np.tanh(pre[:, 3 * d :]).tobytes()
+        assert _rest(rows, t) == rest
+        for got, ref in zip((h, c, *np.split(rows[t], 4, axis=1), tc), (*want, i, f, o, g, want_tc)):
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-15)
 
 
 def test_lstm_gates_backward_matches_loop_reference(rng):
-    pre, c_prev = _random_gate_inputs(rng)
-    h, c, i, f, o, g, tc = kernels.lstm_gates_forward(pre, c_prev)
-    dh = rng.normal(size=h.shape)
-    dc = rng.normal(size=c.shape)
-    a = kernels.lstm_gates_backward(dh, dc, i, f, o, g, tc, c_prev)
-    b = loop_reference.lstm_gates_backward_loop(dh, dc, i, f, o, g, tc, c_prev)
-    np.testing.assert_allclose(a[0], b[0], rtol=1e-13, atol=1e-15)
-    np.testing.assert_allclose(a[1], b[1], rtol=1e-13, atol=1e-15)
+    for steps, batch, d in GATE_SHAPES:
+        rows, t, c_prev = _gate_rows(rng, steps, batch, d)
+        _, _, tc = kernels.lstm_gates_forward(rows[t], c_prev)
+        acts, rest = rows[t].copy(), _rest(rows, t)
+        dh, dc = rng.normal(size=(2, batch, d))
+        dc_prev = kernels.lstm_gates_backward(dh, dc, rows[t], tc, c_prev)
+        dpre, want_dc_prev = loop_reference.lstm_gates_backward_loop(
+            dh, dc, *np.split(acts, 4, axis=1), tc, c_prev
+        )
+        assert rows[t].tobytes() == dpre.tobytes()
+        assert dc_prev.tobytes() == want_dc_prev.tobytes()
+        assert _rest(rows, t) == rest
 
 
 def test_pair_cosines_matches_loop_reference(rng):
@@ -90,12 +113,14 @@ def test_iou_matrix_matches_loop_reference(rng):
 @pytest.mark.parametrize("batch", [1, 7])
 def test_lstm_gates_forward_sigmoid_blocks_exact(rng, batch):
     # The three sigmoid gates go through one call; each must equal its own.
-    pre, c_prev = _random_gate_inputs(rng, batch=batch)
+    rows, _, c_prev = _gate_rows(rng, 1, batch, 5)
+    pre = rows[0]
     pre[0, :3] = [-800.0, 0.0, 800.0]
-    _, _, i, f, o, _, _ = kernels.lstm_gates_forward(pre, c_prev)
-    d = c_prev.shape[1]
-    for k, gate in enumerate((i, f, o)):
-        assert np.array_equal(gate, kernels.sigmoid(pre[:, k * d:(k + 1) * d]))
+    gates = pre.copy()
+    kernels.lstm_gates_forward(gates, c_prev)
+    for k in range(3):
+        block = slice(k * 5, (k + 1) * 5)
+        assert np.array_equal(gates[:, block], kernels.sigmoid(pre[:, block]))
 
 
 def test_sigmoid_matches_masked_branch_reference(rng):
