@@ -166,7 +166,7 @@ def load_checkpoint(path: Path) -> tuple[ModelParams, dict]:
 
     ``format_version`` must be the JSON integer 1; ``vocab_size``,
     ``feature_size`` and ``hidden_size`` JSON integers >= 1, and ``att_size``
-    one or null. A bool, a float such as ``2.0``, a string such as ``"2"``
+    such an integer or null. A bool, a float such as ``2.0``, a string such as ``"2"``
     or a size below 1 there is a DataValidationError that names the field. The
     ``data`` arrays are not type-checked: numpy reads ``true`` or ``"0.5"``
     in them as a number, and a type scan of the 127,826 values of the
