@@ -49,8 +49,8 @@ import orjson
 
 from . import kernels
 from .autodiff import Tensor
-from .data import ClassTable, ImageExample, Vocabulary, float_array_json, normalize, write_atomic
-from .errors import ConfigError, DataValidationError, DegenerateStatisticsError, DomainError
+from .data import ClassTable, ImageExample, Vocabulary, json_bytes, normalize, write_atomic
+from .errors import ConfigError, DataValidationError, DegenerateStatisticsError, DomainError, NumericalError
 from .losses import label_embedding_matrix
 from .metrics import EvaluationCorpus, cider
 from .model import ModelParams, greedy_decode, project_features
@@ -204,15 +204,22 @@ def check_neighbor_k_option(k: int, examples: list[ImageExample], unk_id: int) -
     _check_correlatable(n_classes)
 
 
+def _check_projection(projected: np.ndarray, split: str) -> None:
+    if not np.isfinite(projected).all():  # finite weights can still overflow
+        raise NumericalError(f"{split} split: the input projection overflows to non-finite vectors")
+
+
 def decode_corpus(
     params: ModelParams,
     examples: list[ImageExample],
     vocab: Vocabulary,
     max_len: int,
+    split: str = "test",
 ) -> EvaluationCorpus:
     """Greedy-decode a split in one batched call, paired with its normalized
-    references image by image. Every caller scores the corpus with CIDEr,
-    so a split of fewer than 2 images is a DataValidationError."""
+    references image by image. Every caller scores the corpus with CIDEr, so
+    a split of fewer than 2 images is a DataValidationError; a non-finite
+    projected object vector, a NumericalError that names the ``split``."""
     _check_scorable(examples)
     references = []
     for ex in examples:
@@ -220,7 +227,9 @@ def decode_corpus(
         if not refs:
             raise DataValidationError(f"image {ex.image_id} has no usable references")
         references.append(refs)
-    zs = [project_features(ex.features, params.arrays["input_proj"]) for ex in examples]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once for the split below
+        zs = [project_features(ex.features, params.arrays["input_proj"]) for ex in examples]
+    _check_projection(np.concatenate(zs), split)
     captions = greedy_decode(zs, params, max_len)
     return EvaluationCorpus(
         entries=[
@@ -235,9 +244,10 @@ def split_cider(
     examples: list[ImageExample],
     vocab: Vocabulary,
     max_len: int,
+    split: str = "test",
 ) -> float:
     """Greedy-decode a split and score it, on the 0..100 report scale."""
-    return 100.0 * cider(decode_corpus(params, examples, vocab, max_len))
+    return 100.0 * cider(decode_corpus(params, examples, vocab, max_len, split))
 
 
 def analyze(
@@ -247,16 +257,20 @@ def analyze(
     vocab: Vocabulary,
     cider: float,
     neighbor_k: int = DEFAULT_NEIGHBOR_K,
+    split: str = "test",
 ) -> tuple[AnalysisReport, list[ClassVectors]]:
     """Table-shaped structure report plus exportable per-class vectors.
 
     ``cider`` (the split's ``split_cider``) goes into the report as given.
-    Checks run in this order: 2 classes; the original space's homogeneity
-    and nonzero centroids, then the projected one's; k; nonzero word
-    vectors; the correlation's 3 classes and variance.
+    Checks run in this order: finite projected vectors (a NumericalError that
+    names the ``split``); 2 classes; the original space's homogeneity and
+    nonzero centroids, then the projected one's; k; nonzero word vectors;
+    the correlation's 3 classes and variance.
     """
     vectors, labels = collect_objects(examples, class_table.unk_id)
-    projected = project_features(vectors, params.arrays["input_proj"])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        projected = project_features(vectors, params.arrays["input_proj"])
+    _check_projection(projected, split)
     classes, orig_centroids = class_centroids(vectors, labels)
     _, proj_centroids = class_centroids(projected, labels)
     tokens = class_table.label_token_ids(vocab)
@@ -291,16 +305,6 @@ def analyze(
 
 
 def write_vector_export(exports: list[ClassVectors], path: Path) -> None:
-    """One line per class, ``json.dumps`` of its label and three vectors with
-    sorted keys; the vectors go through ``float_array_json``."""
-    lines = [
-        b"".join((
-            b'{"centroid_original": ', float_array_json(cv.centroid_original),
-            b', "centroid_projected": ', float_array_json(cv.centroid_projected),
-            b', "label": ', json.dumps(cv.label).encode(),
-            b', "word_vector": ', float_array_json(cv.word_vector),
-            b"}\n",
-        ))
-        for cv in exports
-    ]
-    write_atomic(path, b"".join(lines))
+    """One line per class, ``data.json_bytes`` of its label and three
+    vectors: ``json.dumps`` of them with sorted keys."""
+    write_atomic(path, b"".join(json_bytes(vars(cv)) + b"\n" for cv in exports))

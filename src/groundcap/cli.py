@@ -9,8 +9,8 @@ snapshot, logs and checkpoints into the run directory.
 
 Exit codes: 0 success, 2 configuration error (an output path that cannot
 be written is one, named before anything is read, decoded or trained), 3
-data validation error, 4 numerical failure (a NaN loss aborts training;
-the last good checkpoint stays on disk).
+data validation error, 4 numerical failure (a NaN loss, which keeps the
+last good checkpoint, or a split whose projection overflows).
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ def _load_checkpoint_and_data(args):
 def _cmd_evaluate(args) -> int:
     _check_out_file(args.out)
     params, vocab, max_len, dataset = _load_checkpoint_and_data(args)
-    table = evaluate(params, dataset.splits[args.split], vocab, max_len)
+    table = evaluate(params, dataset.splits[args.split], vocab, max_len, args.split)
     text = json.dumps(table, sort_keys=True, indent=2)
     if args.out:
         write_atomic(args.out, text + "\n")
@@ -263,8 +263,8 @@ def _cmd_analyze(args) -> int:
         examples,
         dataset.class_table,
         vocab,
-        cider=split_cider(params, examples, vocab, max_len),
-        neighbor_k=args.neighbor_k,
+        cider=split_cider(params, examples, vocab, max_len, args.split),
+        neighbor_k=args.neighbor_k, split=args.split,
     )
     if args.out:
         write_atomic(args.out, report.to_json() + "\n")

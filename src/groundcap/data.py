@@ -24,10 +24,10 @@ UTF-8: NaN/Infinity literals, numbers that overflow float64 and lone
 surrogate escapes are malformed JSON. An image id is a JSON string or a
 64-bit integer.
 
-One encoder, ``float_array_json``, writes every float array of the program's
-output: the parameters of a checkpoint, the features and boxes of a dataset
-record and the vectors of ``analyze --vectors``, each with the bytes
-``json.dumps`` writes. A dataset file holds exactly
+One encoder, ``json_bytes``, writes every JSON file that holds arrays: a
+dataset record, a checkpoint and a line of ``analyze --vectors``, each with
+the bytes ``json.dumps(value, sort_keys=True)`` writes of the same value with
+its arrays as lists. A dataset file holds exactly
 ``json.dumps(example_to_record(ex), sort_keys=True)`` per line.
 """
 
@@ -40,6 +40,7 @@ import os
 import re
 from dataclasses import dataclass, field, fields
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,7 @@ import orjson
 from .errors import ConfigError, DataValidationError, NumericalError
 
 log = logging.getLogger(__name__)
+_encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(value, sort_keys=True)
 
 BOS_TOKEN = "<bos>"
 EOS_TOKEN = "<eos>"
@@ -309,50 +311,57 @@ def write_atomic(path: Path, data: str | bytes) -> None:
 
 
 def float_array_json(arr: np.ndarray) -> bytes:
-    """``json.dumps(arr.tolist())`` of a finite float64 array of any shape, as
-    bytes; NaN and infinities have no JSON number, so callers reject them.
+    """``json.dumps(arr.tolist())`` of a finite float array of one or more
+    dimensions, as bytes: the leaf of ``json_bytes``. NaN and infinities have
+    no JSON number, so callers reject them.
 
     orjson prints the same shortest round-trip digits as ``float.__repr__``
     and differs only in layout: it writes no space after ``,``, and where
     Python uses the exponent form (nonzero magnitudes below 1e-4 or from
     1e16 up) it writes ``0.00001``, ``1e-6`` or ``1e16`` for Python's
-    ``1e-05``, ``1e-06`` and ``1e+16``. Those few values get ``repr``
-    spliced over their orjson token: the i-th value's token is the i-th run
-    of bytes other than ``[``, ``]`` and ``,``.
+    ``1e-05``, ``1e-06`` and ``1e+16``: always with ``e`` or ``0.0000``. Those
+    few values get ``repr`` spliced over their orjson token: the i-th value's
+    token is the i-th run of bytes other than ``[``, ``]`` and ``,``.
     """
     arr = np.ascontiguousarray(arr, dtype=np.float64)  # orjson takes C order only
     body = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY)
-    flat = arr.ravel()
-    magnitude = np.abs(flat)
-    exponent = np.flatnonzero((flat != 0) & ((magnitude < 1e-4) | (magnitude >= 1e16)))
-    if exponent.size:
-        buf = np.frombuffer(body, np.uint8)
-        delimiter = (buf == ord(",")) | (buf == ord("[")) | (buf == ord("]"))
-        bounds = np.flatnonzero(delimiter[1:] != delimiter[:-1]) + 1  # start, end, start, ...
-        starts, ends = bounds[0::2][exponent], bounds[1::2][exponent]
-        pieces = [body[: starts[0]]]
-        for value, end, next_start in zip(
-            flat[exponent].tolist(), ends.tolist(), [*starts[1:].tolist(), len(body)]
-        ):
-            pieces += (repr(value).encode(), body[end:next_start])
-        body = b"".join(pieces)
+    if b"e" in body or b"0.0000" in body:  # else no value has the exponent form
+        flat = arr.ravel()
+        magnitude = np.abs(flat)
+        exponent = np.flatnonzero((flat != 0) & ((magnitude < 1e-4) | (magnitude >= 1e16)))
+        if exponent.size:
+            buf = np.frombuffer(body, np.uint8)
+            delimiter = (buf == ord(",")) | (buf == ord("[")) | (buf == ord("]"))
+            bounds = np.flatnonzero(delimiter[1:] != delimiter[:-1]) + 1  # start, end, start, ...
+            starts, ends = bounds[0::2][exponent], bounds[1::2][exponent]
+            pieces = [body[: starts[0]]]
+            for value, end, next_start in zip(
+                flat[exponent].tolist(), ends.tolist(), [*starts[1:].tolist(), len(body)]
+            ):
+                pieces += (repr(value).encode(), body[end:next_start])
+            body = b"".join(pieces)
     return body.replace(b",", b", ")
+
+
+def json_bytes(value) -> bytes:
+    """``json.dumps(value, sort_keys=True)`` as bytes for a value that may hold
+    numpy arrays: a float array of one or more dimensions as
+    ``float_array_json`` writes it, any other array as its ``tolist()``."""
+    if type(value) is dict:  # str keys, escaped as json.dumps escapes them
+        return b"{%s}" % b", ".join(b"%s: %s" % (encode_basestring_ascii(key).encode(), json_bytes(item))
+                                    for key, item in sorted(value.items()))
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and value.ndim:
+            return float_array_json(value)
+        value = value.tolist()
+    return _encode(value).encode()
 
 
 def record_json(ex: ImageExample) -> bytes:
     """The line ``write_jsonl`` writes for ``ex``, as bytes:
-    ``json.dumps(example_to_record(ex), sort_keys=True)`` and a newline. The
-    arrays go through ``float_array_json`` and orjson, the id and the captions
-    through ``json.dumps``, which escapes non-ASCII text and lone surrogates
-    as it always has."""
-    return b"".join((
-        b'{"boxes": ', float_array_json(ex.boxes),
-        b', "captions": ', json.dumps(list(ex.captions)).encode(),
-        b', "features": ', float_array_json(ex.features),
-        b', "id": ', json.dumps(ex.image_id).encode(),
-        b', "labels": ', orjson.dumps(ex.labels.tolist()).replace(b",", b", "),
-        b"}\n",
-    ))
+    ``json.dumps(example_to_record(ex), sort_keys=True)`` and a newline."""
+    return json_bytes({"id": ex.image_id, "features": ex.features, "boxes": ex.boxes,
+                       "labels": ex.labels, "captions": ex.captions}) + b"\n"
 
 
 def _check_finite(examples: list[ImageExample], path: Path) -> None:
@@ -627,6 +636,8 @@ def generate_synthetic_dataset(spec: SyntheticSpec, seed: int) -> Dataset:
     (k, d) noise, a (k, 4) block of box bounds and the caption swap.
     """
     spec.validate()
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     protos = class_prototypes(spec, rng)
     groups = _class_groups(spec.num_classes)

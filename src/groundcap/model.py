@@ -30,7 +30,7 @@ for all the chunk's images from one masked sum over the padded block.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ import orjson
 from . import autodiff as ad
 from . import heap, kernels
 from .autodiff import Tensor
-from .data import BOS_ID, EOS_ID, float_array_json, write_atomic
+from .data import BOS_ID, EOS_ID, json_bytes, write_atomic
 from .errors import DataValidationError, DomainError, NumericalError, ShapeError
 
 INIT_SCALE = 0.08
@@ -125,11 +125,10 @@ def save_checkpoint(params: ModelParams, path: Path, extra: dict | None = None) 
     """Write the checkpoint JSON atomically: a kill or a failed write leaves
     any previous checkpoint at ``path`` intact.
 
-    The bytes are those of ``json.dumps(payload, sort_keys=True)`` for the
-    payload ``{"format_version", "model", "params", "extra"}``, where
-    ``params`` maps each array's name to ``{"data": flat list, "shape"}``.
-    ``json.dumps`` writes everything but the arrays; each array is encoded
-    by ``data.float_array_json``, one at a time. A parameter with a NaN or
+    The bytes are ``data.json_bytes`` of the payload ``{"format_version",
+    "model", "params", "extra"}``, where ``params`` maps each array's name to
+    ``{"data": flat array, "shape"}``: those of ``json.dumps(payload,
+    sort_keys=True)`` with the arrays as lists. A parameter with a NaN or
     infinite entry raises ``NumericalError`` before anything is written:
     JSON has no such number, and every reader would reject the file.
     """
@@ -137,28 +136,11 @@ def save_checkpoint(params: ModelParams, path: Path, extra: dict | None = None) 
     for name, arr in arrays:
         if not np.isfinite(arr).all():
             raise NumericalError(f"parameter {name} has non-finite entries; {path} not written")
-    head = {
-        "format_version": CHECKPOINT_VERSION,
-        "model": {
-            "vocab_size": params.config.vocab_size,
-            "feature_size": params.config.feature_size,
-            "hidden_size": params.config.hidden_size,
-            "att_size": params.config.att_size,
-        },
-    }
+    payload = {"format_version": CHECKPOINT_VERSION, "model": asdict(params.config),
+               "params": {name: {"data": arr.ravel(), "shape": arr.shape} for name, arr in arrays}}
     if extra:
-        head["extra"] = extra
-    # "params" sorts after every other top-level key, and "data" before "shape".
-    pieces = [json.dumps(head, sort_keys=True)[:-1].encode(), b', "params": {']
-    for i, (name, arr) in enumerate(arrays):
-        pieces += (
-            b", " if i else b"",
-            f'{json.dumps(name)}: {{"data": '.encode(),
-            float_array_json(arr.ravel()),
-            f', "shape": {json.dumps(list(arr.shape))}}}'.encode(),
-        )
-    pieces.append(b"}}")
-    write_atomic(path, b"".join(pieces))
+        payload["extra"] = extra
+    write_atomic(path, json_bytes(payload))
 
 
 def load_checkpoint(path: Path) -> tuple[ModelParams, dict]:

@@ -340,9 +340,10 @@ def _run_epoch(state: TrainState, val: list[ImageExample], run_dir: Path | None)
     state.epochs_run += 1
     epoch = state.epochs_run
     order = np.random.default_rng([config.seed, 4, epoch]).permutation(len(state.pairs))
-    for start in range(0, len(order), config.batch_size):
-        _train_step(state, [state.pairs[i] for i in order[start : start + config.batch_size]])
-    val_cider = split_cider(state.params, val, state.vocab, config.max_len)
+    with np.errstate(over="ignore", invalid="ignore"):  # the step's finite checks name it
+        for start in range(0, len(order), config.batch_size):
+            _train_step(state, [state.pairs[i] for i in order[start : start + config.batch_size]])
+    val_cider = split_cider(state.params, val, state.vocab, config.max_len, "val")
     state.rows[-1].val_cider = val_cider
     # Every epoch, so that a run killed later still leaves its log.
     if run_dir is not None:
@@ -462,9 +463,10 @@ def evaluate(
     examples: list[ImageExample],
     vocab: Vocabulary,
     max_len: int,
+    split: str = "test",
 ) -> dict[str, float]:
     """Greedy-decode a split and emit the 100-scaled metric row."""
-    return metric_table(decode_corpus(params, examples, vocab, max_len))
+    return metric_table(decode_corpus(params, examples, vocab, max_len, split))
 
 
 def run_experiment_matrix(

@@ -37,6 +37,7 @@ from groundcap.errors import (
     DataValidationError,
     DegenerateStatisticsError,
     DomainError,
+    NumericalError,
 )
 from groundcap.model import ModelConfig, ModelParams
 
@@ -405,6 +406,15 @@ class TestAnalyze:
             for cv in exports
         )
         assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("split", ["test", "val"])
+    def test_overflowing_projection_is_numerical_error(self, split, setup, recwarn):
+        ds, vocab, params = setup
+        params.arrays["input_proj"] = np.full((24, 24), 1e308)
+        with pytest.raises(NumericalError, match=f"^{split} split: the input projection overflows"):
+            analyze(params, ds.splits[split], ds.class_table, vocab, cider=12.5, neighbor_k=2,
+                    split=split)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_missing_labels_is_validation_error(self, setup):
         ds, vocab, params = setup

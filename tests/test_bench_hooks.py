@@ -10,7 +10,8 @@ positional argument of the samplers, ``clip_global_norm`` and
 ``save_checkpoint``. ``tools/step_memory.py`` reaches in too: it replaces
 ``training._train_step`` and reads the workload's training flags. So does
 ``tools/paired_steps.py``, which reads the flags, the data spec and the
-benchmark's reading of ``convergence.csv``.
+benchmark's reading of ``convergence.csv``, and ``tools/paired_setup.py``,
+which runs ``workload.py --setup-only`` and reads its ``setup.json``.
 """
 
 import importlib
@@ -121,3 +122,34 @@ def test_paired_steps_tool_runs_one_pair():
     assert re.search(r"^pair 1 \(base first\): base [\d.]+, change [\d.]+$", proc.stdout, re.MULTILINE)
     assert re.search(r"^median ratio change/base [\d.]+; change faster in [01] of 1 pairs$",
                      proc.stdout, re.MULTILINE), proc.stdout
+
+
+def test_paired_setup_tool_runs_one_pair():
+    # tools/paired_setup.py times the benchmark's set-up probes in two trees
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "paired_setup.py"), str(ROOT), str(ROOT), "--pairs", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert re.search(r"^pair 1 \(base first\): base [\d.]+, change [\d.]+$", proc.stdout, re.MULTILINE)
+    assert re.search(r"^median ratio change/base [\d.]+; change faster in [01] of 1 pairs$",
+                     proc.stdout, re.MULTILINE), proc.stdout
+
+
+def test_paired_setup_tool_exits_1_on_a_failed_check(tmp_path):
+    # a tree whose set-up reports ok: false, as a failed fingerprint check does
+    fake = tmp_path / "fake"
+    (fake / "perfbench").mkdir(parents=True)
+    (fake / "perfbench" / "workload.py").write_text(
+        "import json, sys, time\n"
+        "from pathlib import Path\n"
+        "work = Path(sys.argv[sys.argv.index('--workdir') + 1])\n"
+        "work.mkdir(parents=True)\n"
+        "(work / 'setup.json').write_text(json.dumps({'ready_monotonic': time.monotonic(), 'ok': False}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "paired_setup.py"), str(ROOT), str(fake), "--pairs", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "pair 1: the change probe failed a set-up check" in proc.stdout

@@ -241,7 +241,7 @@ class TestTrainEvaluateAnalyze:
         assert code == 3
         assert err.startswith("data validation error: ") and "at least 2 images for CIDEr" in err
 
-    def test_nan_training_exit_code_4(self, data_dir, tmp_path, capsys):
+    def test_nan_training_exit_code_4(self, data_dir, tmp_path, capsys, recwarn):
         # the first update moves every weight by about the learning rate, so
         # the second step's matmuls overflow and its loss is NaN
         code = main([
@@ -250,6 +250,22 @@ class TestTrainEvaluateAnalyze:
         ])
         assert code == 4
         assert "numerical failure" in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]  # no numpy noise
+
+    def test_overflowing_first_epoch_writes_no_checkpoint(self, tmp_path, capsys, recwarn):
+        # 32 training images of 2 captions fill one batch of 64, so the one
+        # step of epoch 1 leaves finite weights whose projection overflows
+        data = tmp_path / "data"
+        assert main(["generate-data", "--out", str(data), "--classes", "3", "--images", "40",
+                     "--feature-size", "12", "--seed", "9"]) == 0
+        run = tmp_path / "run"
+        code = main(["train", "--data", str(data), "--out", str(run), *TINY_FLAGS,
+                     "--batch-size", "64", "--learning-rate", "1e308"])
+        assert code == 4
+        assert "val split: the input projection overflows" in capsys.readouterr().err
+        assert not (run / "checkpoint_best.json").exists()
+        assert len((run / "convergence.csv").read_text().splitlines()) == 2  # header, step 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def _edit_first_record(path, edit):
@@ -378,6 +394,17 @@ def _write_checkpoint(path, **extra):
     params = ModelParams.init(config, np.random.default_rng(0))
     metadata = {"vocab_tokens": CHECKPOINT_TOKENS, "train_config": {"max_len": 4}}
     save_checkpoint(params, path, extra={**metadata, **extra})
+    return path
+
+
+def _overflowing_checkpoint(path):
+    """``_write_checkpoint``'s checkpoint with row 0 of ``input_proj`` set to
+    1e308: finite weights whose projection of the fixture's features is not."""
+    _write_checkpoint(path)
+    payload = json.loads(path.read_text())
+    entry = payload["params"]["input_proj"]
+    entry["data"][: entry["shape"][1]] = [1e308] * entry["shape"][1]
+    path.write_text(json.dumps(payload))
     return path
 
 
@@ -653,6 +680,20 @@ NAMED_FAILURES = {
             ("generate_data", lambda d, t: ["generate-data", "--out", str(t / "run"), "--images", "10"]),
         )
     },
+    "generate_data_seed_negative": (
+        lambda d, t: ["generate-data", "--out", str(t / "run"), "--images", "10", "--seed", "-1"],
+        2, "seed must be >= 0, got -1",
+    ),
+    **{
+        f"evaluate_{split}_projection_overflows": (
+            lambda d, t, split=split: [
+                "evaluate", "--checkpoint", str(_overflowing_checkpoint(t / "checkpoint.json")),
+                "--data", str(d), "--split", split, "--out", str(t / "run"),
+            ],
+            4, f"{split} split: the input projection overflows",
+        )
+        for split in ("test", "val")
+    },
     "generate_data_spread_overflows": (
         lambda d, t: ["generate-data", "--out", str(t / "run"), "--images", "10", "--spread", "1e308"],
         4, "has non-finite features or boxes",
@@ -765,6 +806,28 @@ def test_failure_is_named_before_writing(case, data_dir, tmp_path, capsys, monke
     assert not (tmp_path / "run").exists()
     assert len(decodes) == 0
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]  # no numpy noise
+
+
+@pytest.mark.parametrize("split", ["test", "val"])
+def test_analyze_projection_overflow_is_named_before_decoding(
+    split, data_dir, tmp_path, capsys, monkeypatch, recwarn
+):
+    # the evaluate cases are in NAMED_FAILURES, which stubs out the decode
+    # that analyze's check must come before
+    decodes = []
+    monkeypatch.setattr(analysis, "greedy_decode", lambda *args: decodes.append(1))
+    checkpoint = _overflowing_checkpoint(tmp_path / "checkpoint.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main([
+        "analyze", "--checkpoint", str(checkpoint), "--data", str(data_dir), "--split", split,
+        "--neighbor-k", "1", "--out", str(out / "analysis.json"), "--vectors", str(out / "vectors.jsonl"),
+    ])
+    assert code == 4
+    assert f"{split} split: the input projection overflows" in capsys.readouterr().err
+    assert not decodes
+    assert not list(out.iterdir())
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "assign_labels"])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import loop_reference
 from decode_reference import decode_tokens
@@ -81,6 +82,39 @@ def image_examples(draw):
         labels=draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=k, max_size=k)),
         captions=draw(st.lists(RECORD_TEXT, max_size=3)),
     )
+
+
+# dict keys that json.dumps escapes: quotes, backslashes, control characters,
+# non-ASCII text and lone surrogates
+JSON_KEYS = st.one_of(
+    st.sampled_from(['"', 'say "hi"', "back\\slash", "\t\n", "café", "☃ 𝄞", "\ud800", ""]),
+    st.text(max_size=6),
+)
+ARRAY_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+JSON_PLAIN = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-(2**70), 2**70), RECORD_FLOATS,
+              RECORD_TEXT),
+    lambda items: st.lists(items, max_size=3),
+    max_leaves=6,
+)
+# nested dicts of finite float64 arrays of 0-3 dimensions, int64 arrays and
+# plain JSON values
+JSON_WITH_ARRAYS = st.recursive(
+    st.one_of(
+        hnp.arrays(np.float64, ARRAY_SHAPES, elements=RECORD_FLOATS),
+        hnp.arrays(np.int64, ARRAY_SHAPES),
+        JSON_PLAIN,
+    ),
+    lambda values: st.dictionaries(JSON_KEYS, values, max_size=4),
+    max_leaves=8,
+)
+
+
+def _as_lists(value):
+    """``value`` with every array as its ``tolist()``."""
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 # a value that repr writes in exponent form first, inside and last in a row
@@ -405,6 +439,12 @@ class TestDatasetIO:
             path = Path(tmp) / "split.jsonl"
             data.write_jsonl(examples, path)
             assert path.read_bytes() == want.encode()
+
+    @given(st.dictionaries(JSON_KEYS, JSON_WITH_ARRAYS, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    @example({"b": np.array([[1e-05, 2.0], [3.0, 1e16]]), "a": {"\u00e9\"": np.array(5e-324)}})
+    def test_json_bytes_equal_json_dumps(self, value):
+        assert data.json_bytes(value) == json.dumps(_as_lists(value), sort_keys=True).encode()
 
     def test_load_dataset_missing_file(self, tmp_path):
         with pytest.raises(DataValidationError):

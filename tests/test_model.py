@@ -1048,6 +1048,14 @@ class TestCheckpoint:
         ),
         extra=st.sampled_from([None, {"epoch": 2, "val_cider": 1e-05}]),
     )
+    # float_array_json scans for exponent-form values only when orjson's bytes
+    # hold an "e" or "0.0000": such values written without "e", with "e", and
+    # "0.0000" with no such value
+    @example(arrays={"embedding": np.array([0.5, 1.5e-05]), "out.b": np.array([-3e-05])},
+             extra=None)
+    @example(arrays={"embedding": np.array([2.0, 1.5e16]), "out.b": np.array([5e-324])},
+             extra=None)
+    @example(arrays={"embedding": np.array([100.00001])}, extra=None)
     def test_bytes_equal_json_dumps(self, arrays, extra):
         self.assert_bytes_of_reference(arrays, extra)
 
